@@ -48,7 +48,6 @@ _FIT_SCHEMA = {
     "learning_rate": (float, None),
     "max_iters": (int, None),
     "rel_tol": (float, None),
-    "seed": (int, None),
     "backtrack_factor": (float, None),
 }
 
@@ -164,7 +163,7 @@ def _data_config(doc: dict, experiment: str) -> dict:
 def _fit_options(doc: dict, section: str) -> FitOptions:
     kwargs = {k: v for k, v in doc.get(section, {}).items() if v is not None}
     if section == "adapt" and not kwargs:
-        return FitOptions(rel_tol=1e-6, max_iters=20_000)
+        return ev.ADAPT_OPTIONS
     try:
         return FitOptions(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -271,7 +270,7 @@ def cmd_train(args) -> int:
         "kernel": {"kind": prior.kernel.kind, "lengthscale": prior.kernel.lengthscale},
         "beta": prior.beta,
         "prior_mean": float(prior.mean_fn),
-        "fit": {k: getattr(opts, k) for k in ("learning_rate", "max_iters", "rel_tol", "seed", "backtrack_factor")},
+        "fit": {k: getattr(opts, k) for k in ("learning_rate", "max_iters", "rel_tol", "backtrack_factor")},
         "inducing_count": len(inducing) if inducing is not None else None,
     }
     gp_pca.save_model(model, args.out, config_hash=ev.config_hash(train_echo))

@@ -1,45 +1,39 @@
-"""Flat-subspace PCA over Gaussian coordinate points by KL-minimizing descent.
+"""Flat-subspace PCA over Gaussian natural coordinates by KL-minimizing descent.
 
-Data are Gaussians given as flattened coordinate points (theta, vec(Theta))
-or (eta, vec(H)) of length D = d + d^2. A rank-L affine subspace
+Data are Gaussians given as flattened natural coordinates (theta, vec(Theta))
+of length D = d + d^2. A rank-L e-flat subspace
 
     point(w) = u0 + sum_l w_l u_l
 
-is fitted in either chart by descent on the weights W (I x L) and the
-stacked basis U ((L+1) x D rows u0, u1, ..., uL):
-
-- e_flat mode: reconstructions live in natural coordinates and the loss is
-  sum_i KL(data_i || recon_i), the divergence minimized by the unique
-  projection of each point onto the subspace along its mixture geodesic.
-- m_flat mode: reconstructions live in expectation coordinates and the loss
-  is sum_i KL(recon_i || data_i), the dual projection problem.
-
-In both modes the per-point loss gradient with respect to the reconstruction
-is simply the dual-chart residual R_i (expectation residual in e_flat mode,
-natural residual in m_flat mode), giving
+is fitted by descent on the weights W (I x L) and the stacked basis U
+((L+1) x D rows u0, u1, ..., uL). The loss is sum_i KL(data_i || recon_i),
+the exponential-family PCA loss of Collins, Dasgupta & Schapire (2001); each
+reconstruction is the projection of its point onto the subspace along the
+mixture geodesic. The per-point loss gradient with respect to the
+reconstruction is the expectation-coordinate residual R_i = eta(recon_i) -
+eta(data_i), giving
 
     dE/dW = R U~^T          (U~ = basis rows only)
     dE/dU = [1 | W]^T R     (offset row receives the plain column sum)
 
 Iterates must stay inside the cone of valid parameters (Theta negative
-definite, H - eta eta^T positive definite). The joint fit runs a
-limited-memory quasi-Newton descent whose line search treats any invalid
-candidate as a barrier value, so accepted iterates are always valid
-Gaussians and the objective over them is non-increasing (plain alternating
-gradient steps provably crawl on the scale degeneracy between W and the
-basis and cannot reach the tolerances this module is tested at). The
-barrier carries no gradient, so that line search can fail outright; the fit
-then continues with the backtracking descent described next.
-Single-point projections are convex in w and use a monotone backtracking
-descent: candidates that leave the cone or fail to decrease the objective
-are shrunk by `backtrack_factor`, with quasi-Newton step proposals and the
-learning rate as the initial step scale.
+definite). The joint fit runs a limited-memory quasi-Newton descent whose
+line search treats any invalid candidate as a barrier value, so accepted
+iterates are always valid Gaussians and the objective over them is
+non-increasing (plain alternating gradient steps provably crawl on the scale
+degeneracy between W and the basis and cannot reach the tolerances this
+module is tested at). The barrier carries no gradient, so that line search
+can fail outright; the fit then continues with the backtracking descent
+described next. Single-point projections are convex in w and use a monotone
+backtracking descent: candidates that leave the cone or fail to decrease the
+objective are shrunk by `backtrack_factor`, with quasi-Newton step proposals
+and the learning rate as the initial step scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -60,20 +54,28 @@ __all__ = [
     "fit",
 ]
 
-Mode = Literal["e_flat", "m_flat"]
-
 _MAX_BACKTRACKS = 40
 _LBFGS_MEMORY = 20
 _BARRIER = 1e15  # line-search value reported for reconstructions outside the cone
 
 
 class ValidityError(RuntimeError):
-    """A reconstructed point left the valid parameter cone."""
+    """A point outside the cone of valid Gaussians (Theta not negative definite).
 
-    def __init__(self, task_index: int, mode: str):
+    `data` tells whether the offending point is an input point itself or the
+    reconstruction of input point `task_index` on the subspace.
+    """
+
+    def __init__(self, task_index: int, data: bool = False):
         self.task_index = task_index
-        cone = "negative definite Theta" if mode == "e_flat" else "positive definite H - eta eta^T"
-        super().__init__(f"reconstruction for point {task_index} violates {cone}")
+        if data:
+            message = (
+                f"input point {task_index} is not a valid Gaussian: "
+                "its Theta is not negative definite"
+            )
+        else:
+            message = f"reconstruction for point {task_index} violates negative definite Theta"
+        super().__init__(message)
 
 
 class ValidityStallError(RuntimeError):
@@ -98,7 +100,6 @@ class FitOptions:
     learning_rate: float = 0.1
     max_iters: int = 10_000
     rel_tol: float = 1e-8
-    seed: int = 0
     backtrack_factor: float = 0.5
 
     def __post_init__(self):
@@ -114,11 +115,10 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Affine subspace: offset u0 (D,), basis rows (L, D), and the chart it lives in."""
+    """Affine subspace in natural coordinates: offset u0 (D,) and basis rows (L, D)."""
 
     u0: np.ndarray
     basis: np.ndarray
-    mode: Mode = "e_flat"
 
     def __post_init__(self):
         u0 = np.asarray(self.u0, dtype=float).reshape(-1)
@@ -127,8 +127,6 @@ class Subspace:
             basis = basis.reshape(0, u0.shape[0])
         if basis.ndim != 2 or basis.shape[1] != u0.shape[0]:
             raise ValueError(f"basis shape {basis.shape} does not match offset length {u0.shape[0]}")
-        if self.mode not in ("e_flat", "m_flat"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "basis", basis)
 
@@ -148,8 +146,9 @@ class FitResult:
     objective: float
     iterations: int
     # True if L-BFGS-B met its tolerance (status 0), or if its line search failed
-    # and the cone-aware continuation then converged as `_Minimizer.run` defines
-    # it. False at the iteration cap, or when the continuation finds no valid step.
+    # and the cone-aware continuation then took at least one step and converged
+    # as `_Minimizer.run` defines it. False at the iteration cap, and when the
+    # continuation finds no valid or no decreasing step from where it started.
     converged: bool
     history: np.ndarray = field(repr=False)  # objective at each accepted evaluation
 
@@ -182,29 +181,21 @@ def _strict_cholesky(stack: np.ndarray) -> np.ndarray:
         raise _InvalidBatch(0) from None
 
 
-def _batched_cholesky(stack: np.ndarray, mode: Mode) -> np.ndarray:
-    try:
-        return _strict_cholesky(stack)
-    except _InvalidBatch as exc:
-        raise ValidityError(exc.index, mode) from None
-
-
 def _batched_logdet(chol: np.ndarray) -> np.ndarray:
     diag = np.diagonal(chol, axis1=-2, axis2=-1)
     return 2.0 * np.sum(np.log(diag), axis=-1)
 
 
 class _PointBatch:
-    """Precomputed per-point quantities of the data in a fixed chart.
+    """Precomputed per-point quantities of the data.
 
-    For each data Gaussian stores its moments, precision, log-determinant and
-    both flat charts, so KL values and dual residuals against a batch of
-    reconstructions cost one batched factorization per evaluation.
+    For each data Gaussian stores its moments, log-determinant and
+    expectation coordinates, so KL values and dual residuals against a batch
+    of reconstructions cost one batched factorization per evaluation.
     """
 
-    def __init__(self, points: np.ndarray, mode: Mode):
+    def __init__(self, points: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.mode = mode
         self.count, self.flat_dim = points.shape
         self.dim = dim_from_flat(self.flat_dim)
         d, n = self.dim, self.count
@@ -212,83 +203,63 @@ class _PointBatch:
         vec = points[:, :d]
         mat = points[:, d:].reshape(n, d, d)
         mat = 0.5 * (mat + np.transpose(mat, (0, 2, 1)))
-        if mode == "e_flat":
-            a = -2.0 * mat  # Sigma^-1 per point, must be PD
-            chol = _batched_cholesky(a, mode)
-            self.lam = a
-            self.logdet = -_batched_logdet(chol)  # log det Sigma
-            self.mu = np.linalg.solve(a, vec[..., None])[..., 0]
-            self.sigma = np.linalg.inv(a)
-            dual_mat = self.sigma + np.einsum("ni,nj->nij", self.mu, self.mu)
-            self.dual = np.concatenate([self.mu, dual_mat.reshape(n, -1)], axis=1)
-        else:
-            sigma = mat - np.einsum("ni,nj->nij", vec, vec)
-            sigma = 0.5 * (sigma + np.transpose(sigma, (0, 2, 1)))
-            chol = _batched_cholesky(sigma, mode)
-            self.mu = vec
-            self.sigma = sigma
-            lam = np.linalg.inv(sigma)
-            self.lam = 0.5 * (lam + np.transpose(lam, (0, 2, 1)))
-            self.logdet = _batched_logdet(chol)
-            theta = np.einsum("nij,nj->ni", self.lam, vec)
-            self.dual = np.concatenate([theta, (-0.5 * self.lam).reshape(n, -1)], axis=1)
+        a = -2.0 * mat  # Sigma^-1 per point, must be PD
+        try:
+            chol = _strict_cholesky(a)
+        except _InvalidBatch as exc:
+            raise ValidityError(exc.index, data=True) from None
+        self.logdet = -_batched_logdet(chol)  # log det Sigma
+        self.mu = np.linalg.solve(a, vec[..., None])[..., 0]
+        self.sigma = np.linalg.inv(a)
+        dual_mat = self.sigma + np.einsum("ni,nj->nij", self.mu, self.mu)
+        self.dual = np.concatenate([self.mu, dual_mat.reshape(n, -1)], axis=1)
 
-    def evaluate(self, recon: np.ndarray):
-        """KL objective and dual coordinates of a batch of reconstructions.
+    def evaluate(self, weights: np.ndarray, u0: np.ndarray, basis: np.ndarray):
+        """KL objective and expectation coordinates of the reconstructions u0 + W U~.
 
-        Returns (total_kl, per_point_kl, duals); raises _InvalidBatch with
-        the first offending point index if a reconstruction leaves the cone.
+        Returns (total_kl, duals); raises _InvalidBatch with the first
+        offending point index if a reconstruction leaves the cone.
         """
         d, n = self.dim, self.count
+        recon = u0 + weights @ basis
         vec = recon[:, :d]
         mat = recon[:, d:].reshape(n, d, d)
         mat = 0.5 * (mat + np.transpose(mat, (0, 2, 1)))
-        if self.mode == "e_flat":
-            a = -2.0 * mat  # reconstruction precisions
-            chol = _strict_cholesky(a)
-            logdet_rec = -_batched_logdet(chol)  # log det Sigma_rec
-            mu_rec = np.linalg.solve(a, vec[..., None])[..., 0]
-            # KL(data || recon): the reconstruction precision is `a` exactly.
-            trace = np.einsum("nij,nij->n", a, self.sigma)
-            diff = mu_rec - self.mu
-            quad = np.einsum("ni,nij,nj->n", diff, a, diff)
-            kl = 0.5 * (trace + quad - d + logdet_rec - self.logdet)
-            sigma_rec = np.linalg.inv(a)
-            dual_mat = sigma_rec + np.einsum("ni,nj->nij", mu_rec, mu_rec)
-            duals = np.concatenate([mu_rec, dual_mat.reshape(n, -1)], axis=1)
-        else:
-            sigma_rec = mat - np.einsum("ni,nj->nij", vec, vec)
-            sigma_rec = 0.5 * (sigma_rec + np.transpose(sigma_rec, (0, 2, 1)))
-            chol = _strict_cholesky(sigma_rec)
-            logdet_rec = _batched_logdet(chol)
-            # KL(recon || data): the data precision is precomputed.
-            trace = np.einsum("nij,nij->n", self.lam, sigma_rec)
-            diff = self.mu - vec
-            quad = np.einsum("ni,nij,nj->n", diff, self.lam, diff)
-            kl = 0.5 * (trace + quad - d + self.logdet - logdet_rec)
-            lam_rec = np.linalg.inv(sigma_rec)
-            lam_rec = 0.5 * (lam_rec + np.transpose(lam_rec, (0, 2, 1)))
-            theta_rec = np.einsum("nij,nj->ni", lam_rec, vec)
-            duals = np.concatenate([theta_rec, (-0.5 * lam_rec).reshape(n, -1)], axis=1)
-        return float(np.sum(kl)), kl, duals
+        a = -2.0 * mat  # reconstruction precisions
+        chol = _strict_cholesky(a)
+        logdet_rec = -_batched_logdet(chol)  # log det Sigma_rec
+        mu_rec = np.linalg.solve(a, vec[..., None])[..., 0]
+        # KL(data || recon): the reconstruction precision is `a` exactly.
+        trace = np.einsum("nij,nij->n", a, self.sigma)
+        diff = mu_rec - self.mu
+        quad = np.einsum("ni,nij,nj->n", diff, a, diff)
+        kl = 0.5 * (trace + quad - d + logdet_rec - self.logdet)
+        sigma_rec = np.linalg.inv(a)
+        dual_mat = sigma_rec + np.einsum("ni,nj->nij", mu_rec, mu_rec)
+        duals = np.concatenate([mu_rec, dual_mat.reshape(n, -1)], axis=1)
+        return float(np.sum(kl)), duals
+
+    def gradient(self, weights: np.ndarray, basis: np.ndarray, duals: np.ndarray):
+        """(dW, dU) of the objective from the reconstructions' `duals`."""
+        residual = duals - self.dual
+        d_w = residual @ basis.T
+        w_aug = np.concatenate([np.ones((self.count, 1)), weights], axis=1)
+        return d_w, w_aug.T @ residual
 
 
-def _recon_batch(weights: np.ndarray, u0: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    if basis.shape[0] == 0:
-        return np.broadcast_to(u0, (weights.shape[0], u0.shape[0])).copy()
-    return u0 + weights @ basis
+def _evaluate_checked(batch: _PointBatch, weights, subspace: Subspace):
+    """(weights as (I, L), total KL, duals); a reconstruction off the cone raises ValidityError."""
+    weights = np.asarray(weights, dtype=float).reshape(batch.count, subspace.latent_dim)
+    try:
+        total, duals = batch.evaluate(weights, subspace.u0, subspace.basis)
+    except _InvalidBatch as exc:
+        raise ValidityError(exc.index) from None
+    return weights, total, duals
 
 
 def objective(weights: np.ndarray, subspace: Subspace, points) -> float:
     """Summed KL between the data points and their reconstructions."""
-    batch = _PointBatch(np.atleast_2d(np.asarray(points, dtype=float)), subspace.mode)
-    weights = np.asarray(weights, dtype=float).reshape(batch.count, subspace.latent_dim)
-    recon = _recon_batch(weights, subspace.u0, subspace.basis)
-    try:
-        total, _, _ = batch.evaluate(recon)
-    except _InvalidBatch as exc:
-        raise ValidityError(exc.index, subspace.mode) from None
-    return total
+    return _evaluate_checked(_PointBatch(points), weights, subspace)[1]
 
 
 def gradients(weights: np.ndarray, subspace: Subspace, points) -> tuple[np.ndarray, np.ndarray]:
@@ -297,18 +268,9 @@ def gradients(weights: np.ndarray, subspace: Subspace, points) -> tuple[np.ndarr
     Row 0 of dU is the offset gradient, the plain column sum of the dual
     residuals; rows 1..L correspond to the basis vectors.
     """
-    batch = _PointBatch(np.atleast_2d(np.asarray(points, dtype=float)), subspace.mode)
-    weights = np.asarray(weights, dtype=float).reshape(batch.count, subspace.latent_dim)
-    recon = _recon_batch(weights, subspace.u0, subspace.basis)
-    try:
-        _, _, duals = batch.evaluate(recon)
-    except _InvalidBatch as exc:
-        raise ValidityError(exc.index, subspace.mode) from None
-    residual = duals - batch.dual
-    d_w = residual @ subspace.basis.T
-    w_aug = np.concatenate([np.ones((batch.count, 1)), weights], axis=1)
-    d_u = w_aug.T @ residual
-    return d_w, d_u
+    batch = _PointBatch(points)
+    weights, _, duals = _evaluate_checked(batch, weights, subspace)
+    return batch.gradient(weights, subspace.basis, duals)
 
 
 # ---------------------------------------------------------------------------
@@ -423,30 +385,22 @@ class _Minimizer:
         return p, kl, history, opts.max_iters, False, float(np.linalg.norm(g))
 
 
-def _mean_point_in_chart(batch: _PointBatch) -> np.ndarray:
-    """Chart point whose dual coordinates are the mean of the data duals.
+def _mean_point(batch: _PointBatch) -> np.ndarray:
+    """Natural point whose expectation coordinates are the mean of the data's.
 
-    The dual means live in a convex cone, so the resulting point is always a
-    valid Gaussian; it serves as the initial offset.
+    The mean lies in the convex cone of expectation coordinates, so the
+    resulting point is always a valid Gaussian; it serves as the initial offset.
     """
     d = batch.dim
     mean_dual = np.mean(batch.dual, axis=0)
     vec = mean_dual[:d]
     mat = mean_dual[d:].reshape(d, d)
     mat = 0.5 * (mat + mat.T)
-    if batch.mode == "e_flat":
-        # dual is the expectation chart: convert mean (eta, H) back to natural
-        sigma = mat - np.outer(vec, vec)
-        sigma = 0.5 * (sigma + sigma.T)
-        lam = np.linalg.inv(sigma)
-        lam = 0.5 * (lam + lam.T)
-        return np.concatenate([lam @ vec, (-0.5 * lam).reshape(-1)])
-    # dual is the natural chart: convert mean (theta, Theta) back to expectation
-    a = -2.0 * mat
-    sigma = np.linalg.inv(a)
+    sigma = mat - np.outer(vec, vec)
     sigma = 0.5 * (sigma + sigma.T)
-    mu = sigma @ vec
-    return np.concatenate([mu, (sigma + np.outer(mu, mu)).reshape(-1)])
+    lam = np.linalg.inv(sigma)
+    lam = 0.5 * (lam + lam.T)
+    return np.concatenate([lam @ vec, (-0.5 * lam).reshape(-1)])
 
 
 def _initial_subspace(
@@ -460,7 +414,7 @@ def _initial_subspace(
     every starting reconstruction is a valid Gaussian (weights of zero put
     the start at the offset itself, which is always valid).
     """
-    u0 = _mean_point_in_chart(batch)
+    u0 = _mean_point(batch)
     if latent_dim == 0:
         return u0, np.zeros((0, batch.flat_dim)), np.zeros((batch.count, 0))
     centered = batch.primal - np.mean(batch.primal, axis=0)
@@ -479,7 +433,7 @@ def _initial_subspace(
     weights = (batch.primal - u0) @ basis.T  # rows are orthonormal
     for _ in range(80):
         try:
-            batch.evaluate(_recon_batch(weights, u0, basis))
+            batch.evaluate(weights, u0, basis)
             break
         except _InvalidBatch:
             weights *= 0.5
@@ -497,7 +451,7 @@ def _normalize(u0, basis, weights):
     return u0, basis / norms[:, None], weights * norms[None, :]
 
 
-def fit(points, latent_dim: int, opts: Optional[FitOptions] = None, mode: Mode = "e_flat") -> FitResult:
+def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult:
     """Fit a rank-`latent_dim` affine subspace to Gaussian coordinate points.
 
     Descends the summed KL jointly over (W, u0, basis) with L-BFGS-B until
@@ -510,10 +464,11 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None, mode: Mode =
     exactly for the returned (normalized) parameters.
 
     `converged` is True when L-BFGS-B met its tolerance, or when its line
-    search failed and the continuation then converged (relative change under
-    rel_tol, or no decreasing valid step at line-search resolution). It is
-    False when the iteration cap is hit, and when the continuation finds no
-    valid step at all; the fit then keeps L-BFGS-B's last iterate.
+    search failed and the continuation then took at least one step and
+    converged (relative change under rel_tol, or no further decreasing valid
+    step at line-search resolution). It is False when the iteration cap is
+    hit, and when the continuation finds no valid or no decreasing step from
+    L-BFGS-B's last iterate; the fit then keeps that iterate.
     """
     opts = opts or FitOptions()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -526,7 +481,7 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None, mode: Mode =
         raise ValueError(
             f"latent dimension {latent_dim} not in [0, {max(n_points - 1, 0)}] for {n_points} points"
         )
-    batch = _PointBatch(pts, mode)
+    batch = _PointBatch(pts)
     u0_init, basis_init, w_init = _initial_subspace(batch, latent_dim)
     flat_dim = batch.flat_dim
     n_w = n_points * latent_dim
@@ -538,19 +493,15 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None, mode: Mode =
         return w, u0, basis
 
     def evaluate(p):
-        w, u0, basis = unpack_params(p)
-        total, _, duals = batch.evaluate(_recon_batch(w, u0, basis))
+        total, duals = batch.evaluate(*unpack_params(p))
         if not np.isfinite(total):
             raise _InvalidBatch(-1)
         return total, duals
 
     def gradient(p, duals):
         w, _, basis = unpack_params(p)
-        residual = duals - batch.dual
-        d_w = residual @ basis.T
-        w_aug = np.concatenate([np.ones((n_points, 1)), w], axis=1)
-        d_u = w_aug.T @ residual
-        return np.concatenate([d_w.ravel(), d_u[0], d_u[1:].ravel()])
+        d_w, d_u = batch.gradient(w, basis, duals)
+        return np.concatenate([d_w.ravel(), d_u.ravel()])
 
     def value_and_grad(p):
         try:
@@ -562,8 +513,8 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None, mode: Mode =
     p0 = np.concatenate([w_init.reshape(-1), u0_init, basis_init.reshape(-1)])
     history = [value_and_grad(p0)[0]]
 
-    def record(pk):
-        history.append(value_and_grad(pk)[0])
+    def record(intermediate_result):  # scipy passes the objective of each iterate
+        history.append(intermediate_result.fun)
 
     # Quasi-Newton descent; its sufficient-decrease line search never accepts
     # an iterate at the barrier, so every recorded iterate is a valid subspace.
@@ -595,13 +546,14 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None, mode: Mode =
         else:
             history.extend(tail[1:])
             iterations += extra
+            converged = converged and len(tail) > 1  # a stall that never moved
     weights, u0, basis = unpack_params(params)
-    subspace = Subspace(u0=u0, basis=basis, mode=mode)
+    subspace = Subspace(u0=u0, basis=basis)
     if latent_dim > 0:
         weights = _polish_weights(batch, subspace, weights, opts)
     u0, basis, weights = _normalize(u0, basis, weights)
-    subspace = Subspace(u0=u0, basis=basis, mode=mode)
-    final = objective(weights, subspace, pts)
+    subspace = Subspace(u0=u0, basis=basis)
+    _, final, _ = _evaluate_checked(batch, weights, subspace)
     return FitResult(
         subspace=subspace,
         weights=weights,
@@ -632,13 +584,12 @@ def _project_flat(
     latent_dim = basis.shape[0]
     if latent_dim == 0:
         return np.zeros(0)
-    batch = _PointBatch(point[None, :], subspace.mode)
+    batch = _PointBatch(point[None, :])
     scale = float(np.linalg.norm(batch.dual[0]))
     tol = opts.rel_tol * max(scale, 1e-300)
 
     def evaluate(w):
-        total, _, duals = batch.evaluate(_recon_batch(w[None, :], subspace.u0, basis))
-        return total, duals
+        return batch.evaluate(w[None, :], subspace.u0, basis)
 
     def gradient(w, duals):
         return (duals[0] - batch.dual[0]) @ basis.T
@@ -650,7 +601,7 @@ def _project_flat(
     try:
         w, _, _, iterations, converged, grad_norm = minimizer.run(w, stop_grad_tol=tol)
     except _InvalidBatch as exc:
-        raise ValidityError(exc.index, subspace.mode) from None
+        raise ValidityError(exc.index) from None
     if not converged and strict:
         raise ConvergenceError(grad_norm, tol, opts.max_iters)
     return w

@@ -42,6 +42,8 @@ __all__ = [
 
 METHOD_GP = "gp"
 METHOD_SUBSPACE = "gp_epca"
+# Few-shot projection controls when a configuration sets none.
+ADAPT_OPTIONS = FitOptions(rel_tol=1e-6, max_iters=20_000)
 
 
 def rmse(predicted, truth) -> float:
@@ -74,7 +76,7 @@ class ExperimentConfig:
     prior_mean: float = 0.0
     data: dict = field(default_factory=dict)  # generator overrides
     fit_opts: FitOptions = field(default_factory=FitOptions)
-    adapt_opts: FitOptions = field(default_factory=lambda: FitOptions(rel_tol=1e-6, max_iters=20_000))
+    adapt_opts: FitOptions = ADAPT_OPTIONS
     jobs: int = 1
 
     def __post_init__(self):

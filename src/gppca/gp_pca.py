@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -126,6 +126,17 @@ class GpPcaModel:
         return self.weights.shape[0]
 
 
+def _task_point(prior: GpPrior, task: TaskData, anchor) -> np.ndarray:
+    """Flattened natural coordinates of one task's posterior.
+
+    `anchor` is the exact-mode input set, or the sparse-mode `InducingSet`.
+    """
+    if isinstance(anchor, InducingSet):
+        nat, _ = variational_coords(prior, task, anchor)
+        return pack_natural(nat)
+    return pack_natural(moment_to_natural(exact_posterior(prior, task, anchor)))
+
+
 def task_coordinates(
     tasks: Sequence[TaskData],
     prior: GpPrior,
@@ -134,21 +145,14 @@ def task_coordinates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flattened natural coordinates of each task posterior, plus the anchor."""
     if mode == "exact":
-        anchor = union_inputs(tasks)
-        coords = []
-        for task in tasks:
-            rho = exact_posterior(prior, task, anchor)
-            coords.append(pack_natural(moment_to_natural(rho)))
-        return np.asarray(coords), anchor
-    if mode == "sparse":
+        anchor = points = union_inputs(tasks)
+    elif mode == "sparse":
         if inducing is None:
             raise ValueError("sparse mode requires an inducing set")
-        coords = []
-        for task in tasks:
-            nat, _ = variational_coords(prior, task, inducing)
-            coords.append(pack_natural(nat))
-        return np.asarray(coords), inducing.points
-    raise ValueError(f"unknown mode {mode!r}")
+        anchor, points = inducing, inducing.points
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return np.asarray([_task_point(prior, task, anchor) for task in tasks]), points
 
 
 def train(
@@ -171,10 +175,7 @@ def train(
     if latent_dim > len(tasks) - 1:
         raise ValueError(f"latent dimension {latent_dim} exceeds task count {len(tasks)} - 1")
     coords, anchor = task_coordinates(tasks, prior, mode, inducing)
-    try:
-        result = epca.fit(coords, latent_dim, opts, mode="e_flat")
-    except ValidityError as exc:
-        raise ValidityError(exc.task_index, "e_flat") from exc
+    result = epca.fit(coords, latent_dim, opts)
     return GpPcaModel(
         prior=prior,
         anchor=anchor,
@@ -192,7 +193,7 @@ def _reconstructed_moments(model: GpPcaModel, w: np.ndarray) -> MomentGaussian:
     try:
         return natural_to_moment(nat)
     except DecompositionError as exc:
-        raise ValidityError(-1, "e_flat") from exc
+        raise ValidityError(-1) from exc
 
 
 def _resolve_weights(model: GpPcaModel, task_or_weights) -> np.ndarray:
@@ -233,14 +234,9 @@ def adapt_new_task(
     """
     if len(fewshot) == 0:
         raise ValueError("few-shot task must contain at least one observation")
-    if model.mode == "exact":
-        # The anchor stays fixed by the model, not re-derived from the few-shot inputs.
-        rho = exact_posterior(model.prior, fewshot, model.anchor)
-        flat = pack_natural(moment_to_natural(rho))
-    else:
-        nat, _ = variational_coords(model.prior, fewshot, InducingSet(model.anchor))
-        flat = pack_natural(nat)
-    return epca.project_point(flat, model.subspace, opts)
+    # The anchor stays fixed by the model, not re-derived from the few-shot inputs.
+    anchor = model.anchor if model.mode == "exact" else InducingSet(model.anchor)
+    return epca.project_point(_task_point(model.prior, fewshot, anchor), model.subspace, opts)
 
 
 def joint_posterior_coords(prior: GpPrior, rho: MomentGaussian, anchor, test) -> NaturalCoord:
@@ -329,7 +325,7 @@ def model_from_dict(doc: dict) -> GpPcaModel:
     return GpPcaModel(
         prior=prior,
         anchor=anchor,
-        subspace=Subspace(u0=u0, basis=basis, mode="e_flat"),
+        subspace=Subspace(u0=u0, basis=basis),
         weights=weights,
         mode=_require(doc, "mode"),
         latent_dim=latent_dim,

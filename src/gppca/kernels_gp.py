@@ -6,10 +6,10 @@ prior, the posterior of f at an arbitrary anchor set X is Gaussian with
     mu    = mu0(X) + K_i (K_ii + beta^-1 I)^-1 (y_i - mu0(X_i))
     Sigma = K - K_i (K_ii + beta^-1 I)^-1 K_i^T
 
-where K = k(X, X) and K_i = k(X, X_i). Predictions at a new input x+ can be
-produced either directly from the task data (`gp_predictive`) or from a
-stored anchor posterior (`predictive`); the two routes agree and are kept
-separate so tests can compare them.
+where K = k(X, X) and K_i = k(X, X_i). Predictions at new inputs x+ come
+either directly from the task data (`gp_predictive_batch`, the independent-GP
+baseline) or from a stored anchor posterior (`predictive_batch`); the two
+routes agree, which the tests check.
 
 The predictive mean from an anchor posterior uses the centered form
 mu0(x+) + k^T K^-1 (mu - mu0(X)), which reproduces the prior when the
@@ -32,12 +32,9 @@ __all__ = [
     "KernelConfig",
     "TaskData",
     "GpPrior",
-    "kernel_eval",
     "gram",
     "exact_posterior",
-    "predictive",
     "predictive_batch",
-    "gp_predictive",
     "gp_predictive_batch",
     "union_inputs",
     "as_points",
@@ -113,16 +110,6 @@ class GpPrior:
                 raise ValueError("mean_fn returned wrong number of values")
             return vals
         return np.full(pts.shape[0], float(self.mean_fn))
-
-
-def kernel_eval(cfg: KernelConfig, x, x2) -> float:
-    """Kernel value between two single points."""
-    a = np.asarray(x, dtype=float).reshape(-1)
-    b = np.asarray(x2, dtype=float).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d2 = float(np.sum((a - b) ** 2))
-    return float(np.exp(-d2 / (2.0 * cfg.lengthscale**2)))
 
 
 def gram(cfg: KernelConfig, a, b) -> np.ndarray:
@@ -201,12 +188,6 @@ def predictive_batch(prior: GpPrior, rho: MomentGaussian, anchor, x_plus):
     return means, _clamped_variance(variances)
 
 
-def predictive(prior: GpPrior, rho: MomentGaussian, anchor, x_plus) -> tuple[float, float]:
-    """Single-point version of `predictive_batch`."""
-    means, variances = predictive_batch(prior, rho, anchor, x_plus)
-    return float(means[0]), float(variances[0])
-
-
 def gp_predictive_batch(prior: GpPrior, task: TaskData, x_plus):
     """Standard GP regression predictive, directly from task data.
 
@@ -224,9 +205,3 @@ def gp_predictive_batch(prior: GpPrior, task: TaskData, x_plus):
     means = prior.mean_at(test) + w.T @ (task.outputs - prior.mean_at(task.inputs))
     variances = 1.0 - np.einsum("nt,nt->t", k_cross, w)
     return means, _clamped_variance(variances)
-
-
-def gp_predictive(prior: GpPrior, task: TaskData, x_plus) -> tuple[float, float]:
-    """Single-point version of `gp_predictive_batch`."""
-    means, variances = gp_predictive_batch(prior, task, x_plus)
-    return float(means[0]), float(variances[0])

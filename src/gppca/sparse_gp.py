@@ -45,7 +45,6 @@ __all__ = [
     "SparsePosterior",
     "variational_posterior",
     "variational_coords",
-    "sparse_predictive",
     "sparse_predictive_batch",
     "rho_prime_to_rho",
     "rho_to_rho_prime",
@@ -172,14 +171,6 @@ def sparse_predictive_batch(prior: GpPrior, sp: SparsePosterior, inducing: Induc
             f"sparse predictive variance clamped from {low:.3e} to 0", RuntimeWarning, stacklevel=2
         )
     return means, np.maximum(variances, 0.0)
-
-
-def sparse_predictive(
-    prior: GpPrior, sp: SparsePosterior, inducing: InducingSet, x_plus
-) -> tuple[float, float]:
-    """Single-point version of `sparse_predictive_batch`."""
-    means, variances = sparse_predictive_batch(prior, sp, inducing, x_plus)
-    return float(means[0]), float(variances[0])
 
 
 def rho_prime_to_rho(sp: SparsePosterior, inducing: InducingSet, cfg: KernelConfig) -> MomentGaussian:

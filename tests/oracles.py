@@ -175,5 +175,5 @@ def fit_joint_direct(
         else:
             joint = joint_moments_bruteforce(prior, rho, anchor, test_pts)
         coords.append(pack_natural(moment_to_natural(joint)))
-    result = epca.fit(np.asarray(coords), latent_dim, opts, mode="e_flat")
+    result = epca.fit(np.asarray(coords), latent_dim, opts)
     return result.objective

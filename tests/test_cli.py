@@ -1,0 +1,91 @@
+import csv
+import json
+
+import pytest
+
+from gppca import cli
+
+# One tiny artificial configuration shared by every command.
+CONFIG = {
+    "experiment": "artificial",
+    "data": {
+        "num_tasks": 5,
+        "samples_per_task": 5,
+        "eval_points_per_task": 10,
+        "num_new_tasks": 3,
+        "seed": 1,
+    },
+    "model": {"mode": "sparse", "latent_dim": 1, "inducing_count": 6},
+    "fit": {"max_iters": 200},
+    "evaluate": {"n_sweep": [3], "repetitions": 1},
+}
+
+REPORT_FILES = ("report.csv", "per_task.csv", "latents.csv", "summary.json")
+
+
+def _write_config(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_generate_train_adapt_predict_export(tmp_path):
+    config = _write_config(tmp_path / "config.json", CONFIG)
+    data, model, adapted = tmp_path / "data", tmp_path / "model.json", tmp_path / "adapted.json"
+    fewshot = tmp_path / "fewshot.csv"
+    fewshot.write_text("x,y\n0.1,1.2\n0.5,0.4\n0.8,-0.3\n", encoding="utf-8")
+
+    assert cli.main(["generate", "--config", config, "--out", str(data)]) == 0
+    assert (data / "dataset.csv").is_file() and (data / "manifest.json").is_file()
+
+    assert cli.main(["train", "--data", str(data), "--out", str(model)]) == 0
+    trained = json.loads(model.read_text(encoding="utf-8"))
+    assert len(trained["weights"]) == CONFIG["data"]["num_tasks"]
+
+    assert cli.main(
+        ["adapt", "--model", str(model), "--data", str(fewshot), "--out", str(adapted)]
+    ) == 0
+    assert len(json.loads(adapted.read_text(encoding="utf-8"))["weights"]) == 6
+
+    pred = tmp_path / "pred.csv"
+    assert cli.main(
+        ["predict", "--model", str(adapted), "--task", "5", "--grid", "0:1:7", "--out", str(pred)]
+    ) == 0
+    rows = _rows(pred)
+    assert rows[0] == ["x", "mean", "variance"] and len(rows) == 8
+
+    curves = tmp_path / "curves.csv"
+    assert cli.main(
+        ["export-plot", "--kind", "curves", "--model", str(model), "--data", str(data),
+         "--grid", "0:1:4", "--out", str(curves)]
+    ) == 0
+    rows = _rows(curves)
+    assert rows[0] == ["task_id", "x", "mean", "variance", "latent"] and len(rows) == 1 + 5 * 4
+
+
+def test_evaluate_rewrites_identical_files(tmp_path):
+    config = _write_config(tmp_path / "config.json", CONFIG)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["evaluate", "--config", config, "--out", str(first)]) == 0
+    assert cli.main(["evaluate", "--config", config, "--out", str(second)]) == 0
+    for name in REPORT_FILES:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    table = tmp_path / "rmse.csv"
+    assert cli.main(
+        ["export-plot", "--kind", "rmse", "--report", str(first), "--out", str(table)]
+    ) == 0
+    assert _rows(table)[0] == ["method", "N", "split", "mean_rmse", "std_rmse"]
+
+
+@pytest.mark.parametrize("section", ["fit", "adapt"])
+def test_seed_option_is_rejected(tmp_path, capsys, section):
+    doc = {**CONFIG, section: {"seed": 0}}
+    config = _write_config(tmp_path / "config.json", doc)
+    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert f"'{section}.seed'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

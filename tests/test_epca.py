@@ -1,29 +1,24 @@
 import numpy as np
 import pytest
 
-from gppca import epca
+from gppca import epca, evaluation, gp_pca
 from gppca import gaussian_geometry as gg
+from gppca.datasets import ArtificialConfig, gen_artificial
 from gppca.epca import FitOptions, Subspace, ValidityError
 from gppca.gaussian_geometry import (
     MomentGaussian,
     expectation_to_moment,
-    kl_divergence,
-    moment_to_expectation,
     moment_to_natural,
     natural_to_expectation,
-    natural_to_moment,
 )
 from gppca.kernels_gp import GpPrior, KernelConfig, TaskData, exact_posterior, union_inputs
-from gppca.oracles import joint_moments_bruteforce
-from helpers import planted_subspace, random_gaussian
+from gppca.sparse_gp import grid_inducing
+from oracles import joint_moments_bruteforce
+from helpers import planted_subspace
 
 
 def _nat_point(mu, sigma):
     return gg.pack_natural(moment_to_natural(MomentGaussian(mu, sigma)))
-
-
-def _exp_point(mu, sigma):
-    return gg.pack_expectation(moment_to_expectation(MomentGaussian(mu, sigma)))
 
 
 class TestReconstruct:
@@ -144,33 +139,6 @@ class TestGradients:
         g1, _ = epca.gradients(weights, s, data1[None, :])
         g2, _ = epca.gradients(weights, s, data2[None, :])
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-9, atol=1e-12)
-
-    def test_m_mode_finite_difference(self):
-        # dual engine: reconstructions in the expectation chart
-        rng = np.random.default_rng(8)
-        pts = np.array([_exp_point([rng.normal() * 0.5], [[1.0 + 0.4 * rng.random()]])
-                        for _ in range(3)])
-        u0 = pts.mean(axis=0)
-        basis = 0.05 * rng.normal(size=(1, 2))
-        s = Subspace(u0=u0, basis=basis, mode="m_flat")
-        weights = 0.1 * rng.normal(size=(3, 1))
-        d_w, d_u = epca.gradients(weights, s, pts)
-        h = 1e-6
-        for i in range(3):
-            wp, wm = weights.copy(), weights.copy()
-            wp[i, 0] += h
-            wm[i, 0] -= h
-            fd = (epca.objective(wp, s, pts) - epca.objective(wm, s, pts)) / (2 * h)
-            assert d_w[i, 0] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-        for j in range(2):
-            up, um = u0.copy(), u0.copy()
-            up[j] += h
-            um[j] -= h
-            fd = (
-                epca.objective(weights, Subspace(up, basis, "m_flat"), pts)
-                - epca.objective(weights, Subspace(um, basis, "m_flat"), pts)
-            ) / (2 * h)
-            assert d_u[0, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
 class TestProjectPoint:
@@ -304,6 +272,18 @@ class TestFit:
         # covers the hand-off from L-BFGS-B's iterates to the continuation's
         assert np.all(np.diff(res.history) <= 0)
 
+    def test_stall_that_never_moved_is_not_converged(self):
+        # The default artificial sparse cell N = 3, repetition 3 of base seed 0:
+        # L-BFGS-B's line search fails at iteration 0, and the continuation finds
+        # no decreasing step from there. Nothing moved, so nothing converged.
+        data = gen_artificial(ArtificialConfig(samples_per_task=3, seed=evaluation._cell_seed(0, 3)))
+        inducing = grid_inducing(np.vstack([t.inputs for t in data.train_tasks]), 12)
+        prior = GpPrior(kernel=KernelConfig(lengthscale=0.2), beta=25.0)
+        points, _ = gp_pca.task_coordinates(data.train_tasks, prior, "sparse", inducing)
+        res = epca.fit(points, 1)
+        assert len(res.history) == 1  # no accepted step
+        assert not res.converged
+
     def test_final_objective_recomputable(self):
         rng = np.random.default_rng(20)
         pts, *_ = planted_subspace(rng, 2, 1, 4)
@@ -312,30 +292,22 @@ class TestFit:
         assert again == res.objective  # bitwise: same code path, same inputs
 
 
-class TestDuality:
-    def test_m_pca_mirrors_e_pca(self):
-        """Fitting the dual chart equals fitting the primal chart with roles swapped.
+class TestInvalidInput:
+    """A data point that is not a Gaussian is named as data, not as a reconstruction."""
 
-        For d=1 Gaussians, an m_flat fit on expectation points and an e_flat
-        fit on the same Gaussians seen through swapped conversions minimize
-        the same divergences with arguments transposed; both must reach the
-        same optimum on a planted instance (exactly representable data).
-        """
-        rng = np.random.default_rng(21)
-        gaussians = [MomentGaussian([rng.normal() * 0.5], [[1.0 + 0.5 * rng.random()]])
-                     for _ in range(3)]
-        e_pts = np.array([gg.pack_natural(moment_to_natural(g)) for g in gaussians])
-        m_pts = np.array([gg.pack_expectation(moment_to_expectation(g)) for g in gaussians])
-        res_e = epca.fit(e_pts, 2, FitOptions(rel_tol=1e-13))
-        res_m = epca.fit(m_pts, 2, FitOptions(rel_tol=1e-13), mode="m_flat")
-        # full span: both charts interpolate exactly, objectives vanish
-        assert res_e.objective < 1e-8
-        assert res_m.objective < 1e-8
+    @staticmethod
+    def _not_gaussian():
+        bad = _nat_point([0.5], [[1.0]])
+        bad[1] = 1.0  # positive Theta block
+        return bad
 
-    def test_m_mode_monotone(self):
-        rng = np.random.default_rng(22)
-        m_pts = np.array([_exp_point([rng.normal() * 0.4], [[1.0 + 0.5 * rng.random()]])
-                          for _ in range(4)])
-        res = epca.fit(m_pts, 1, FitOptions(rel_tol=1e-12), mode="m_flat")
-        assert np.all(np.diff(res.history) <= 0)
-        assert res.objective >= -1e-12
+    def test_fit_names_the_input_point(self):
+        pts = np.array([_nat_point([0.0], [[1.0]]), self._not_gaussian(), _nat_point([1.0], [[2.0]])])
+        with pytest.raises(ValidityError, match="input point 1 is not a valid Gaussian") as err:
+            epca.fit(pts, 1)
+        assert err.value.task_index == 1
+
+    def test_project_point_names_the_input_point(self):
+        s = Subspace(u0=_nat_point([0.0], [[1.0]]), basis=[[0.1, 0.0]])
+        with pytest.raises(ValidityError, match="input point 0 is not a valid Gaussian"):
+            epca.project_point(self._not_gaussian(), s)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gppca import epca, gp_pca, oracles
+from gppca import epca, gp_pca
 from gppca import gaussian_geometry as gg
 from gppca.epca import FitOptions
 from gppca.gaussian_geometry import (
@@ -20,6 +20,7 @@ from gppca.kernels_gp import (
     union_inputs,
 )
 from gppca.sparse_gp import InducingSet
+import oracles
 
 
 def _prior(lengthscale=0.4, beta=20.0, mean=0.0):

@@ -13,8 +13,6 @@ from gppca.kernels_gp import (
     exact_posterior,
     gp_predictive_batch,
     gram,
-    kernel_eval,
-    predictive,
     predictive_batch,
     union_inputs,
 )
@@ -26,21 +24,21 @@ def _prior(lengthscale=1.0, beta=100.0, mean=0.0):
 
 class TestKernelEval:
     def test_zero_distance(self):
-        assert kernel_eval(KernelConfig(lengthscale=1.0), [0.3], [0.3]) == 1.0
+        assert gram(KernelConfig(lengthscale=1.0), [0.3], [0.3])[0, 0] == 1.0
 
     def test_unit_distance(self):
-        assert kernel_eval(KernelConfig(lengthscale=1.0), [0.0], [1.0]) == pytest.approx(
+        assert gram(KernelConfig(lengthscale=1.0), [0.0], [1.0])[0, 0] == pytest.approx(
             math.exp(-0.5)
         )
 
     def test_scale_invariance(self):
-        assert kernel_eval(KernelConfig(lengthscale=2.0), [0.0], [2.0]) == pytest.approx(
+        assert gram(KernelConfig(lengthscale=2.0), [0.0], [2.0])[0, 0] == pytest.approx(
             math.exp(-0.5)
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel_eval(KernelConfig(), [0.0], [0.0, 1.0])
+            gram(KernelConfig(), [[0.0]], [[0.0, 1.0]])
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -132,9 +130,9 @@ class TestPredictive:
         prior = _prior(lengthscale=0.5, mean=1.5)
         anchor = np.array([[0.0], [0.6]])
         rho_prior = exact_posterior(prior, TaskData(np.zeros((0, 1)), np.zeros(0), 0), anchor)
-        mean, var = predictive(prior, rho_prior, anchor, [[0.3]])
-        assert mean == pytest.approx(1.5, abs=1e-9)
-        assert var == pytest.approx(1.0, abs=1e-9)
+        means, variances = predictive_batch(prior, rho_prior, anchor, [[0.3]])
+        assert means[0] == pytest.approx(1.5, abs=1e-9)
+        assert variances[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_anchor_point_consistency(self):
         rng = np.random.default_rng(1)
@@ -142,10 +140,9 @@ class TestPredictive:
         anchor = np.array([[0.05], [0.35], [0.65], [0.95]])
         task = TaskData(rng.uniform(0, 1, (5, 1)), rng.normal(size=5), 0)
         rho = exact_posterior(prior, task, anchor)
-        for j in range(anchor.shape[0]):
-            mean, var = predictive(prior, rho, anchor, anchor[j : j + 1])
-            assert mean == pytest.approx(rho.mu[j], abs=1e-8)
-            assert var == pytest.approx(rho.sigma[j, j], abs=1e-8)
+        means, variances = predictive_batch(prior, rho, anchor, anchor)
+        np.testing.assert_allclose(means, rho.mu, atol=1e-8)
+        np.testing.assert_allclose(variances, np.diag(rho.sigma), atol=1e-8)
 
     def test_two_route_equivalence(self):
         # anchor-posterior route equals the direct predictive equations

@@ -21,7 +21,6 @@ from gppca.sparse_gp import (
     grid_inducing,
     rho_prime_to_rho,
     rho_to_rho_prime,
-    sparse_predictive,
     sparse_predictive_batch,
     variational_coords,
     variational_posterior,
@@ -100,9 +99,9 @@ class TestSparsePredictive:
         prior = _prior(mean=0.8)
         z = InducingSet([[0.0], [0.5]])
         sp = variational_posterior(prior, TaskData(np.zeros((0, 1)), np.zeros(0), 0), z)
-        mean, var = sparse_predictive(prior, sp, z, [[0.5]])
-        assert mean == pytest.approx(0.8, abs=1e-9)
-        assert var == pytest.approx(1.0, abs=1e-7)
+        means, variances = sparse_predictive_batch(prior, sp, z, [[0.5]])
+        assert means[0] == pytest.approx(0.8, abs=1e-9)
+        assert variances[0] == pytest.approx(1.0, abs=1e-7)
 
     def test_matches_exact_predictive(self):
         rng = np.random.default_rng(1)
@@ -122,9 +121,9 @@ class TestSparsePredictive:
         task = _random_task(rng, 5)
         z = InducingSet(np.linspace(0, 1, 6).reshape(-1, 1))
         sp = variational_posterior(prior, task, z)
-        mean, var = sparse_predictive(prior, sp, z, [[25.0]])
-        assert mean == pytest.approx(-0.4, abs=1e-6)
-        assert var == pytest.approx(1.0, abs=1e-6)
+        means, variances = sparse_predictive_batch(prior, sp, z, [[25.0]])
+        assert means[0] == pytest.approx(-0.4, abs=1e-6)
+        assert variances[0] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestRescalingChart:
