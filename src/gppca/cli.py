@@ -45,10 +45,8 @@ class DataError(Exception):
 # the key may be absent. Dicts nest. Lists hold floats.
 
 _FIT_SCHEMA = {
-    "learning_rate": (float, None),
     "max_iters": (int, None),
     "rel_tol": (float, None),
-    "backtrack_factor": (float, None),
 }
 
 _SCHEMA = {
@@ -170,19 +168,22 @@ def _fit_options(doc: dict, section: str) -> FitOptions:
         raise ConfigError(f"invalid {section} options: {exc}")
 
 
-def _hyper(doc: dict, experiment: str):
+def _hyper(doc: dict, experiment: str) -> GpPrior:
     defaults = DEFAULT_HYPERPARAMS[experiment]
     kernel_doc = doc.get("kernel", {})
     lengthscale = kernel_doc.get("lengthscale", defaults["lengthscale"])
-    kind = kernel_doc.get("kind", "rbf")
-    beta = doc.get("beta", defaults["beta"])
-    prior_mean = doc.get("prior_mean", 0.0)
     try:
-        kernel = KernelConfig(kind=kind, lengthscale=float(lengthscale))
-        prior = GpPrior(kernel=kernel, beta=float(beta), mean_fn=float(prior_mean))
+        kernel = KernelConfig(kind=kernel_doc.get("kind", "rbf"), lengthscale=float(lengthscale))
     except ValueError as exc:
-        raise ConfigError(str(exc))
-    return prior
+        raise ConfigError(f"invalid 'kernel' section: {exc}")
+    try:
+        return GpPrior(
+            kernel=kernel,
+            beta=float(doc.get("beta", defaults["beta"])),
+            mean_fn=float(doc.get("prior_mean", 0.0)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid key 'beta': {exc}")
 
 
 def _float_list(values) -> list:
@@ -270,7 +271,7 @@ def cmd_train(args) -> int:
         "kernel": {"kind": prior.kernel.kind, "lengthscale": prior.kernel.lengthscale},
         "beta": prior.beta,
         "prior_mean": float(prior.mean_fn),
-        "fit": {k: getattr(opts, k) for k in ("learning_rate", "max_iters", "rel_tol", "backtrack_factor")},
+        "fit": {"max_iters": opts.max_iters, "rel_tol": opts.rel_tol},
         "inducing_count": len(inducing) if inducing is not None else None,
     }
     gp_pca.save_model(model, args.out, config_hash=ev.config_hash(train_echo))
@@ -397,27 +398,29 @@ def cmd_evaluate(args) -> int:
     data_cfg = _data_config(doc, experiment)
     data_cfg.pop("samples_per_task", None)
     data_cfg.pop("sequences_per_task", None)
-    prior_defaults = DEFAULT_HYPERPARAMS[experiment]
-    kernel_doc = doc.get("kernel", {})
+    prior = _hyper(doc, experiment)
     model_doc = doc.get("model", {})
     eval_doc = doc.get("evaluate", {})
-    cfg = ev.ExperimentConfig(
-        experiment=experiment,
-        n_sweep=tuple(eval_doc.get("n_sweep", [10])),
-        repetitions=eval_doc.get("repetitions", 5),
-        base_seed=eval_doc.get("base_seed", 0),
-        methods=tuple(eval_doc.get("methods", [ev.METHOD_GP, ev.METHOD_SUBSPACE])),
-        mode=model_doc.get("mode", "sparse"),
-        latent_dim=model_doc.get("latent_dim", 1),
-        inducing_count=model_doc.get("inducing_count", 12),
-        lengthscale=float(kernel_doc.get("lengthscale", prior_defaults["lengthscale"])),
-        beta=float(doc.get("beta", prior_defaults["beta"])),
-        prior_mean=float(doc.get("prior_mean", 0.0)),
-        data=data_cfg,
-        fit_opts=_fit_options(doc, "fit"),
-        adapt_opts=_fit_options(doc, "adapt"),
-        jobs=args.jobs,
-    )
+    try:
+        cfg = ev.ExperimentConfig(
+            experiment=experiment,
+            n_sweep=tuple(eval_doc.get("n_sweep", [10])),
+            repetitions=eval_doc.get("repetitions", 5),
+            base_seed=eval_doc.get("base_seed", 0),
+            methods=tuple(eval_doc.get("methods", [ev.METHOD_GP, ev.METHOD_SUBSPACE])),
+            mode=model_doc.get("mode", "sparse"),
+            latent_dim=model_doc.get("latent_dim", 1),
+            inducing_count=model_doc.get("inducing_count", 12),
+            lengthscale=prior.kernel.lengthscale,
+            beta=prior.beta,
+            prior_mean=prior.mean_fn,
+            data=data_cfg,
+            fit_opts=_fit_options(doc, "fit"),
+            adapt_opts=_fit_options(doc, "adapt"),
+            jobs=args.jobs,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     report = ev.run_experiment(cfg)
     ev.write_report_files(report, args.out)
     print(f"config hash {report.config_hash[:12]}; wrote report files to {args.out}")

@@ -175,6 +175,9 @@ class VdpConfig:
     def __post_init__(self):
         if self.points_per_sequence < 2:
             raise ValueError("points_per_sequence must be at least 2")
+        new_n = self.sequences_per_task if self.new_task_sequences is None else self.new_task_sequences
+        if min(self.sequences_per_task, new_n, self.eval_sequences_per_task) < 1:
+            raise ValueError("every task needs at least one training and one evaluation sequence")
         if not (self.dt > 0 and self.substep > 0):
             raise ValueError("dt and substep must be positive")
 
@@ -188,77 +191,38 @@ class VdpConfig:
         return a
 
 
-def _vdp_rhs(state: np.ndarray, alpha: float) -> np.ndarray:
-    x, v = state
-    return np.array([v, alpha * (1.0 - x * x) * v - x])
+def _rk4(alpha, state, h: float, steps: int, stride: int = 1) -> np.ndarray:
+    """Fixed-step RK4 of a batch of (x, dx/dt) states of shape (..., 2).
+
+    `alpha` broadcasts against the batch shape (...). Returns the start state
+    and every `stride`-th state after it, stacked on axis -2.
+    """
+
+    def rhs(s):
+        x, v = s[..., 0], s[..., 1]
+        return np.stack([v, alpha * (1.0 - x * x) * v - x], axis=-1)
+
+    kept = [state]
+    for n in range(1, steps + 1):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if n % stride == 0:
+            kept.append(state)
+    return np.stack(kept, axis=-2)
+
+
+def _clock(h: float, steps: int) -> np.ndarray:
+    """Times 0, h, h + h, ... of `steps` steps, accumulated one step at a time."""
+    return np.concatenate([[0.0], np.cumsum(np.full(steps, h))])
 
 
 def integrate_vdp(alpha: float, state0, dt: float, steps: int) -> np.ndarray:
     """Fixed-step RK4 trajectory, rows (t, x, dx/dt), steps+1 of them."""
-    state = np.asarray(state0, dtype=float).reshape(2)
-    out = np.empty((steps + 1, 3))
-    out[0] = (0.0, state[0], state[1])
-    t = 0.0
-    for n in range(1, steps + 1):
-        k1 = _vdp_rhs(state, alpha)
-        k2 = _vdp_rhs(state + 0.5 * dt * k1, alpha)
-        k3 = _vdp_rhs(state + 0.5 * dt * k2, alpha)
-        k4 = _vdp_rhs(state + dt * k3, alpha)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        out[n] = (t, state[0], state[1])
-    return out
-
-
-def _record_trajectory(alpha, state0, dt, substep, n_points) -> np.ndarray:
-    """Trajectory sampled every `dt` using RK4 substeps; rows (t, x, v)."""
-    stride = max(int(round(dt / substep)), 1)
-    fine = integrate_vdp(alpha, state0, dt / stride, (n_points - 1) * stride)
-    return fine[::stride][:n_points]
-
-
-def _sequences_to_pairs(recorded: np.ndarray, seq_len: int, task_id: int) -> TaskData:
-    """Forward-difference pairs (x_j, v_j) within each length-`seq_len` block."""
-    n_seq = recorded.shape[0] // seq_len
-    xs, vs = [], []
-    for s in range(n_seq):
-        block = recorded[s * seq_len : (s + 1) * seq_len]
-        t, x = block[:, 0], block[:, 1]
-        vs.append((x[1:] - x[:-1]) / (t[1:] - t[:-1]))
-        xs.append(x[:-1])
-    return TaskData(
-        inputs=np.concatenate(xs).reshape(-1, 1),
-        outputs=np.concatenate(vs),
-        task_id=task_id,
-    )
-
-
-def _vdp_task(alpha, initials, cfg: VdpConfig, task_id: int, burn_in: float = 0.0) -> TaskData:
-    """One task: one recorded block per initial state, chopped into pairs.
-
-    A positive burn-in integrates the state toward the attractor before the
-    recorded sequence starts, so randomly seeded sequences measure the
-    settled dynamics rather than arbitrary transients.
-    """
-    blocks = []
-    for s0 in initials:
-        if burn_in > 0.0:
-            steps = max(int(round(burn_in / cfg.substep)), 1)
-            s0 = integrate_vdp(alpha, s0, cfg.substep, steps)[-1, 1:3]
-        blocks.append(_record_trajectory(alpha, s0, cfg.dt, cfg.substep, cfg.points_per_sequence))
-    recorded = np.concatenate(blocks, axis=0)
-    return _sequences_to_pairs(recorded, cfg.points_per_sequence, task_id)
-
-
-def _chained_initials(alpha, state0, cfg: VdpConfig, n_seq: int) -> list[np.ndarray]:
-    """Initial states of consecutive sequences along one continuous trajectory.
-
-    Sequence n starts where sequence n-1 ended, so every task shares the
-    same single entry point while still covering the cycle.
-    """
-    total = n_seq * cfg.points_per_sequence
-    recorded = _record_trajectory(alpha, state0, cfg.dt, cfg.substep, total)
-    return [recorded[n * cfg.points_per_sequence, 1:3] for n in range(n_seq)]
+    states = _rk4(alpha, np.asarray(state0, dtype=float).reshape(2), dt, steps)
+    return np.column_stack([_clock(dt, steps), states])
 
 
 def vdp_tasks(cfg: VdpConfig) -> MultiTaskDataset:
@@ -266,33 +230,55 @@ def vdp_tasks(cfg: VdpConfig) -> MultiTaskDataset:
 
     Training sequences continue one trajectory from the shared initial
     state, so initial points coincide across tasks. Evaluation sequences
-    start at random states from a dedicated stream, shared across tasks.
+    start at random states from a dedicated stream, shared across tasks; a
+    positive burn-in first integrates them toward the attractor, so they
+    measure the settled dynamics rather than arbitrary transients.
     """
     alphas = cfg.alpha_grid()
     new_n = cfg.new_task_sequences if cfg.new_task_sequences is not None else cfg.sequences_per_task
+    alphas_new = _rng(cfg.seed, _STREAM_VDP_INIT).uniform(0.1, 1.0, size=cfg.num_new_tasks)
+    eval_inits = _rng(cfg.seed, _STREAM_VDP_EVAL_INIT).uniform(
+        -2.5, 2.5, size=(cfg.eval_sequences_per_task, 2)
+    )
+    all_alphas = np.concatenate([alphas, alphas_new])
+    n_train = len(alphas)
+    points = cfg.points_per_sequence
+    stride = max(int(round(cfg.dt / cfg.substep)), 1)
+    h = cfg.dt / stride
 
-    eval_rng = _rng(cfg.seed, _STREAM_VDP_EVAL_INIT)
-    eval_inits = eval_rng.uniform(-2.5, 2.5, size=(cfg.eval_sequences_per_task, 2))
+    def record(alpha, state0, count):
+        """`count` consecutive sequences from each state, shape (..., count, points, 2)."""
+        states = _rk4(alpha, state0, h, (count * points - 1) * stride, stride)
+        return states.reshape(*states.shape[:-2], count, points, 2)
 
-    train_tasks, train_eval = [], []
-    for i, alpha in enumerate(alphas):
-        initials = _chained_initials(alpha, cfg.initial_state, cfg, cfg.sequences_per_task)
-        train_tasks.append(_vdp_task(alpha, initials, cfg, i))
-        train_eval.append(_vdp_task(alpha, eval_inits, cfg, i, burn_in=cfg.eval_burn_in))
+    # Each sequence is differenced on its own clock, restarted at 0, exactly
+    # as if it had been integrated on its own from its first state.
+    spacing = np.diff(_clock(h, (points - 1) * stride)[::stride])
 
-    new_rng = _rng(cfg.seed, _STREAM_VDP_INIT)
-    alphas_new = new_rng.uniform(0.1, 1.0, size=cfg.num_new_tasks)
-    new_tasks, new_eval = [], []
-    for j, alpha in enumerate(alphas_new):
-        tid = len(alphas) + j
-        initials = _chained_initials(alpha, cfg.initial_state, cfg, new_n)
-        new_tasks.append(_vdp_task(alpha, initials, cfg, tid))
-        new_eval.append(_vdp_task(alpha, eval_inits, cfg, tid, burn_in=cfg.eval_burn_in))
+    def pairs(blocks, task_id) -> TaskData:
+        x = blocks[..., 0]
+        return TaskData(
+            inputs=x[:, :-1].reshape(-1, 1),
+            outputs=(np.diff(x, axis=1) / spacing).reshape(-1),
+            task_id=task_id,
+        )
+
+    state0 = np.broadcast_to(np.asarray(cfg.initial_state, dtype=float), (len(all_alphas), 2))
+    chained = record(all_alphas, state0, max(cfg.sequences_per_task, new_n))
+    starts = np.broadcast_to(eval_inits, (len(all_alphas), *eval_inits.shape))
+    if cfg.eval_burn_in > 0.0:
+        burn = max(int(round(cfg.eval_burn_in / cfg.substep)), 1)
+        starts = _rk4(all_alphas[:, None], starts, cfg.substep, burn, burn)[..., -1, :]
+    evals = record(all_alphas[:, None], starts, 1)[:, :, 0]
+
+    counts = [cfg.sequences_per_task] * n_train + [new_n] * len(alphas_new)
+    tasks = [pairs(chained[i, :count], i) for i, count in enumerate(counts)]
+    held_out = [pairs(evals[i], i) for i in range(len(all_alphas))]
     return MultiTaskDataset(
-        train_tasks=train_tasks,
-        train_eval=train_eval,
-        new_tasks=new_tasks,
-        new_eval=new_eval,
+        train_tasks=tasks[:n_train],
+        train_eval=held_out[:n_train],
+        new_tasks=tasks[n_train:],
+        new_eval=held_out[n_train:],
         latents_train=alphas,
         latents_new=alphas_new,
     )

@@ -26,8 +26,8 @@ module is tested at). The barrier carries no gradient, so that line search
 can fail outright; the fit then continues with the backtracking descent
 described next. Single-point projections are convex in w and use a monotone
 backtracking descent: candidates that leave the cone or fail to decrease the
-objective are shrunk by `backtrack_factor`, with quasi-Newton step proposals
-and the learning rate as the initial step scale.
+objective are shrunk by `_BACKTRACK_FACTOR`, with quasi-Newton step proposals
+and `_LEARNING_RATE` as the scale of steepest-descent steps.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 40
+_BACKTRACK_FACTOR = 0.5  # step shrink per rejected line-search candidate
+_LEARNING_RATE = 0.1  # scale of a steepest-descent step
 _LBFGS_MEMORY = 20
 _BARRIER = 1e15  # line-search value reported for reconstructions outside the cone
 
@@ -97,20 +99,14 @@ class ConvergenceError(RuntimeError):
 class FitOptions:
     """Descent controls shared by fitting and projection."""
 
-    learning_rate: float = 0.1
     max_iters: int = 10_000
     rel_tol: float = 1e-8
-    backtrack_factor: float = 0.5
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -283,7 +279,7 @@ class _Minimizer:
     `evaluate(p)` returns (objective, payload) or raises _InvalidBatch;
     `gradient(p, payload)` returns the flat gradient. Every accepted step
     strictly decreases the objective; candidates that leave the valid cone
-    or fail to decrease are backtracked by `backtrack_factor` up to
+    or fail to decrease are backtracked by `_BACKTRACK_FACTOR` up to
     _MAX_BACKTRACKS times. A stall with an active quasi-Newton memory resets
     to a steepest step once before declaring stationarity.
     """
@@ -297,7 +293,7 @@ class _Minimizer:
 
     def _direction(self, g: np.ndarray) -> np.ndarray:
         if not self.s_list:
-            return -self.opts.learning_rate * g
+            return -_LEARNING_RATE * g
         q = g.copy()
         alphas = []
         rhos = [1.0 / float(y @ s) for s, y in zip(self.s_list, self.y_list)]
@@ -313,7 +309,7 @@ class _Minimizer:
         if float(descent @ g) >= 0.0:  # model lost descent property
             self.s_list.clear()
             self.y_list.clear()
-            return -self.opts.learning_rate * g
+            return -_LEARNING_RATE * g
         return descent
 
     def _push_pair(self, s: np.ndarray, y: np.ndarray) -> None:
@@ -333,12 +329,12 @@ class _Minimizer:
             try:
                 kl_new, payload = self.evaluate(candidate)
             except _InvalidBatch:
-                t *= self.opts.backtrack_factor
+                t *= _BACKTRACK_FACTOR
                 continue
             saw_valid = True
             if kl_new < kl_cur and np.isfinite(kl_new):
                 return candidate, kl_new, payload, True
-            t *= self.opts.backtrack_factor
+            t *= _BACKTRACK_FACTOR
         if not saw_valid:
             raise ValidityStallError(
                 f"no valid step found after {_MAX_BACKTRACKS} backtracks"
@@ -370,7 +366,7 @@ class _Minimizer:
                 self.s_list.clear()
                 self.y_list.clear()
                 p_new, kl_new, payload, accepted = self._line_search(
-                    p, kl, -opts.learning_rate * g
+                    p, kl, -_LEARNING_RATE * g
                 )
             if not accepted:
                 # stationary at line-search resolution

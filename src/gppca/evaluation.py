@@ -85,6 +85,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in (METHOD_GP, METHOD_SUBSPACE):
                 raise ValueError(f"unknown method {m!r}")
+        if self.mode not in ("exact", "sparse"):
+            raise ValueError(f"mode must be 'exact' or 'sparse', got {self.mode!r}")
         object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
         object.__setattr__(self, "methods", tuple(self.methods))
 

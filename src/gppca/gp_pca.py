@@ -48,6 +48,7 @@ from gppca.kernels_gp import (
     KernelConfig,
     TaskData,
     as_points,
+    coincident,
     exact_posterior,
     gram,
     predictive_batch,
@@ -255,14 +256,10 @@ def joint_posterior_coords(prior: GpPrior, rho: MomentGaussian, anchor, test) ->
     test = as_points(test) if test is not None else np.zeros((0, anchor.shape[1]))
     if rho.dim != anchor.shape[0]:
         raise ValueError(f"posterior dim {rho.dim} does not match anchor size {anchor.shape[0]}")
-    fresh = []
-    for row in test:
-        close = np.max(np.abs(anchor - row), axis=1) <= 1e-12
-        if not bool(np.any(close)):
-            fresh.append(row)
-    if not fresh:
+    fresh = test[~coincident(test, anchor).any(axis=1)]
+    if fresh.shape[0] == 0:
         return moment_to_natural(rho)
-    union = np.vstack([anchor, np.asarray(fresh)])
+    union = np.vstack([anchor, fresh])
     k_anchor = gram(prior.kernel, anchor, anchor)
     chol = chol_pd(k_anchor, "K(anchor, anchor)")
     k_star = gram(prior.kernel, union, anchor)

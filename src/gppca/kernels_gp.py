@@ -37,6 +37,7 @@ __all__ = [
     "predictive_batch",
     "gp_predictive_batch",
     "union_inputs",
+    "coincident",
     "as_points",
 ]
 
@@ -122,23 +123,28 @@ def gram(cfg: KernelConfig, a, b) -> np.ndarray:
     return np.exp(-d2 / (2.0 * cfg.lengthscale**2))
 
 
+def coincident(a, b, tol: float = 1e-12) -> np.ndarray:
+    """Boolean (len(A), len(B)) matrix: rows a_i and b_j lie within `tol` in max-norm."""
+    pa = as_points(a)
+    pb = as_points(b)
+    return np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2) <= tol
+
+
 def union_inputs(tasks, tol: float = 1e-12) -> np.ndarray:
     """Deduplicated concatenation of all task inputs, in task order.
 
-    Points closer than `tol` in max-norm are merged so the anchor gram
-    matrix stays nonsingular.
+    A row within `tol` in max-norm of an earlier kept row is dropped, so the
+    anchor gram matrix stays nonsingular.
     """
-    kept: list[np.ndarray] = []
-    for task in tasks:
-        for row in task.inputs:
-            if kept:
-                close = np.max(np.abs(np.asarray(kept) - row), axis=1) <= tol
-                if bool(np.any(close)):
-                    continue
-            kept.append(row)
-    if not kept:
+    rows = [task.inputs for task in tasks]
+    points = np.concatenate(rows) if rows else np.zeros((0, 1))
+    if points.shape[0] == 0:
         raise ValueError("no inputs found across tasks")
-    return np.asarray(kept, dtype=float)
+    earlier = np.tril(coincident(points, points, tol), -1)
+    keep = np.ones(points.shape[0], dtype=bool)
+    for i in np.flatnonzero(earlier.any(axis=1)):
+        keep[i] = not np.any(earlier[i] & keep)
+    return points[keep]
 
 
 def exact_posterior(prior: GpPrior, task: TaskData, anchor) -> MomentGaussian:

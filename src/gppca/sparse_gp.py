@@ -38,7 +38,7 @@ from gppca.gaussian_geometry import (
     chol_pd,
     _sym,
 )
-from gppca.kernels_gp import GpPrior, KernelConfig, TaskData, as_points, gram
+from gppca.kernels_gp import GpPrior, KernelConfig, TaskData, as_points, coincident, gram
 
 __all__ = [
     "InducingSet",
@@ -62,10 +62,10 @@ class InducingSet:
         pts = as_points(self.points)
         if pts.shape[0] < 1:
             raise ValueError("inducing set must contain at least one point")
-        for i in range(pts.shape[0]):
-            close = np.max(np.abs(pts[i + 1 :] - pts[i]), axis=1) <= 1e-12
-            if bool(np.any(close)):
-                raise ValueError(f"inducing points {i} and a later point coincide")
+        pairs = np.argwhere(np.triu(coincident(pts, pts), 1))
+        if pairs.size:
+            i, j = pairs[0]
+            raise ValueError(f"inducing points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:

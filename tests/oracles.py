@@ -10,6 +10,10 @@ where eps is float64 machine epsilon and kappa the condition number of the
 matrices compared. The KL-extension test takes the second way: its random
 inputs can fall close together, cond(Sigma**) then reaches 1e10, and no
 fixed absolute tolerance holds for every draw.
+
+The Van der Pol reference integrates one state at a time with scalar RK4
+and builds every sequence by its own integration, the way the generator
+was first written; the batched generator must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from gppca import epca
+from gppca.datasets import _STREAM_VDP_EVAL_INIT, _STREAM_VDP_INIT, MultiTaskDataset, VdpConfig, _rng
 from gppca.epca import FitOptions
 from gppca.gaussian_geometry import (
     MomentGaussian,
@@ -38,6 +43,9 @@ __all__ = [
     "joint_moments_bruteforce",
     "kl_decomposition_check",
     "fit_joint_direct",
+    "union_inputs_rowwise",
+    "integrate_vdp_scalar",
+    "vdp_tasks_scalar",
 ]
 
 
@@ -177,3 +185,77 @@ def fit_joint_direct(
         coords.append(pack_natural(moment_to_natural(joint)))
     result = epca.fit(np.asarray(coords), latent_dim, opts)
     return result.objective
+
+
+def union_inputs_rowwise(tasks, tol: float = 1e-12) -> np.ndarray:
+    """`kernels_gp.union_inputs` one row at a time against the rows kept so far."""
+    kept = []
+    for task in tasks:
+        for row in task.inputs:
+            if not any(np.max(np.abs(k - row)) <= tol for k in kept):
+                kept.append(row)
+    return np.asarray(kept, dtype=float)
+
+
+def _vdp_rhs(state: np.ndarray, alpha: float) -> np.ndarray:
+    x, v = state
+    return np.array([v, alpha * (1.0 - x * x) * v - x])
+
+
+def integrate_vdp_scalar(alpha: float, state0, dt: float, steps: int) -> np.ndarray:
+    """Scalar RK4 trajectory, rows (t, x, dx/dt), steps+1 of them."""
+    state = np.asarray(state0, dtype=float).reshape(2)
+    out = np.empty((steps + 1, 3))
+    out[0] = (0.0, state[0], state[1])
+    t = 0.0
+    for n in range(1, steps + 1):
+        k1 = _vdp_rhs(state, alpha)
+        k2 = _vdp_rhs(state + 0.5 * dt * k1, alpha)
+        k3 = _vdp_rhs(state + 0.5 * dt * k2, alpha)
+        k4 = _vdp_rhs(state + dt * k3, alpha)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        out[n] = (t, state[0], state[1])
+    return out
+
+
+def _record(alpha, state0, cfg: VdpConfig, n_points: int) -> np.ndarray:
+    stride = max(int(round(cfg.dt / cfg.substep)), 1)
+    fine = integrate_vdp_scalar(alpha, state0, cfg.dt / stride, (n_points - 1) * stride)
+    return fine[::stride][:n_points]
+
+
+def _vdp_task(alpha, initials, cfg: VdpConfig, task_id: int, burn_in: float = 0.0) -> TaskData:
+    """One sequence per initial state, each integrated from that state alone."""
+    xs, vs = [], []
+    for s0 in initials:
+        if burn_in > 0.0:
+            steps = max(int(round(burn_in / cfg.substep)), 1)
+            s0 = integrate_vdp_scalar(alpha, s0, cfg.substep, steps)[-1, 1:3]
+        block = _record(alpha, s0, cfg, cfg.points_per_sequence)
+        t, x = block[:, 0], block[:, 1]
+        vs.append((x[1:] - x[:-1]) / (t[1:] - t[:-1]))
+        xs.append(x[:-1])
+    return TaskData(np.concatenate(xs).reshape(-1, 1), np.concatenate(vs), task_id)
+
+
+def _chained_initials(alpha, cfg: VdpConfig, n_seq: int) -> list:
+    recorded = _record(alpha, cfg.initial_state, cfg, n_seq * cfg.points_per_sequence)
+    return [recorded[n * cfg.points_per_sequence, 1:3] for n in range(n_seq)]
+
+
+def vdp_tasks_scalar(cfg: VdpConfig) -> MultiTaskDataset:
+    """`datasets.vdp_tasks` one task and one sequence at a time."""
+    alphas = cfg.alpha_grid()
+    new_n = cfg.new_task_sequences if cfg.new_task_sequences is not None else cfg.sequences_per_task
+    eval_inits = _rng(cfg.seed, _STREAM_VDP_EVAL_INIT).uniform(
+        -2.5, 2.5, size=(cfg.eval_sequences_per_task, 2)
+    )
+    alphas_new = _rng(cfg.seed, _STREAM_VDP_INIT).uniform(0.1, 1.0, size=cfg.num_new_tasks)
+    tasks, evals = [], []
+    for tid, alpha in enumerate([*alphas, *alphas_new]):
+        n_seq = cfg.sequences_per_task if tid < len(alphas) else new_n
+        tasks.append(_vdp_task(alpha, _chained_initials(alpha, cfg, n_seq), cfg, tid))
+        evals.append(_vdp_task(alpha, eval_inits, cfg, tid, burn_in=cfg.eval_burn_in))
+    k = len(alphas)
+    return MultiTaskDataset(tasks[:k], evals[:k], tasks[k:], evals[k:], alphas, alphas_new)

@@ -82,10 +82,45 @@ def test_evaluate_rewrites_identical_files(tmp_path):
     assert _rows(table)[0] == ["method", "N", "split", "mean_rmse", "std_rmse"]
 
 
-@pytest.mark.parametrize("section", ["fit", "adapt"])
-def test_seed_option_is_rejected(tmp_path, capsys, section):
-    doc = {**CONFIG, section: {"seed": 0}}
+REMOVED_OPTIONS = {"seed": 0, "learning_rate": 0.1, "backtrack_factor": 0.5}
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        pytest.param("fit", "seed", id="fit"),
+        pytest.param("adapt", "seed", id="adapt"),
+        *(
+            pytest.param(section, key, id=f"{section}-{key}")
+            for section in ("fit", "adapt")
+            for key in ("learning_rate", "backtrack_factor")
+        ),
+    ],
+)
+def test_seed_option_is_rejected(tmp_path, capsys, section, key):
+    doc = {**CONFIG, section: {key: REMOVED_OPTIONS[key]}}
     config = _write_config(tmp_path / "config.json", doc)
     assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
-    assert f"'{section}.seed'" in capsys.readouterr().err
+    assert f"'{section}.{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"kernel": {"kind": "matern"}}, ("'kernel'", "kind", "'matern'")),
+        ({"kernel": {"lengthscale": -0.2}}, ("'kernel'", "lengthscale", "-0.2")),
+        ({"beta": -1}, ("'beta'", "-1")),
+        ({"model": {**CONFIG["model"], "mode": "bogus"}}, ("mode", "'bogus'")),
+        ({"evaluate": {**CONFIG["evaluate"], "methods": ["gp", "nn"]}}, ("method", "'nn'")),
+    ],
+    ids=["kernel-kind", "lengthscale", "beta", "mode", "method"],
+)
+def test_evaluate_rejects_invalid_configuration(tmp_path, capsys, change, named):
+    config = _write_config(tmp_path / "config.json", {**CONFIG, **change})
+    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    for text in named:
+        assert text in err
     assert not (tmp_path / "out").exists()

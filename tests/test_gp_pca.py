@@ -213,6 +213,15 @@ class TestJointCoords:
         np.testing.assert_allclose(joint.mu, np.zeros(3), atol=1e-9)
         np.testing.assert_allclose(joint.sigma, gram(prior.kernel, union, union), atol=1e-8)
 
+    def test_test_points_on_the_anchor_are_dropped(self):
+        prior = _prior()
+        task = _toy_tasks()[1]
+        anchor = np.array([[0.1], [0.6]])
+        rho = exact_posterior(prior, task, anchor)
+        near = gp_pca.joint_posterior_coords(prior, rho, anchor, np.array([[0.6 + 1e-13], [0.3]]))
+        plain = gp_pca.joint_posterior_coords(prior, rho, anchor, np.array([[0.3]]))
+        assert np.array_equal(gg.pack_natural(near), gg.pack_natural(plain))
+
     def test_marginal_block_preserved(self):
         prior = _prior()
         task = _toy_tasks()[1]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gppca.gaussian_geometry import DecompositionError
 from gppca.kernels_gp import (
     GpPrior,
@@ -85,6 +86,32 @@ class TestUnionInputs:
         t1 = TaskData([[0.1]], [0.0], 0)
         t2 = TaskData([[0.1 + 1e-15]], [0.0], 1)
         assert union_inputs([t1, t2]).shape == (1, 1)
+
+    def test_row_close_only_to_a_dropped_row_is_kept(self):
+        t1 = TaskData([[0.1]], [0.0], 0)
+        t2 = TaskData([[0.1 + 8e-13], [0.1 + 1.6e-12]], [0.0, 0.0], 1)
+        u = union_inputs([t1, t2])
+        assert np.array_equal(u, [[0.1], [0.1 + 1.6e-12]])
+
+    def test_max_norm_in_two_dimensions(self):
+        t = TaskData([[0.0, 0.0], [5e-13, -5e-13], [0.0, 2e-12]], [0.0, 0.0, 0.0], 0)
+        assert np.array_equal(union_inputs([t]), [[0.0, 0.0], [0.0, 2e-12]])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_row_by_row_reference(self, dim):
+        # Offsets of 0.4e-12 put many rows within tol of each other, in chains.
+        rng = np.random.default_rng(dim)
+        tasks = []
+        for i in range(6):
+            x = rng.choice([0.1, 0.7], size=(10, dim)) + 0.4e-12 * rng.integers(0, 6, size=(10, dim))
+            tasks.append(TaskData(x, np.zeros(10), i))
+        u = union_inputs(tasks)
+        assert 2 < len(u) < 60
+        assert np.array_equal(u, oracles.union_inputs_rowwise(tasks))
+
+    def test_no_inputs(self):
+        with pytest.raises(ValueError, match="no inputs"):
+            union_inputs([TaskData(np.zeros((0, 1)), np.zeros(0), 0)])
 
 
 class TestExactPosterior:

@@ -45,6 +45,8 @@ class TestInducingSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="coincide"):
             InducingSet([[0.1], [0.1]])
+        with pytest.raises(ValueError, match="points 1 and 2 coincide"):
+            InducingSet([[0.0], [0.5], [0.5 + 1e-13]])
 
     def test_grid_over_range(self):
         z = grid_inducing(np.array([[0.0], [2.0]]), 5)
