@@ -14,8 +14,8 @@ from gppca.gaussian_geometry import (
     NaturalCoord,
     kl_divergence,
 )
-from gppca.kernels_gp import GpPrior, KernelConfig, TaskData
-from gppca.sparse_gp import InducingSet, SparsePosterior
+from gppca.kernels_gp import GpPrior, InducingSet, KernelConfig, TaskData
+from gppca.sparse_gp import SparsePosterior
 from gppca.epca import FitOptions, Subspace
 from gppca.gp_pca import GpPcaModel, TaskPrediction, train, predict, adapt_new_task
 

@@ -168,20 +168,25 @@ def _fit_options(doc: dict, section: str) -> FitOptions:
         raise ConfigError(f"invalid {section} options: {exc}")
 
 
+def _number(section: dict, key: str, default: float, where: str) -> float:
+    value = section.get(key, default)
+    if value is None:
+        raise ConfigError(f"key {where!r} must be a number, got null")
+    return float(value)
+
+
 def _hyper(doc: dict, experiment: str) -> GpPrior:
     defaults = DEFAULT_HYPERPARAMS[experiment]
     kernel_doc = doc.get("kernel", {})
-    lengthscale = kernel_doc.get("lengthscale", defaults["lengthscale"])
+    lengthscale = _number(kernel_doc, "lengthscale", defaults["lengthscale"], "kernel.lengthscale")
     try:
-        kernel = KernelConfig(kind=kernel_doc.get("kind", "rbf"), lengthscale=float(lengthscale))
+        kernel = KernelConfig(kind=kernel_doc.get("kind", "rbf"), lengthscale=lengthscale)
     except ValueError as exc:
         raise ConfigError(f"invalid 'kernel' section: {exc}")
+    beta = _number(doc, "beta", defaults["beta"], "beta")
+    mean = _number(doc, "prior_mean", 0.0, "prior_mean")
     try:
-        return GpPrior(
-            kernel=kernel,
-            beta=float(doc.get("beta", defaults["beta"])),
-            mean_fn=float(doc.get("prior_mean", 0.0)),
-        )
+        return GpPrior(kernel=kernel, beta=beta, mean_fn=mean)
     except ValueError as exc:
         raise ConfigError(f"invalid key 'beta': {exc}")
 

@@ -90,6 +90,8 @@ class ArtificialConfig:
             raise ValueError("num_tasks and samples_per_task must be at least 1")
         if not self.noise_variance > 0:
             raise ValueError("noise_variance must be positive")
+        if self.z_values is not None and len(self.z_values) != self.num_tasks:
+            raise ValueError(f"{len(self.z_values)} z values for {self.num_tasks} tasks")
 
 
 def artificial_curve(z: float, x) -> np.ndarray:
@@ -108,8 +110,6 @@ def gen_artificial(cfg: ArtificialConfig) -> MultiTaskDataset:
     """Training tasks on the latent grid plus freshly drawn held-out tasks."""
     if cfg.z_values is not None:
         z_train = np.asarray(list(cfg.z_values), dtype=float)
-        if z_train.shape[0] != cfg.num_tasks:
-            raise ValueError(f"{z_train.shape[0]} z values for {cfg.num_tasks} tasks")
     elif cfg.num_tasks == 1:
         z_train = np.array([0.5])
     else:

@@ -65,16 +65,21 @@ class ValidityError(RuntimeError):
     """A point outside the cone of valid Gaussians (Theta not negative definite).
 
     `data` tells whether the offending point is an input point itself or the
-    reconstruction of input point `task_index` on the subspace.
+    reconstruction of input point `task_index` on the subspace. A
+    reconstruction at given `weights` (a prediction) has no input point:
+    `task_index` is None and the message names the weights.
     """
 
-    def __init__(self, task_index: int, data: bool = False):
+    def __init__(self, task_index: Optional[int], data: bool = False, weights=None):
         self.task_index = task_index
         if data:
             message = (
                 f"input point {task_index} is not a valid Gaussian: "
                 "its Theta is not negative definite"
             )
+        elif task_index is None:
+            shown = np.array2string(np.asarray(weights, dtype=float), separator=", ")
+            message = f"reconstruction at weights {shown} violates negative definite Theta"
         else:
             message = f"reconstruction for point {task_index} violates negative definite Theta"
         super().__init__(message)

@@ -89,6 +89,22 @@ class ExperimentConfig:
             raise ValueError(f"mode must be 'exact' or 'sparse', got {self.mode!r}")
         object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
         object.__setattr__(self, "methods", tuple(self.methods))
+        tasks = None
+        for n in self.n_sweep:  # the generator's own checks, before any cell runs
+            try:
+                data_cfg = _generator_config(self, n, self.base_seed)
+                tasks = (
+                    data_cfg.num_tasks if self.experiment == "artificial"
+                    else len(data_cfg.alpha_grid())
+                )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"invalid 'data' section: {exc}") from None
+        fits = METHOD_SUBSPACE in self.methods and tasks is not None
+        if fits and not (isinstance(self.latent_dim, int) and 0 <= self.latent_dim < tasks):
+            raise ValueError(
+                f"latent_dim must be an integer in [0, {tasks - 1}] "
+                f"for {tasks} training tasks, got {self.latent_dim!r}"
+            )
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -136,11 +152,16 @@ def _cell_seed(base_seed: int, repetition: int) -> int:
     return int(np.random.SeedSequence(base_seed, spawn_key=(repetition,)).generate_state(1)[0])
 
 
-def _make_dataset(cfg: ExperimentConfig, n: int, seed: int):
+def _generator_config(cfg: ExperimentConfig, n: int, seed: int):
     if cfg.experiment == "artificial":
-        data_cfg = ArtificialConfig(**{**cfg.data, "samples_per_task": n, "seed": seed})
+        return ArtificialConfig(**{**cfg.data, "samples_per_task": n, "seed": seed})
+    return VdpConfig(**{**cfg.data, "sequences_per_task": n, "seed": seed})
+
+
+def _make_dataset(cfg: ExperimentConfig, n: int, seed: int):
+    data_cfg = _generator_config(cfg, n, seed)
+    if cfg.experiment == "artificial":
         return gen_artificial(data_cfg)
-    data_cfg = VdpConfig(**{**cfg.data, "sequences_per_task": n, "seed": seed})
     return vdp_tasks(data_cfg)
 
 

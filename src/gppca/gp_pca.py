@@ -24,7 +24,7 @@ fitted subspace (the unique KL-minimizing projection).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ from gppca.gaussian_geometry import (
     MomentGaussian,
     NaturalCoord,
     _sym,
-    chol_pd,
     moment_to_natural,
     natural_to_moment,
     pack_natural,
@@ -47,6 +46,7 @@ from gppca.kernels_gp import (
     GpPrior,
     KernelConfig,
     TaskData,
+    as_anchor,
     as_points,
     coincident,
     exact_posterior,
@@ -94,7 +94,14 @@ class GpPcaModel:
 
     In exact mode `anchor` is the union of the training inputs; in sparse
     mode it is the inducing set and all coordinates live in the rescaled
-    chart. `fit_result` carries training diagnostics and is not persisted.
+    chart. `anchor` may be given as points or as an `InducingSet`; it is
+    stored as points, and `anchor_set` holds the `InducingSet`.
+
+    Constructing the model factors the prior over the anchor once
+    (`anchor_set.factor(prior)`: K, its Cholesky factor, mu0 and K^-1 mu0),
+    and every prediction and adaptation reads that factor. The factor and
+    `fit_result` (training diagnostics) are not persisted; a loaded model
+    builds its factor again.
     """
 
     prior: GpPrior
@@ -104,35 +111,33 @@ class GpPcaModel:
     mode: str
     latent_dim: int
     fit_result: Optional[FitResult] = None
+    anchor_set: InducingSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        anchor = as_points(self.anchor)
+        anchor_set = as_anchor(self.anchor)
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 2:
             if self.latent_dim == 0:
                 weights = weights.reshape(max(weights.shape[0], 0) if weights.ndim else 0, 0)
             else:
                 weights = weights.reshape(-1, self.latent_dim)
-        if anchor.shape[0] < 1:
-            raise ValueError("anchor must be nonempty")
         if self.mode not in ("exact", "sparse"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if weights.ndim != 2 or weights.shape[1] != self.latent_dim:
             raise ValueError(f"weights shape {weights.shape} does not match latent dim")
-        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "anchor", anchor_set.points)
+        object.__setattr__(self, "anchor_set", anchor_set)
         object.__setattr__(self, "weights", weights)
+        anchor_set.factor(self.prior)
 
     @property
     def num_tasks(self) -> int:
         return self.weights.shape[0]
 
 
-def _task_point(prior: GpPrior, task: TaskData, anchor) -> np.ndarray:
-    """Flattened natural coordinates of one task's posterior.
-
-    `anchor` is the exact-mode input set, or the sparse-mode `InducingSet`.
-    """
-    if isinstance(anchor, InducingSet):
+def _task_point(prior: GpPrior, task: TaskData, anchor: InducingSet, mode: str) -> np.ndarray:
+    """Flattened natural coordinates of one task's posterior over `anchor`."""
+    if mode == "sparse":
         nat, _ = variational_coords(prior, task, anchor)
         return pack_natural(nat)
     return pack_natural(moment_to_natural(exact_posterior(prior, task, anchor)))
@@ -143,17 +148,21 @@ def task_coordinates(
     prior: GpPrior,
     mode: str,
     inducing: Optional[InducingSet] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened natural coordinates of each task posterior, plus the anchor."""
+) -> tuple[np.ndarray, InducingSet]:
+    """Flattened natural coordinates of each task posterior, plus the anchor set.
+
+    The anchor is the union of the task inputs (exact) or `inducing`
+    (sparse); all tasks share its factor.
+    """
     if mode == "exact":
-        anchor = points = union_inputs(tasks)
+        anchor = InducingSet(union_inputs(tasks))
     elif mode == "sparse":
         if inducing is None:
             raise ValueError("sparse mode requires an inducing set")
-        anchor, points = inducing, inducing.points
+        anchor = inducing
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return np.asarray([_task_point(prior, task, anchor) for task in tasks]), points
+    return np.asarray([_task_point(prior, task, anchor, mode) for task in tasks]), anchor
 
 
 def train(
@@ -194,7 +203,7 @@ def _reconstructed_moments(model: GpPcaModel, w: np.ndarray) -> MomentGaussian:
     try:
         return natural_to_moment(nat)
     except DecompositionError as exc:
-        raise ValidityError(-1) from exc
+        raise ValidityError(None, weights=w) from exc
 
 
 def _resolve_weights(model: GpPcaModel, task_or_weights) -> np.ndarray:
@@ -210,13 +219,17 @@ def _resolve_weights(model: GpPcaModel, task_or_weights) -> np.ndarray:
 
 
 def predict_batch(model: GpPcaModel, task_or_weights, x_plus):
-    """Means and variances at each test point for a task index or weight vector."""
+    """Means and variances at each test point for a task index or weight vector.
+
+    The predictive equations read the model's anchor factor; nothing over
+    the anchor is recomputed.
+    """
     w = _resolve_weights(model, task_or_weights)
     rho = _reconstructed_moments(model, w)
     if model.mode == "exact":
-        return predictive_batch(model.prior, rho, model.anchor, x_plus)
+        return predictive_batch(model.prior, rho, model.anchor_set, x_plus)
     sp = SparsePosterior(mu_prime=rho.mu, sigma_prime=rho.sigma)
-    return sparse_predictive_batch(model.prior, sp, InducingSet(model.anchor), x_plus)
+    return sparse_predictive_batch(model.prior, sp, model.anchor_set, x_plus)
 
 
 def predict(model: GpPcaModel, task_or_weights, x_plus) -> TaskPrediction:
@@ -231,13 +244,14 @@ def adapt_new_task(
     """Weights of a new task from few observations.
 
     Computes the new task's posterior coordinates over the model's anchor
-    under the model's prior and projects them onto the fitted subspace.
+    (fixed by the model, not re-derived from the few-shot inputs) under the
+    model's prior, reading the model's anchor factor, and projects them onto
+    the fitted subspace.
     """
     if len(fewshot) == 0:
         raise ValueError("few-shot task must contain at least one observation")
-    # The anchor stays fixed by the model, not re-derived from the few-shot inputs.
-    anchor = model.anchor if model.mode == "exact" else InducingSet(model.anchor)
-    return epca.project_point(_task_point(model.prior, fewshot, anchor), model.subspace, opts)
+    point = _task_point(model.prior, fewshot, model.anchor_set, model.mode)
+    return epca.project_point(point, model.subspace, opts)
 
 
 def joint_posterior_coords(prior: GpPrior, rho: MomentGaussian, anchor, test) -> NaturalCoord:
@@ -252,21 +266,21 @@ def joint_posterior_coords(prior: GpPrior, rho: MomentGaussian, anchor, test) ->
     affine and KL-preserving; test points duplicating anchor points are
     dropped. With no test points this is the identity on coordinates.
     """
-    anchor = as_points(anchor)
-    test = as_points(test) if test is not None else np.zeros((0, anchor.shape[1]))
-    if rho.dim != anchor.shape[0]:
-        raise ValueError(f"posterior dim {rho.dim} does not match anchor size {anchor.shape[0]}")
-    fresh = test[~coincident(test, anchor).any(axis=1)]
+    anchor = as_anchor(anchor)
+    points = anchor.points
+    test = as_points(test) if test is not None else np.zeros((0, points.shape[1]))
+    if rho.dim != points.shape[0]:
+        raise ValueError(f"posterior dim {rho.dim} does not match anchor size {points.shape[0]}")
+    fresh = test[~coincident(test, points).any(axis=1)]
     if fresh.shape[0] == 0:
         return moment_to_natural(rho)
-    union = np.vstack([anchor, fresh])
-    k_anchor = gram(prior.kernel, anchor, anchor)
-    chol = chol_pd(k_anchor, "K(anchor, anchor)")
-    k_star = gram(prior.kernel, union, anchor)
-    b = cho_solve((chol, True), k_star.T)  # K^-1 K*^T, (n, M)
-    mu_star = prior.mean_at(union) + b.T @ (rho.mu - prior.mean_at(anchor))
+    factor = anchor.factor(prior)
+    union = np.vstack([points, fresh])
+    k_star = gram(prior.kernel, union, points)
+    b = cho_solve((factor.chol, True), k_star.T)  # K^-1 K*^T, (n, M)
+    mu_star = prior.mean_at(union) + b.T @ (rho.mu - factor.mean)
     k_union = gram(prior.kernel, union, union)
-    sigma_star = k_union + b.T @ (rho.sigma - k_anchor) @ b
+    sigma_star = k_union + b.T @ (rho.sigma - factor.gram) @ b
     return moment_to_natural(MomentGaussian(mu=mu_star, sigma=_sym(sigma_star)))
 
 
@@ -342,6 +356,8 @@ def load_model(path) -> GpPcaModel:
 
 
 def with_extra_task(model: GpPcaModel, w: np.ndarray) -> GpPcaModel:
-    """Model with one more weight row (an adapted task) appended."""
+    """Model with one more weight row (an adapted task) appended; it shares the anchor factor."""
     w = np.asarray(w, dtype=float).reshape(1, model.latent_dim)
-    return replace(model, weights=np.vstack([model.weights, w]), fit_result=None)
+    return replace(
+        model, anchor=model.anchor_set, weights=np.vstack([model.weights, w]), fit_result=None
+    )

@@ -11,6 +11,11 @@ either directly from the task data (`gp_predictive_batch`, the independent-GP
 baseline) or from a stored anchor posterior (`predictive_batch`); the two
 routes agree, which the tests check.
 
+An anchor is an `InducingSet`: the union of the task inputs in exact mode,
+the inducing points in sparse mode. It factors the prior over its points
+once per kernel and prior mean (`InducingSet.factor`), so every posterior,
+prediction and adaptation over one anchor shares one Cholesky factor of K.
+
 The predictive mean from an anchor posterior uses the centered form
 mu0(x+) + k^T K^-1 (mu - mu0(X)), which reproduces the prior when the
 posterior equals the prior and coincides with the uncentered form for the
@@ -32,6 +37,9 @@ __all__ = [
     "KernelConfig",
     "TaskData",
     "GpPrior",
+    "InducingSet",
+    "PriorFactor",
+    "as_anchor",
     "gram",
     "exact_posterior",
     "predictive_batch",
@@ -147,20 +155,83 @@ def union_inputs(tasks, tol: float = 1e-12) -> np.ndarray:
     return points[keep]
 
 
+@dataclass(frozen=True)
+class PriorFactor:
+    """The prior over an anchor Z, factored once; every array is read-only.
+
+    `gram` is K = k(Z, Z) as computed, without jitter; `chol` is its lower
+    `chol_pd` factor (jittered only if K itself does not factor); `mean` is
+    mu0(Z) and `kinv_mean` is K^-1 mu0(Z).
+    """
+
+    gram: np.ndarray
+    chol: np.ndarray
+    mean: np.ndarray
+    kinv_mean: np.ndarray
+
+
+@dataclass(frozen=True)
+class InducingSet:
+    """Anchor inputs Z, pairwise distinct under a 1e-12 tolerance.
+
+    `factor(prior)` computes the prior's `PriorFactor` over Z on its first
+    call and returns the same one afterwards, one per kernel and prior mean.
+    `points` is a read-only copy, so the factors cannot go stale.
+    """
+
+    points: np.ndarray
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pts = as_points(self.points).copy()
+        pts.setflags(write=False)
+        if pts.shape[0] < 1:
+            raise ValueError("inducing set must contain at least one point")
+        pairs = np.argwhere(np.triu(coincident(pts, pts), 1))
+        if pairs.size:
+            i, j = pairs[0]
+            raise ValueError(f"inducing points {i} and {j} coincide")
+        object.__setattr__(self, "points", pts)
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+    def factor(self, prior: GpPrior) -> PriorFactor:
+        key = (prior.kernel, prior.mean_fn)
+        found = self._factors.get(key)
+        if found is None:
+            k = gram(prior.kernel, self.points, self.points)
+            chol = chol_pd(k, "K(anchor, anchor)")
+            mean = prior.mean_at(self.points)
+            found = PriorFactor(gram=k, chol=chol, mean=mean, kinv_mean=cho_solve((chol, True), mean))
+            for a in (found.gram, found.chol, found.mean, found.kinv_mean):
+                a.setflags(write=False)
+            self._factors[key] = found
+        return found
+
+
+def as_anchor(anchor) -> InducingSet:
+    """`anchor` itself if it is an `InducingSet`, else an `InducingSet` of its points."""
+    return anchor if isinstance(anchor, InducingSet) else InducingSet(anchor)
+
+
 def exact_posterior(prior: GpPrior, task: TaskData, anchor) -> MomentGaussian:
-    """Posterior of f(anchor) given one task's data under the shared prior."""
-    anchor = as_points(anchor)
-    k_anchor = gram(prior.kernel, anchor, anchor)
-    mu0 = prior.mean_at(anchor)
+    """Posterior of f(anchor) given one task's data under the shared prior.
+
+    `anchor` is an `InducingSet` or its points; K and mu0 over it come from
+    its factor.
+    """
+    anchor = as_anchor(anchor)
+    factor = anchor.factor(prior)
     if len(task) == 0:
-        return MomentGaussian(mu=mu0, sigma=_sym(k_anchor))
-    k_cross = gram(prior.kernel, anchor, task.inputs)
+        return MomentGaussian(mu=factor.mean.copy(), sigma=_sym(factor.gram))
+    k_cross = gram(prior.kernel, anchor.points, task.inputs)
     k_task = gram(prior.kernel, task.inputs, task.inputs)
     noisy = k_task + np.eye(len(task)) / prior.beta
     chol = chol_pd(noisy, "K_ii + beta^-1 I")
     resid = task.outputs - prior.mean_at(task.inputs)
-    mu = mu0 + k_cross @ cho_solve((chol, True), resid)
-    sigma = k_anchor - k_cross @ cho_solve((chol, True), k_cross.T)
+    mu = factor.mean + k_cross @ cho_solve((chol, True), resid)
+    sigma = factor.gram - k_cross @ cho_solve((chol, True), k_cross.T)
     return MomentGaussian(mu=mu, sigma=_sym(sigma))
 
 
@@ -176,21 +247,23 @@ def _clamped_variance(var: np.ndarray) -> np.ndarray:
 def predictive_batch(prior: GpPrior, rho: MomentGaussian, anchor, x_plus):
     """Predictive mean and variance at each test point, from an anchor posterior.
 
-    mean(x+) = mu0(x+) + k^T K^-1 (mu - mu0(X))
-    var(x+)  = k(x+,x+) + k^T K^-1 (Sigma - K) K^-1 k
+    mean(x+) = mu0(x+) + w^T (mu - mu0(X))
+    var(x+)  = k(x+,x+) + w^T (Sigma - K) w,   w = K^-1 k
+
+    `anchor` is an `InducingSet` or its points; K, its factor and mu0(X)
+    come from the anchor's factor, and K in Sigma - K is the unjittered one.
+    The variances of all test points are column sums of w * ((Sigma - K) w),
+    one matrix product.
     """
-    anchor = as_points(anchor)
+    anchor = as_anchor(anchor)
     test = as_points(x_plus)
-    if rho.dim != anchor.shape[0]:
-        raise ValueError(f"posterior dim {rho.dim} does not match anchor size {anchor.shape[0]}")
-    k_anchor = gram(prior.kernel, anchor, anchor)
-    chol = chol_pd(k_anchor, "K(anchor, anchor)")
-    k_cross = gram(prior.kernel, anchor, test)  # (n, t)
-    w = cho_solve((chol, True), k_cross)  # K^-1 k, (n, t)
-    mu0_anchor = prior.mean_at(anchor)
-    means = prior.mean_at(test) + w.T @ (rho.mu - mu0_anchor)
-    mid = rho.sigma - k_anchor
-    variances = 1.0 + np.einsum("nt,nm,mt->t", w, mid, w)  # k(x,x) = 1 for RBF
+    if rho.dim != len(anchor):
+        raise ValueError(f"posterior dim {rho.dim} does not match anchor size {len(anchor)}")
+    factor = anchor.factor(prior)
+    k_cross = gram(prior.kernel, anchor.points, test)  # (n, t)
+    w = cho_solve((factor.chol, True), k_cross)  # K^-1 k, (n, t)
+    means = prior.mean_at(test) + w.T @ (rho.mu - factor.mean)
+    variances = 1.0 + np.sum(w * ((rho.sigma - factor.gram) @ w), axis=0)  # k(x,x) = 1 for RBF
     return means, _clamped_variance(variances)
 
 

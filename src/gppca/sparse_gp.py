@@ -33,43 +33,19 @@ from scipy.linalg import cho_solve
 
 from gppca.gaussian_geometry import (
     ExpectationCoord,
-    MomentGaussian,
     NaturalCoord,
     chol_pd,
     _sym,
 )
-from gppca.kernels_gp import GpPrior, KernelConfig, TaskData, as_points, coincident, gram
+from gppca.kernels_gp import GpPrior, InducingSet, TaskData, as_points, gram
 
 __all__ = [
     "InducingSet",
     "SparsePosterior",
-    "variational_posterior",
     "variational_coords",
     "sparse_predictive_batch",
-    "rho_prime_to_rho",
-    "rho_to_rho_prime",
     "grid_inducing",
 ]
-
-
-@dataclass(frozen=True)
-class InducingSet:
-    """Inducing inputs Z, pairwise distinct under a 1e-12 tolerance."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = as_points(self.points)
-        if pts.shape[0] < 1:
-            raise ValueError("inducing set must contain at least one point")
-        pairs = np.argwhere(np.triu(coincident(pts, pts), 1))
-        if pairs.size:
-            i, j = pairs[0]
-            raise ValueError(f"inducing points {i} and {j} coincide")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -92,35 +68,6 @@ class SparsePosterior:
         return self.mu_prime.shape[0]
 
 
-def _sparse_system(prior: GpPrior, task: TaskData, inducing: InducingSet):
-    """Shared pieces (K_mm factor, A factor, data term) of the sparse posterior."""
-    z = inducing.points
-    k_mm = gram(prior.kernel, z, z)
-    chol_mm = chol_pd(k_mm, "K_mm")
-    if len(task) == 0:
-        a = k_mm / prior.beta
-        data_term = np.zeros(len(inducing))
-    else:
-        k_mn = gram(prior.kernel, z, task.inputs)
-        data_term = k_mn @ (task.outputs - prior.mean_at(task.inputs))
-        a = k_mm / prior.beta + k_mn @ k_mn.T
-    chol_a = chol_pd(_sym(a), "A_mm")
-    return k_mm, chol_mm, _sym(a), chol_a, data_term
-
-
-def variational_posterior(prior: GpPrior, task: TaskData, inducing: InducingSet) -> SparsePosterior:
-    """Optimal variational posterior in the rescaled chart.
-
-    mu' = A^-1 K_mn (y - mu0(X_i)) + K_mm^-1 mu0(Z), Sigma' = beta^-1 A^-1.
-    The prior-mean term vanishes for the default zero mean.
-    """
-    _, chol_mm, _, chol_a, data_term = _sparse_system(prior, task, inducing)
-    mu0_z = prior.mean_at(inducing.points)
-    mu_prime = cho_solve((chol_a, True), data_term) + cho_solve((chol_mm, True), mu0_z)
-    sigma_prime = cho_solve((chol_a, True), np.eye(len(inducing))) / prior.beta
-    return SparsePosterior(mu_prime=mu_prime, sigma_prime=_sym(sigma_prime))
-
-
 def variational_coords(
     prior: GpPrior, task: TaskData, inducing: InducingSet
 ) -> tuple[NaturalCoord, ExpectationCoord]:
@@ -129,14 +76,22 @@ def variational_coords(
     Built directly from the system matrix: Theta' = -1/2 beta A and
     theta' = beta (K_mn (y - mu0) + A K_mm^-1 mu0(Z)) are exact products, so
     only one factorization (for the expectation side) is ever inverted.
+    K_mm and K_mm^-1 mu0(Z) come from the inducing set's factor.
     """
-    _, chol_mm, a, chol_a, data_term = _sparse_system(prior, task, inducing)
-    mu0_z = prior.mean_at(inducing.points)
-    prior_part = cho_solve((chol_mm, True), mu0_z)
-    theta = prior.beta * (data_term + a @ prior_part)
+    factor = inducing.factor(prior)
+    if len(task) == 0:
+        a = factor.gram / prior.beta
+        data_term = np.zeros(len(inducing))
+    else:
+        k_mn = gram(prior.kernel, inducing.points, task.inputs)
+        data_term = k_mn @ (task.outputs - prior.mean_at(task.inputs))
+        a = factor.gram / prior.beta + k_mn @ k_mn.T
+    a = _sym(a)
+    chol_a = chol_pd(a, "A_mm")
+    theta = prior.beta * (data_term + a @ factor.kinv_mean)
     big_theta = -0.5 * prior.beta * a
     nat = NaturalCoord(theta=theta, big_theta=big_theta)
-    mu_prime = cho_solve((chol_a, True), data_term) + prior_part
+    mu_prime = cho_solve((chol_a, True), data_term) + factor.kinv_mean
     sigma_prime = _sym(cho_solve((chol_a, True), np.eye(len(inducing))) / prior.beta)
     exp = ExpectationCoord(eta=mu_prime, big_h=_sym(np.outer(mu_prime, mu_prime) + sigma_prime))
     return nat, exp
@@ -150,20 +105,19 @@ def sparse_predictive_batch(prior: GpPrior, sp: SparsePosterior, inducing: Induc
 
     The mean is centered on the prior so that the no-data posterior
     reproduces the prior for any constant mean; for a zero mean this is
-    literally k_m^T mu'.
+    literally k_m^T mu'. K_mm's factor and K_mm^-1 mu0(Z) come from the
+    inducing set's factor, and the last variance term is the column sums of
+    k_m * (Sigma' k_m), one matrix product.
     """
-    z = inducing.points
     test = as_points(x_plus)
     if sp.dim != len(inducing):
         raise ValueError(f"posterior dim {sp.dim} does not match inducing size {len(inducing)}")
-    k_mm = gram(prior.kernel, z, z)
-    chol_mm = chol_pd(k_mm, "K_mm")
-    k_m = gram(prior.kernel, z, test)  # (m, t)
-    centered = sp.mu_prime - cho_solve((chol_mm, True), prior.mean_at(z))
-    means = prior.mean_at(test) + k_m.T @ centered
-    w = cho_solve((chol_mm, True), k_m)
-    variances = 1.0 - np.einsum("mt,mt->t", k_m, w) + np.einsum(
-        "mt,mn,nt->t", k_m, sp.sigma_prime, k_m
+    factor = inducing.factor(prior)
+    k_m = gram(prior.kernel, inducing.points, test)  # (m, t)
+    means = prior.mean_at(test) + k_m.T @ (sp.mu_prime - factor.kinv_mean)
+    w = cho_solve((factor.chol, True), k_m)
+    variances = (
+        1.0 - np.einsum("mt,mt->t", k_m, w) + np.sum(k_m * (sp.sigma_prime @ k_m), axis=0)
     )
     low = float(np.min(variances)) if variances.size else 0.0
     if low < -1e-10:
@@ -171,22 +125,6 @@ def sparse_predictive_batch(prior: GpPrior, sp: SparsePosterior, inducing: Induc
             f"sparse predictive variance clamped from {low:.3e} to 0", RuntimeWarning, stacklevel=2
         )
     return means, np.maximum(variances, 0.0)
-
-
-def rho_prime_to_rho(sp: SparsePosterior, inducing: InducingSet, cfg: KernelConfig) -> MomentGaussian:
-    """Undo the rescaling: mu = K_mm mu', Sigma = K_mm Sigma' K_mm."""
-    k_mm = gram(cfg, inducing.points, inducing.points)
-    return MomentGaussian(mu=k_mm @ sp.mu_prime, sigma=_sym(k_mm @ sp.sigma_prime @ k_mm))
-
-
-def rho_to_rho_prime(g: MomentGaussian, inducing: InducingSet, cfg: KernelConfig) -> SparsePosterior:
-    """Apply the rescaling: mu' = K_mm^-1 mu, Sigma' = K_mm^-1 Sigma K_mm^-1."""
-    k_mm = gram(cfg, inducing.points, inducing.points)
-    chol = chol_pd(k_mm, "K_mm")
-    mu_prime = cho_solve((chol, True), g.mu)
-    half = cho_solve((chol, True), g.sigma)
-    sigma_prime = cho_solve((chol, True), half.T)
-    return SparsePosterior(mu_prime=mu_prime, sigma_prime=_sym(sigma_prime))
 
 
 def grid_inducing(inputs, m: int) -> InducingSet:

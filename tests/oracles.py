@@ -11,6 +11,15 @@ matrices compared. The KL-extension test takes the second way: its random
 inputs can fall close together, cond(Sigma**) then reaches 1e10, and no
 fixed absolute tolerance holds for every draw.
 
+The per-call route (`predict_batch_per_call`, `adapt_per_call` and the
+functions under them) is the predictive and task-point code as it was
+before each model cached its anchor factor: every call builds K over the
+anchor, factors it and recomputes the prior-mean centre, and the variances
+come from a three-operand einsum. The cached route must give the same means
+and adapted weights bit for bit, and the same variances to the float64
+floor. `variational_posterior`, `rho_prime_to_rho` and `rho_to_rho_prime`
+are the rescaled sparse chart written out in moments, for the tests only.
+
 The Van der Pol reference integrates one state at a time with scalar RK4
 and builds every sequence by its own integration, the way the generator
 was first written; the batched generator must match it bit for bit.
@@ -22,17 +31,30 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from gppca import epca
+from scipy.linalg import cho_solve
+
+from gppca import epca, gp_pca
 from gppca.datasets import _STREAM_VDP_EVAL_INIT, _STREAM_VDP_INIT, MultiTaskDataset, VdpConfig, _rng
 from gppca.epca import FitOptions
 from gppca.gaussian_geometry import (
     MomentGaussian,
+    NaturalCoord,
+    chol_pd,
     kl_divergence,
     moment_to_natural,
     pack_natural,
     _sym,
 )
-from gppca.kernels_gp import GpPrior, TaskData, as_points, exact_posterior, gram, union_inputs
+from gppca.kernels_gp import (
+    GpPrior,
+    KernelConfig,
+    TaskData,
+    as_points,
+    exact_posterior,
+    gram,
+    union_inputs,
+)
+from gppca.sparse_gp import InducingSet, SparsePosterior
 
 __all__ = [
     "well_conditioned_spd",
@@ -44,6 +66,16 @@ __all__ = [
     "kl_decomposition_check",
     "fit_joint_direct",
     "union_inputs_rowwise",
+    "exact_posterior_per_call",
+    "variational_posterior",
+    "variational_coords_per_call",
+    "rho_prime_to_rho",
+    "rho_to_rho_prime",
+    "predictive_batch_per_call",
+    "sparse_predictive_batch_per_call",
+    "predict_batch_per_call",
+    "task_point_per_call",
+    "adapt_per_call",
     "integrate_vdp_scalar",
     "vdp_tasks_scalar",
 ]
@@ -195,6 +227,134 @@ def union_inputs_rowwise(tasks, tol: float = 1e-12) -> np.ndarray:
             if not any(np.max(np.abs(k - row)) <= tol for k in kept):
                 kept.append(row)
     return np.asarray(kept, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# The per-call predictive and task-point route, and the rescaled sparse chart
+# in moments.
+
+
+def exact_posterior_per_call(prior: GpPrior, task: TaskData, anchor) -> MomentGaussian:
+    """`kernels_gp.exact_posterior` with K and mu0 over the anchor computed in the call."""
+    anchor = as_points(anchor)
+    k_anchor = gram(prior.kernel, anchor, anchor)
+    mu0 = prior.mean_at(anchor)
+    if len(task) == 0:
+        return MomentGaussian(mu=mu0, sigma=_sym(k_anchor))
+    k_cross = gram(prior.kernel, anchor, task.inputs)
+    k_task = gram(prior.kernel, task.inputs, task.inputs)
+    noisy = k_task + np.eye(len(task)) / prior.beta
+    chol = chol_pd(noisy, "K_ii + beta^-1 I")
+    resid = task.outputs - prior.mean_at(task.inputs)
+    mu = mu0 + k_cross @ cho_solve((chol, True), resid)
+    sigma = k_anchor - k_cross @ cho_solve((chol, True), k_cross.T)
+    return MomentGaussian(mu=mu, sigma=_sym(sigma))
+
+
+def _sparse_system(prior: GpPrior, task: TaskData, inducing: InducingSet):
+    """K_mm factor, A = beta^-1 K_mm + K_mn K_mn^T, its factor and K_mn (y - mu0(X))."""
+    z = inducing.points
+    k_mm = gram(prior.kernel, z, z)
+    chol_mm = chol_pd(k_mm, "K_mm")
+    if len(task) == 0:
+        a = k_mm / prior.beta
+        data_term = np.zeros(len(inducing))
+    else:
+        k_mn = gram(prior.kernel, z, task.inputs)
+        data_term = k_mn @ (task.outputs - prior.mean_at(task.inputs))
+        a = k_mm / prior.beta + k_mn @ k_mn.T
+    chol_a = chol_pd(_sym(a), "A_mm")
+    return chol_mm, _sym(a), chol_a, data_term
+
+
+def variational_posterior(prior: GpPrior, task: TaskData, inducing: InducingSet) -> SparsePosterior:
+    """Optimal variational posterior in the rescaled chart.
+
+    mu' = A^-1 K_mn (y - mu0(X_i)) + K_mm^-1 mu0(Z), Sigma' = beta^-1 A^-1.
+    """
+    chol_mm, _, chol_a, data_term = _sparse_system(prior, task, inducing)
+    mu_prime = cho_solve((chol_a, True), data_term) + cho_solve(
+        (chol_mm, True), prior.mean_at(inducing.points)
+    )
+    sigma_prime = cho_solve((chol_a, True), np.eye(len(inducing))) / prior.beta
+    return SparsePosterior(mu_prime=mu_prime, sigma_prime=_sym(sigma_prime))
+
+
+def variational_coords_per_call(prior: GpPrior, task: TaskData, inducing: InducingSet) -> NaturalCoord:
+    """Natural coordinates of `sparse_gp.variational_coords`, with K_mm factored in the call."""
+    chol_mm, a, _, data_term = _sparse_system(prior, task, inducing)
+    prior_part = cho_solve((chol_mm, True), prior.mean_at(inducing.points))
+    return NaturalCoord(
+        theta=prior.beta * (data_term + a @ prior_part), big_theta=-0.5 * prior.beta * a
+    )
+
+
+def rho_prime_to_rho(sp: SparsePosterior, inducing: InducingSet, cfg: KernelConfig) -> MomentGaussian:
+    """Undo the rescaling: mu = K_mm mu', Sigma = K_mm Sigma' K_mm."""
+    k_mm = gram(cfg, inducing.points, inducing.points)
+    return MomentGaussian(mu=k_mm @ sp.mu_prime, sigma=_sym(k_mm @ sp.sigma_prime @ k_mm))
+
+
+def rho_to_rho_prime(g: MomentGaussian, inducing: InducingSet, cfg: KernelConfig) -> SparsePosterior:
+    """Apply the rescaling: mu' = K_mm^-1 mu, Sigma' = K_mm^-1 Sigma K_mm^-1."""
+    k_mm = gram(cfg, inducing.points, inducing.points)
+    chol = chol_pd(k_mm, "K_mm")
+    mu_prime = cho_solve((chol, True), g.mu)
+    half = cho_solve((chol, True), g.sigma)
+    sigma_prime = cho_solve((chol, True), half.T)
+    return SparsePosterior(mu_prime=mu_prime, sigma_prime=_sym(sigma_prime))
+
+
+def predictive_batch_per_call(prior: GpPrior, rho: MomentGaussian, anchor, x_plus):
+    """`kernels_gp.predictive_batch` with K factored in the call and an einsum variance."""
+    anchor = as_points(anchor)
+    test = as_points(x_plus)
+    k_anchor = gram(prior.kernel, anchor, anchor)
+    chol = chol_pd(k_anchor, "K(anchor, anchor)")
+    k_cross = gram(prior.kernel, anchor, test)
+    w = cho_solve((chol, True), k_cross)
+    means = prior.mean_at(test) + w.T @ (rho.mu - prior.mean_at(anchor))
+    variances = 1.0 + np.einsum("nt,nm,mt->t", w, rho.sigma - k_anchor, w)
+    return means, np.maximum(variances, 0.0)
+
+
+def sparse_predictive_batch_per_call(prior: GpPrior, sp: SparsePosterior, inducing: InducingSet, x_plus):
+    """`sparse_gp.sparse_predictive_batch` with K_mm factored in the call and an einsum variance."""
+    z = inducing.points
+    test = as_points(x_plus)
+    k_mm = gram(prior.kernel, z, z)
+    chol_mm = chol_pd(k_mm, "K_mm")
+    k_m = gram(prior.kernel, z, test)
+    centered = sp.mu_prime - cho_solve((chol_mm, True), prior.mean_at(z))
+    means = prior.mean_at(test) + k_m.T @ centered
+    w = cho_solve((chol_mm, True), k_m)
+    variances = 1.0 - np.einsum("mt,mt->t", k_m, w) + np.einsum(
+        "mt,mn,nt->t", k_m, sp.sigma_prime, k_m
+    )
+    return means, np.maximum(variances, 0.0)
+
+
+def predict_batch_per_call(model, task_or_weights, x_plus):
+    """`gp_pca.predict_batch` through the per-call predictive functions."""
+    rho = gp_pca._reconstructed_moments(model, gp_pca._resolve_weights(model, task_or_weights))
+    if model.mode == "exact":
+        return predictive_batch_per_call(model.prior, rho, model.anchor, x_plus)
+    sp = SparsePosterior(mu_prime=rho.mu, sigma_prime=rho.sigma)
+    return sparse_predictive_batch_per_call(model.prior, sp, InducingSet(model.anchor), x_plus)
+
+
+def task_point_per_call(model, task: TaskData) -> np.ndarray:
+    """A task's flattened chart point over the model's anchor, by the per-call functions."""
+    if model.mode == "exact":
+        nat = moment_to_natural(exact_posterior_per_call(model.prior, task, model.anchor))
+    else:
+        nat = variational_coords_per_call(model.prior, task, InducingSet(model.anchor))
+    return pack_natural(nat)
+
+
+def adapt_per_call(model, fewshot: TaskData, opts: Optional[FitOptions] = None) -> np.ndarray:
+    """`gp_pca.adapt_new_task` with the task point built by the per-call functions."""
+    return epca.project_point(task_point_per_call(model, fewshot), model.subspace, opts)
 
 
 def _vdp_rhs(state: np.ndarray, alpha: float) -> np.ndarray:

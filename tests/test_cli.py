@@ -113,8 +113,15 @@ def test_seed_option_is_rejected(tmp_path, capsys, section, key):
         ({"beta": -1}, ("'beta'", "-1")),
         ({"model": {**CONFIG["model"], "mode": "bogus"}}, ("mode", "'bogus'")),
         ({"evaluate": {**CONFIG["evaluate"], "methods": ["gp", "nn"]}}, ("method", "'nn'")),
+        ({"data": {**CONFIG["data"], "noise_variance": -1}}, ("'data'", "noise_variance")),
+        ({"model": {**CONFIG["model"], "latent_dim": 5}}, ("latent_dim", "5 training tasks")),
+        ({"beta": None}, ("'beta'", "null")),
+        ({"kernel": {"lengthscale": None}}, ("'kernel.lengthscale'", "null")),
     ],
-    ids=["kernel-kind", "lengthscale", "beta", "mode", "method"],
+    ids=[
+        "kernel-kind", "lengthscale", "beta", "mode", "method",
+        "data-value", "latent_dim", "beta-null", "lengthscale-null",
+    ],
 )
 def test_evaluate_rejects_invalid_configuration(tmp_path, capsys, change, named):
     config = _write_config(tmp_path / "config.json", {**CONFIG, **change})

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gppca import epca, gp_pca
+from gppca import epca, gp_pca, kernels_gp, sparse_gp
 from gppca import gaussian_geometry as gg
-from gppca.epca import FitOptions
+from gppca.datasets import ArtificialConfig, gen_artificial
+from gppca.epca import FitOptions, ValidityError
 from gppca.gaussian_geometry import (
     kl_divergence,
     moment_to_expectation,
@@ -19,8 +20,10 @@ from gppca.kernels_gp import (
     gram,
     union_inputs,
 )
-from gppca.sparse_gp import InducingSet
+from gppca.sparse_gp import InducingSet, grid_inducing
 import oracles
+
+EPS = np.finfo(float).eps
 
 
 def _prior(lengthscale=0.4, beta=20.0, mean=0.0):
@@ -150,6 +153,27 @@ class TestPredict:
         np.testing.assert_allclose(means, rho_hat.mu, atol=1e-8)
         np.testing.assert_allclose(variances, np.diag(rho_hat.sigma), atol=1e-8)
 
+    def test_reconstruction_off_the_cone_names_the_weights(self):
+        # The basis direction lowers -2 Theta by 2 I per unit weight, so w = 1000
+        # takes it far below zero.
+        prior = _prior()
+        task = _toy_tasks()[0]
+        u0 = gg.pack_natural(moment_to_natural(exact_posterior(prior, task, task.inputs)))
+        d = len(task)
+        direction = gg.pack_natural(gg.NaturalCoord(theta=np.zeros(d), big_theta=np.eye(d)))
+        model = gp_pca.GpPcaModel(
+            prior=prior,
+            anchor=task.inputs,
+            subspace=epca.Subspace(u0=u0, basis=direction[None, :]),
+            weights=np.array([[1000.0]]),
+            mode="exact",
+            latent_dim=1,
+        )
+        with pytest.raises(ValidityError, match=r"reconstruction at weights \[1000\.\] violates"):
+            gp_pca.predict_batch(model, 0, [[0.5]])
+        with pytest.raises(ValidityError, match=r"weights \[2000\.\]"):
+            gp_pca.predict(model, np.array([2000.0]), [[0.5]])
+
     def test_bad_weight_length(self):
         prior = _prior()
         model = gp_pca.train(_toy_tasks(), prior, 1, mode="exact", opts=TIGHT)
@@ -189,6 +213,127 @@ class TestAdapt:
         )
         w = gp_pca.adapt_new_task(model, tasks[2], FitOptions(rel_tol=1e-12, max_iters=40_000))
         assert np.max(np.abs(w - model.weights[2])) < 1e-3
+
+
+def _artificial_model(mode):
+    """A small artificial problem at the evaluation protocol's prior, with its held-out tasks."""
+    data = gen_artificial(
+        ArtificialConfig(num_tasks=6, samples_per_task=5, num_new_tasks=4, eval_points_per_task=30, seed=2)
+    )
+    prior = _prior(lengthscale=0.2, beta=25.0)
+    inducing = None
+    if mode == "sparse":
+        inducing = grid_inducing(np.vstack([t.inputs for t in data.train_tasks]), 12)
+    model = gp_pca.train(
+        data.train_tasks, prior, 1, mode=mode, opts=FitOptions(max_iters=200), inducing=inducing
+    )
+    return model, data
+
+
+def _variance_floor(model, w, x):
+    """EPS * kappa * scale per test point, kappa = cond(K) + cond(-2 Theta) of the reconstruction."""
+    k = gram(model.prior.kernel, model.anchor, model.anchor)
+    k_cross = gram(model.prior.kernel, model.anchor, x)
+    kinv_k = np.linalg.solve(k, k_cross)
+    nat = gg.unpack_natural(epca.reconstruct(w, model.subspace), model.anchor.shape[0])
+    sigma = natural_to_moment(nat).sigma
+    if model.mode == "exact":
+        scale = 1.0 + np.sum(np.abs(kinv_k) * (np.abs(sigma - k) @ np.abs(kinv_k)), axis=0)
+    else:
+        scale = (1.0 + np.sum(np.abs(k_cross * kinv_k), axis=0)
+                 + np.sum(np.abs(k_cross) * (np.abs(sigma) @ np.abs(k_cross)), axis=0))
+    kappa = np.linalg.cond(k) + np.linalg.cond(-2.0 * nat.big_theta)
+    return EPS * kappa * scale
+
+
+class TestAnchorFactor:
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_matches_per_call_route(self, mode):
+        model, data = _artificial_model(mode)
+        adapt_opts = FitOptions(rel_tol=1e-6, max_iters=20_000)
+        adapted = [gp_pca.adapt_new_task(model, task, adapt_opts) for task in data.new_tasks]
+        for task in [*data.train_tasks, *data.new_tasks]:
+            point = gp_pca._task_point(model.prior, task, model.anchor_set, model.mode)
+            assert np.array_equal(point, oracles.task_point_per_call(model, task))
+        for task, w in zip(data.new_tasks, adapted):
+            assert np.array_equal(w, oracles.adapt_per_call(model, task, adapt_opts))
+        weights = [*model.weights, *adapted]
+        for w, ev in zip(weights, [*data.train_eval, *data.new_eval]):
+            means, variances = gp_pca.predict_batch(model, w, ev.inputs)
+            ref_means, ref_variances = oracles.predict_batch_per_call(model, w, ev.inputs)
+            assert np.array_equal(means, ref_means)
+            assert np.all(np.abs(variances - ref_variances) <= _variance_floor(model, w, ev.inputs))
+
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_anchor_factored_once_per_model(self, mode, monkeypatch):
+        data = gen_artificial(
+            ArtificialConfig(num_tasks=4, samples_per_task=4, num_new_tasks=5, eval_points_per_task=20)
+        )
+        prior = _prior(lengthscale=0.2, beta=25.0)
+        inducing = grid_inducing(np.vstack([t.inputs for t in data.train_tasks]), 8)
+        anchor = union_inputs(data.train_tasks) if mode == "exact" else inducing.points
+        k_anchor = gram(prior.kernel, anchor, anchor)
+        calls = {"gram": 0, "chol_pd": 0}
+
+        def counting_gram(cfg, a, b):
+            if np.array_equal(a, anchor) and np.array_equal(b, anchor):
+                calls["gram"] += 1
+            return gram(cfg, a, b)
+
+        def counting_chol_pd(a, name):
+            if np.array_equal(a, k_anchor):
+                calls["chol_pd"] += 1
+            return gg.chol_pd(a, name)
+
+        for module in (kernels_gp, sparse_gp, gp_pca):  # every module that calls them
+            for name, counting in (("gram", counting_gram), ("chol_pd", counting_chol_pd)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        model = gp_pca.train(
+            data.train_tasks, prior, 1, mode=mode, opts=FitOptions(max_iters=50),
+            inducing=inducing if mode == "sparse" else None,
+        )
+        for _ in range(5):
+            for i, ev in enumerate(data.train_eval):
+                gp_pca.predict_batch(model, i, ev.inputs)
+        for task, ev in zip(data.new_tasks, data.new_eval):
+            w = gp_pca.adapt_new_task(model, task, FitOptions(rel_tol=1e-6, max_iters=20_000))
+            gp_pca.predict_batch(model, w, ev.inputs)
+        assert calls == {"gram": 1, "chol_pd": 1}
+
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_loaded_and_augmented_models_predict_identically(self, mode, tmp_path):
+        model, data = _artificial_model(mode)
+        w = gp_pca.adapt_new_task(model, data.new_tasks[0], FitOptions(rel_tol=1e-6))
+        path = tmp_path / "model.json"
+        gp_pca.save_model(model, path)
+        loaded = gp_pca.load_model(path)
+        augmented = gp_pca.with_extra_task(model, w)
+        assert augmented.anchor_set is model.anchor_set
+        x = data.new_eval[0].inputs
+        for i in range(model.num_tasks):
+            want = gp_pca.predict_batch(model, i, x)
+            for other in (loaded, augmented):
+                got = gp_pca.predict_batch(other, i, x)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        want = gp_pca.predict_batch(model, w, x)
+        got = gp_pca.predict_batch(augmented, model.num_tasks, x)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(gp_pca.adapt_new_task(loaded, data.new_tasks[1], FitOptions(rel_tol=1e-6)),
+                              gp_pca.adapt_new_task(model, data.new_tasks[1], FitOptions(rel_tol=1e-6)))
+
+    def test_factor_is_kept_per_kernel_and_read_only(self):
+        anchor = InducingSet(np.linspace(0.0, 1.0, 5).reshape(-1, 1))
+        prior = _prior()
+        factor = anchor.factor(prior)
+        assert anchor.factor(_prior(beta=3.0)) is factor  # beta does not enter the factor
+        assert anchor.factor(_prior(lengthscale=0.3)) is not factor
+        assert anchor.factor(_prior(mean=0.5)) is not factor
+        np.testing.assert_array_equal(factor.gram, gram(prior.kernel, anchor.points, anchor.points))
+        np.testing.assert_allclose(factor.chol @ factor.chol.T, factor.gram, atol=1e-14)
+        for a in (factor.gram, factor.chol, factor.mean, factor.kinv_mean):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 class TestJointCoords:

@@ -19,12 +19,10 @@ from gppca.sparse_gp import (
     InducingSet,
     SparsePosterior,
     grid_inducing,
-    rho_prime_to_rho,
-    rho_to_rho_prime,
     sparse_predictive_batch,
     variational_coords,
-    variational_posterior,
 )
+from oracles import rho_prime_to_rho, rho_to_rho_prime, variational_posterior
 
 
 def _prior(lengthscale=0.3, beta=20.0, mean=0.0):
