@@ -7,37 +7,26 @@ exact O(N^3) route over the union of task inputs and a sparse variational
 route over inducing points.
 """
 
-from gppca.gaussian_geometry import (
-    DecompositionError,
-    ExpectationCoord,
-    MomentGaussian,
-    NaturalCoord,
-    kl_divergence,
-)
+from gppca.gaussian_geometry import DecompositionError, MomentGaussian, NaturalCoord
 from gppca.kernels_gp import GpPrior, InducingSet, KernelConfig, TaskData
-from gppca.sparse_gp import SparsePosterior
 from gppca.epca import FitOptions, Subspace
-from gppca.gp_pca import GpPcaModel, TaskPrediction, train, predict, adapt_new_task
+from gppca.gp_pca import GpPcaModel, train, predict_batch, adapt_new_task
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DecompositionError",
-    "ExpectationCoord",
     "MomentGaussian",
     "NaturalCoord",
-    "kl_divergence",
     "GpPrior",
     "KernelConfig",
     "TaskData",
     "InducingSet",
-    "SparsePosterior",
     "FitOptions",
     "Subspace",
     "GpPcaModel",
-    "TaskPrediction",
     "train",
-    "predict",
+    "predict_batch",
     "adapt_new_task",
     "__version__",
 ]

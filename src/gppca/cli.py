@@ -41,52 +41,52 @@ class DataError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Configuration schema. Leaves are (type tuple, default); None defaults mean
-# the key may be absent. Dicts nest. Lists hold floats.
+# Configuration schema. Leaves are the value's type; every key may be absent,
+# none may be null. Dicts nest. Lists hold floats.
 
 _FIT_SCHEMA = {
-    "max_iters": (int, None),
-    "rel_tol": (float, None),
+    "max_iters": int,
+    "rel_tol": float,
 }
 
 _SCHEMA = {
-    "experiment": (str, None),
+    "experiment": str,
     "data": {
         # artificial
-        "num_tasks": (int, None),
-        "samples_per_task": (int, None),
-        "noise_variance": (float, None),
-        "z_values": (list, None),
-        "eval_points_per_task": (int, None),
-        "num_new_tasks": (int, None),
-        "new_task_samples": (int, None),
+        "num_tasks": int,
+        "samples_per_task": int,
+        "noise_variance": float,
+        "z_values": list,
+        "eval_points_per_task": int,
+        "num_new_tasks": int,
+        "new_task_samples": int,
         # vdp
-        "alphas": (list, None),
-        "sequences_per_task": (int, None),
-        "points_per_sequence": (int, None),
-        "dt": (float, None),
-        "substep": (float, None),
-        "initial_state": (list, None),
-        "eval_sequences_per_task": (int, None),
-        "new_task_sequences": (int, None),
+        "alphas": list,
+        "sequences_per_task": int,
+        "points_per_sequence": int,
+        "dt": float,
+        "substep": float,
+        "initial_state": list,
+        "eval_sequences_per_task": int,
+        "new_task_sequences": int,
         # shared
-        "seed": (int, None),
+        "seed": int,
     },
-    "kernel": {"kind": (str, None), "lengthscale": (float, None)},
-    "beta": (float, None),
-    "prior_mean": (float, None),
+    "kernel": {"kind": str, "lengthscale": float},
+    "beta": float,
+    "prior_mean": float,
     "model": {
-        "mode": (str, None),
-        "latent_dim": (int, None),
-        "inducing_count": (int, None),
+        "mode": str,
+        "latent_dim": int,
+        "inducing_count": int,
     },
     "fit": dict(_FIT_SCHEMA),
     "adapt": dict(_FIT_SCHEMA),
     "evaluate": {
-        "n_sweep": (list, None),
-        "repetitions": (int, None),
-        "base_seed": (int, None),
-        "methods": (list, None),
+        "n_sweep": list,
+        "repetitions": int,
+        "base_seed": int,
+        "methods": list,
     },
 }
 
@@ -117,13 +117,14 @@ def _validate(doc, schema, path="") -> None:
         if isinstance(spec, dict):
             _validate(value, spec, where)
             continue
-        expected, _ = spec
-        if expected is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if value is None:
+            raise ConfigError(f"key {where!r} must not be null; omit it to use the default")
+        if spec is float and isinstance(value, (int, float)) and not isinstance(value, bool):
             continue
-        if expected is int and isinstance(value, bool):
+        if spec is int and isinstance(value, bool):
             raise ConfigError(f"key {where!r} must be an integer")
-        if value is not None and not isinstance(value, expected):
-            raise ConfigError(f"key {where!r} must be of type {expected.__name__}")
+        if not isinstance(value, spec):
+            raise ConfigError(f"key {where!r} must be of type {spec.__name__}")
 
 
 def load_config(path) -> dict:
@@ -153,13 +154,13 @@ def _data_config(doc: dict, experiment: str) -> dict:
     for key in data:
         if key not in allowed:
             raise ConfigError(f"key 'data.{key}' does not apply to the {experiment} experiment")
-    if "initial_state" in data and data["initial_state"] is not None:
+    if "initial_state" in data:
         data["initial_state"] = tuple(float(v) for v in data["initial_state"])
     return data
 
 
 def _fit_options(doc: dict, section: str) -> FitOptions:
-    kwargs = {k: v for k, v in doc.get(section, {}).items() if v is not None}
+    kwargs = doc.get(section, {})
     if section == "adapt" and not kwargs:
         return ev.ADAPT_OPTIONS
     try:
@@ -168,23 +169,16 @@ def _fit_options(doc: dict, section: str) -> FitOptions:
         raise ConfigError(f"invalid {section} options: {exc}")
 
 
-def _number(section: dict, key: str, default: float, where: str) -> float:
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"key {where!r} must be a number, got null")
-    return float(value)
-
-
 def _hyper(doc: dict, experiment: str) -> GpPrior:
     defaults = DEFAULT_HYPERPARAMS[experiment]
     kernel_doc = doc.get("kernel", {})
-    lengthscale = _number(kernel_doc, "lengthscale", defaults["lengthscale"], "kernel.lengthscale")
+    lengthscale = float(kernel_doc.get("lengthscale", defaults["lengthscale"]))
     try:
         kernel = KernelConfig(kind=kernel_doc.get("kind", "rbf"), lengthscale=lengthscale)
     except ValueError as exc:
         raise ConfigError(f"invalid 'kernel' section: {exc}")
-    beta = _number(doc, "beta", defaults["beta"], "beta")
-    mean = _number(doc, "prior_mean", 0.0, "prior_mean")
+    beta = float(doc.get("beta", defaults["beta"]))
+    mean = float(doc.get("prior_mean", 0.0))
     try:
         return GpPrior(kernel=kernel, beta=beta, mean_fn=mean)
     except ValueError as exc:
@@ -258,14 +252,13 @@ def cmd_train(args) -> int:
     if mode not in ("exact", "sparse"):
         raise ConfigError(f"mode must be 'exact' or 'sparse', got {mode!r}")
     tasks = dataset.train_tasks
-    if latent_dim >= len(tasks):
-        raise ConfigError(
-            f"latent dimension {latent_dim} must be at most {len(tasks) - 1} "
-            f"for {len(tasks)} training tasks"
-        )
+    count = model_doc.get("inducing_count", 12) if mode == "sparse" else None
+    try:
+        ev.check_model(latent_dim, count, len(tasks))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     inducing = None
     if mode == "sparse":
-        count = model_doc.get("inducing_count", 12)
         inducing = grid_inducing(np.vstack([t.inputs for t in tasks]), count)
     opts = _fit_options(doc, "fit")
     model = gp_pca.train(tasks, prior, latent_dim, mode=mode, opts=opts, inducing=inducing)

@@ -37,6 +37,7 @@ __all__ = [
     "rmse",
     "run_experiment",
     "config_hash",
+    "check_model",
     "write_report_files",
 ]
 
@@ -53,6 +54,20 @@ def rmse(predicted, truth) -> float:
     if p.shape != t.shape or p.size == 0:
         raise ValueError(f"need equal nonempty lengths, got {p.shape} and {t.shape}")
     return float(np.sqrt(np.mean((p - t) ** 2)))
+
+
+def check_model(latent_dim, inducing_count, tasks: int) -> None:
+    """Raise ValueError naming the model key that is out of range for `tasks` training tasks.
+
+    `inducing_count` is None in exact mode, where it is not used.
+    """
+    if not (isinstance(latent_dim, int) and 0 <= latent_dim < tasks):
+        raise ValueError(
+            f"latent_dim must be an integer in [0, {tasks - 1}] "
+            f"for {tasks} training tasks, got {latent_dim!r}"
+        )
+    if inducing_count is not None and not (isinstance(inducing_count, int) and inducing_count >= 1):
+        raise ValueError(f"inducing_count must be a positive integer, got {inducing_count!r}")
 
 
 def config_hash(doc) -> str:
@@ -89,7 +104,12 @@ class ExperimentConfig:
             raise ValueError(f"mode must be 'exact' or 'sparse', got {self.mode!r}")
         object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
         object.__setattr__(self, "methods", tuple(self.methods))
-        tasks = None
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be at least 1, got {self.repetitions!r}")
+        if not self.n_sweep:
+            raise ValueError("n_sweep must list at least one training-set size")
+        if not self.methods:
+            raise ValueError("methods must list at least one method")
         for n in self.n_sweep:  # the generator's own checks, before any cell runs
             try:
                 data_cfg = _generator_config(self, n, self.base_seed)
@@ -99,12 +119,8 @@ class ExperimentConfig:
                 )
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"invalid 'data' section: {exc}") from None
-        fits = METHOD_SUBSPACE in self.methods and tasks is not None
-        if fits and not (isinstance(self.latent_dim, int) and 0 <= self.latent_dim < tasks):
-            raise ValueError(
-                f"latent_dim must be an integer in [0, {tasks - 1}] "
-                f"for {tasks} training tasks, got {self.latent_dim!r}"
-            )
+        if METHOD_SUBSPACE in self.methods:
+            check_model(self.latent_dim, self.inducing_count if self.mode == "sparse" else None, tasks)
 
     def to_dict(self) -> dict:
         doc = asdict(self)

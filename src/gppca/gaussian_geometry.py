@@ -1,25 +1,11 @@
-"""Dual-coordinate algebra for finite-dimensional Gaussians.
+"""Moment and natural charts of finite-dimensional Gaussians.
 
-A Gaussian N(mu, Sigma) on R^d is a point of an exponential family and
-carries three equivalent parameterizations:
+A Gaussian N(mu, Sigma) on R^d is a point of an exponential family. The
+package uses two of its parameterizations:
 
-- moment:      (mu, Sigma)
-- natural (e): theta = Sigma^-1 mu,  Theta = -1/2 Sigma^-1
-- expectation (m): eta = mu,  H = mu mu^T + Sigma
-
-The two potentials are Legendre duals,
-
-    psi(xi)  = 1/2 mu^T Sigma^-1 mu + 1/2 log det(2 pi Sigma)
-    phi(zeta) = -1/2 log det(2 pi e Sigma)
-
-and satisfy psi(xi) + phi(zeta) - <xi, zeta> = 0 at matched coordinates,
-where <xi, zeta> = theta^T eta + tr(Theta^T H).
-
-KL divergence orientation: with these potentials the integral divergence
-KL(p||q) = E_p[log p/q] equals psi(xi_q) + phi(zeta_p) - <xi_q, zeta_p>.
-`kl_divergence` evaluates the numerically stable closed form; the potential
-route is exposed through `log_partition`, `dual_potential`, `inner_product`
-so the two can be compared independently.
+- moment:      (mu, Sigma), for prediction
+- natural (e): theta = Sigma^-1 mu,  Theta = -1/2 Sigma^-1, the chart in
+  which the subspace is fitted
 
 Matrix blocks are stored dense d x d and re-symmetrized after every
 construction so that flattened inner products agree with the matrix trace
@@ -34,23 +20,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 __all__ = [
     "DecompositionError",
     "MomentGaussian",
     "NaturalCoord",
-    "ExpectationCoord",
     "moment_to_natural",
     "natural_to_moment",
-    "moment_to_expectation",
-    "expectation_to_moment",
-    "natural_to_expectation",
-    "expectation_to_natural",
-    "log_partition",
-    "dual_potential",
-    "inner_product",
-    "kl_divergence",
     "chol_pd",
     "pack_coords",
     "unpack_coords",
@@ -60,8 +37,6 @@ __all__ = [
 # Jitter repair: relative to trace(A)/d, escalating tenfold per retry.
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-6
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class DecompositionError(RuntimeError):
@@ -105,10 +80,6 @@ def chol_pd(a: np.ndarray, name: str) -> np.ndarray:
         except np.linalg.LinAlgError:
             eps *= 10.0
     raise DecompositionError(name, f"jitter escalation exhausted at {_JITTER_MAX:.0e}*trace/d")
-
-
-def _logdet_from_chol(chol: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _check_symmetry(a: np.ndarray, what: str) -> np.ndarray:
@@ -166,26 +137,6 @@ class NaturalCoord:
         return self.theta.shape[0]
 
 
-@dataclass(frozen=True)
-class ExpectationCoord:
-    """Expectation (m-) coordinates: eta = mu, big_h = mu mu^T + Sigma."""
-
-    eta: np.ndarray
-    big_h: np.ndarray
-
-    def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float).reshape(-1)
-        big_h = _check_symmetry(self.big_h, "big_h")
-        if big_h.shape[0] != eta.shape[0]:
-            raise ValueError(f"eta has dim {eta.shape[0]} but big_h is {big_h.shape}")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "big_h", big_h)
-
-    @property
-    def dim(self) -> int:
-        return self.eta.shape[0]
-
-
 def moment_to_natural(g: MomentGaussian) -> NaturalCoord:
     """theta = Sigma^-1 mu, Theta = -1/2 Sigma^-1."""
     chol = chol_pd(g.sigma, "sigma")
@@ -202,87 +153,6 @@ def natural_to_moment(c: NaturalCoord) -> MomentGaussian:
     mu = cho_solve((chol, True), c.theta)
     sigma = cho_solve((chol, True), np.eye(c.dim))
     return MomentGaussian(mu=mu, sigma=_sym(sigma))
-
-
-def moment_to_expectation(g: MomentGaussian) -> ExpectationCoord:
-    """eta = mu, H = mu mu^T + Sigma."""
-    return ExpectationCoord(eta=g.mu, big_h=_sym(np.outer(g.mu, g.mu) + g.sigma))
-
-
-def expectation_to_moment(c: ExpectationCoord) -> MomentGaussian:
-    """mu = eta, Sigma = H - eta eta^T."""
-    sigma = _sym(c.big_h - np.outer(c.eta, c.eta))
-    # Validate positive definiteness up front so the error names this input.
-    chol_pd(sigma, "big_h - eta*eta^T")
-    return MomentGaussian(mu=c.eta, sigma=sigma)
-
-
-def natural_to_expectation(c: NaturalCoord) -> ExpectationCoord:
-    """Composition through moment form; equals the direct rational formula
-
-    eta = -1/2 Theta^-1 theta,
-    H = 1/4 Theta^-1 theta theta^T Theta^-1 - 1/2 Theta^-1.
-    """
-    return moment_to_expectation(natural_to_moment(c))
-
-
-def expectation_to_natural(c: ExpectationCoord) -> NaturalCoord:
-    """Composition through moment form; equals
-
-    theta = (H - eta eta^T)^-1 eta,
-    Theta = -1/2 (H - eta eta^T)^-1.
-    """
-    return moment_to_natural(expectation_to_moment(c))
-
-
-def log_partition(c: NaturalCoord) -> float:
-    """Log normalizer psi(xi) = 1/2 mu^T Sigma^-1 mu + 1/2 log det(2 pi Sigma).
-
-    Its gradient in (theta, Theta) is the matched expectation coordinate.
-    """
-    a = -2.0 * c.big_theta
-    chol = chol_pd(a, "-2*big_theta")
-    mu = cho_solve((chol, True), c.theta)
-    # log det Sigma = -log det(Sigma^-1)
-    logdet_sigma = -_logdet_from_chol(chol)
-    quad = float(c.theta @ mu)  # mu^T Sigma^-1 mu
-    return 0.5 * quad + 0.5 * (c.dim * _LOG_2PI + logdet_sigma)
-
-
-def dual_potential(c: ExpectationCoord) -> float:
-    """Dual potential phi(zeta) = -1/2 log det(2 pi e Sigma), the negative entropy."""
-    sigma = _sym(c.big_h - np.outer(c.eta, c.eta))
-    chol = chol_pd(sigma, "big_h - eta*eta^T")
-    return -0.5 * (c.dim * (1.0 + _LOG_2PI) + _logdet_from_chol(chol))
-
-
-def inner_product(xi: NaturalCoord, zeta: ExpectationCoord) -> float:
-    """Pairing <xi, zeta> = theta^T eta + tr(Theta^T H)."""
-    if xi.dim != zeta.dim:
-        raise ValueError(f"dimension mismatch: {xi.dim} vs {zeta.dim}")
-    return float(xi.theta @ zeta.eta) + float(np.sum(xi.big_theta * zeta.big_h))
-
-
-def kl_divergence(p: MomentGaussian, q: MomentGaussian) -> float:
-    """KL(p || q) = E_p[log p/q] for Gaussians, in closed form.
-
-    Equals psi(xi_q) + phi(zeta_p) - <xi_q, zeta_p>; the closed form below
-    avoids the large cancelling constants of the potential route.
-    """
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    d = p.dim
-    chol_q = chol_pd(q.sigma, "q.sigma")
-    chol_p = chol_pd(p.sigma, "p.sigma")
-    # tr(Sigma_q^-1 Sigma_p) via triangular solves
-    half = solve_triangular(chol_q, p.sigma, lower=True)
-    half = solve_triangular(chol_q, half.T, lower=True)
-    trace_term = float(np.trace(half))
-    diff = q.mu - p.mu
-    y = solve_triangular(chol_q, diff, lower=True)
-    quad = float(y @ y)
-    logdet = _logdet_from_chol(chol_q) - _logdet_from_chol(chol_p)
-    return 0.5 * (trace_term + quad - d + logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +190,3 @@ def unpack_natural(flat: np.ndarray, d: int) -> NaturalCoord:
     vec, mat = unpack_coords(flat, d)
     return NaturalCoord(theta=vec, big_theta=mat)
 
-
-def pack_expectation(c: ExpectationCoord) -> np.ndarray:
-    return pack_coords(c.eta, c.big_h)
-
-
-def unpack_expectation(flat: np.ndarray, d: int) -> ExpectationCoord:
-    vec, mat = unpack_coords(flat, d)
-    return ExpectationCoord(eta=vec, big_h=mat)

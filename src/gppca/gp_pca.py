@@ -11,10 +11,10 @@ and fits a flat subspace through those points with `epca`. Every point on
 the fitted subspace is again a valid posterior parameter, so predictions at
 arbitrary inputs come from reconstructing a task's coordinates and running
 the ordinary predictive equations. The extension from the anchor set to any
-test set is an affine map of the coordinates that preserves KL divergences
-(`joint_posterior_coords` realizes it explicitly), which is what makes
-fitting over the anchor set equivalent to fitting over any enlarged input
-set.
+test set is an affine map of the coordinates that preserves KL divergences,
+which is what makes fitting over the anchor set equivalent to fitting over
+any enlarged input set; `joint_posterior_coords` in `tests/oracles.py`
+realizes it explicitly for the theorem tests.
 
 New tasks are placed on the subspace by computing their posterior
 coordinates from the few observations available and projecting onto the
@@ -28,15 +28,12 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from gppca import epca
 from gppca.epca import FitOptions, FitResult, Subspace, ValidityError
 from gppca.gaussian_geometry import (
     DecompositionError,
     MomentGaussian,
-    NaturalCoord,
-    _sym,
     moment_to_natural,
     natural_to_moment,
     pack_natural,
@@ -47,45 +44,24 @@ from gppca.kernels_gp import (
     KernelConfig,
     TaskData,
     as_anchor,
-    as_points,
-    coincident,
     exact_posterior,
-    gram,
     predictive_batch,
     union_inputs,
 )
-from gppca.sparse_gp import (
-    InducingSet,
-    SparsePosterior,
-    sparse_predictive_batch,
-    variational_coords,
-)
+from gppca.sparse_gp import InducingSet, sparse_predictive_batch, variational_coords
 
 __all__ = [
     "GpPcaModel",
-    "TaskPrediction",
     "train",
     "task_coordinates",
-    "predict",
     "predict_batch",
     "adapt_new_task",
-    "joint_posterior_coords",
     "save_model",
     "load_model",
     "MODEL_FORMAT_VERSION",
 ]
 
 MODEL_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TaskPrediction:
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"variance must be nonnegative, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -228,14 +204,7 @@ def predict_batch(model: GpPcaModel, task_or_weights, x_plus):
     rho = _reconstructed_moments(model, w)
     if model.mode == "exact":
         return predictive_batch(model.prior, rho, model.anchor_set, x_plus)
-    sp = SparsePosterior(mu_prime=rho.mu, sigma_prime=rho.sigma)
-    return sparse_predictive_batch(model.prior, sp, model.anchor_set, x_plus)
-
-
-def predict(model: GpPcaModel, task_or_weights, x_plus) -> TaskPrediction:
-    """Prediction at a single test input."""
-    means, variances = predict_batch(model, task_or_weights, x_plus)
-    return TaskPrediction(mean=float(means[0]), variance=float(variances[0]))
+    return sparse_predictive_batch(model.prior, rho, model.anchor_set, x_plus)
 
 
 def adapt_new_task(
@@ -252,36 +221,6 @@ def adapt_new_task(
         raise ValueError("few-shot task must contain at least one observation")
     point = _task_point(model.prior, fewshot, model.anchor_set, model.mode)
     return epca.project_point(point, model.subspace, opts)
-
-
-def joint_posterior_coords(prior: GpPrior, rho: MomentGaussian, anchor, test) -> NaturalCoord:
-    """Natural coordinates of the posterior extended to anchor plus test inputs.
-
-    The extension q(f+, f) = p(f+ | f) q(f) has moments
-
-        mu*      = mu0(X*) + K* K^-1 (mu - mu0(X))
-        Sigma**  = K** + K* K^-1 (Sigma - K) K^-1 K*^T
-
-    over X* = X union X+ (anchor block first). The induced coordinate map is
-    affine and KL-preserving; test points duplicating anchor points are
-    dropped. With no test points this is the identity on coordinates.
-    """
-    anchor = as_anchor(anchor)
-    points = anchor.points
-    test = as_points(test) if test is not None else np.zeros((0, points.shape[1]))
-    if rho.dim != points.shape[0]:
-        raise ValueError(f"posterior dim {rho.dim} does not match anchor size {points.shape[0]}")
-    fresh = test[~coincident(test, points).any(axis=1)]
-    if fresh.shape[0] == 0:
-        return moment_to_natural(rho)
-    factor = anchor.factor(prior)
-    union = np.vstack([points, fresh])
-    k_star = gram(prior.kernel, union, points)
-    b = cho_solve((factor.chol, True), k_star.T)  # K^-1 K*^T, (n, M)
-    mu_star = prior.mean_at(union) + b.T @ (rho.mu - factor.mean)
-    k_union = gram(prior.kernel, union, union)
-    sigma_star = k_union + b.T @ (rho.sigma - factor.gram) @ b
-    return moment_to_natural(MomentGaussian(mu=mu_star, sigma=_sym(sigma_star)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,67 +15,46 @@ chart
     Sigma' = K_mm^-1 Sigma K_mm^-1 = beta^-1 A^-1
 
 which corresponds to the invertible linear substitution f(Z) -> K_mm^-1 f(Z)
-and therefore preserves every KL divergence between tasks.
+and therefore preserves every KL divergence between tasks. The rescaled
+posterior (mu', Sigma') is a `MomentGaussian`.
 
-`variational_coords` builds the natural/expectation coordinates of the
-rescaled posterior directly from A (Theta' = -1/2 beta A exactly), avoiding a
-second factorization of Sigma'; it agrees with the generic conversion chain
-and exists purely for numerical hygiene on ill-conditioned inducing grids.
+`variational_coords` builds the natural coordinates of the rescaled
+posterior directly from A (Theta' = -1/2 beta A exactly), avoiding a second
+factorization of Sigma'; it agrees with the generic conversion chain and
+exists purely for numerical hygiene on ill-conditioned inducing grids.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_solve
 
-from gppca.gaussian_geometry import (
-    ExpectationCoord,
-    NaturalCoord,
-    chol_pd,
-    _sym,
+from gppca.gaussian_geometry import MomentGaussian, NaturalCoord, chol_pd, _sym
+from gppca.kernels_gp import (
+    GpPrior,
+    InducingSet,
+    TaskData,
+    _clamped_variance,
+    as_points,
+    gram,
 )
-from gppca.kernels_gp import GpPrior, InducingSet, TaskData, as_points, gram
 
 __all__ = [
     "InducingSet",
-    "SparsePosterior",
     "variational_coords",
     "sparse_predictive_batch",
     "grid_inducing",
 ]
 
 
-@dataclass(frozen=True)
-class SparsePosterior:
-    """Rescaled posterior (mu', Sigma') of f(Z); Sigma' symmetric PD."""
-
-    mu_prime: np.ndarray
-    sigma_prime: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu_prime, dtype=float).reshape(-1)
-        sigma = _sym(np.asarray(self.sigma_prime, dtype=float))
-        if sigma.shape != (mu.shape[0], mu.shape[0]):
-            raise ValueError(f"mu' has dim {mu.shape[0]} but Sigma' is {sigma.shape}")
-        object.__setattr__(self, "mu_prime", mu)
-        object.__setattr__(self, "sigma_prime", sigma)
-
-    @property
-    def dim(self) -> int:
-        return self.mu_prime.shape[0]
-
-
 def variational_coords(
     prior: GpPrior, task: TaskData, inducing: InducingSet
-) -> tuple[NaturalCoord, ExpectationCoord]:
-    """Natural and expectation coordinates of the rescaled posterior.
+) -> tuple[NaturalCoord, MomentGaussian]:
+    """Natural coordinates and moments (mu', Sigma') of the rescaled posterior.
 
     Built directly from the system matrix: Theta' = -1/2 beta A and
     theta' = beta (K_mn (y - mu0) + A K_mm^-1 mu0(Z)) are exact products, so
-    only one factorization (for the expectation side) is ever inverted.
+    only one factorization (for the moment side) is ever inverted.
     K_mm and K_mm^-1 mu0(Z) come from the inducing set's factor.
     """
     factor = inducing.factor(prior)
@@ -93,12 +72,11 @@ def variational_coords(
     nat = NaturalCoord(theta=theta, big_theta=big_theta)
     mu_prime = cho_solve((chol_a, True), data_term) + factor.kinv_mean
     sigma_prime = _sym(cho_solve((chol_a, True), np.eye(len(inducing))) / prior.beta)
-    exp = ExpectationCoord(eta=mu_prime, big_h=_sym(np.outer(mu_prime, mu_prime) + sigma_prime))
-    return nat, exp
+    return nat, MomentGaussian(mu=mu_prime, sigma=sigma_prime)
 
 
-def sparse_predictive_batch(prior: GpPrior, sp: SparsePosterior, inducing: InducingSet, x_plus):
-    """Predictive mean and variance at each test point.
+def sparse_predictive_batch(prior: GpPrior, sp: MomentGaussian, inducing: InducingSet, x_plus):
+    """Predictive mean and variance at each test point, from the rescaled posterior sp = (mu', Sigma').
 
     mean(x+) = mu0(x+) + k_m^T (mu' - K_mm^-1 mu0(Z))
     var(x+)  = k(x+,x+) - k_m^T K_mm^-1 k_m + k_m^T Sigma' k_m
@@ -114,17 +92,10 @@ def sparse_predictive_batch(prior: GpPrior, sp: SparsePosterior, inducing: Induc
         raise ValueError(f"posterior dim {sp.dim} does not match inducing size {len(inducing)}")
     factor = inducing.factor(prior)
     k_m = gram(prior.kernel, inducing.points, test)  # (m, t)
-    means = prior.mean_at(test) + k_m.T @ (sp.mu_prime - factor.kinv_mean)
+    means = prior.mean_at(test) + k_m.T @ (sp.mu - factor.kinv_mean)
     w = cho_solve((factor.chol, True), k_m)
-    variances = (
-        1.0 - np.einsum("mt,mt->t", k_m, w) + np.sum(k_m * (sp.sigma_prime @ k_m), axis=0)
-    )
-    low = float(np.min(variances)) if variances.size else 0.0
-    if low < -1e-10:
-        warnings.warn(
-            f"sparse predictive variance clamped from {low:.3e} to 0", RuntimeWarning, stacklevel=2
-        )
-    return means, np.maximum(variances, 0.0)
+    variances = 1.0 - np.einsum("mt,mt->t", k_m, w) + np.sum(k_m * (sp.sigma @ k_m), axis=0)
+    return means, _clamped_variance(variances)
 
 
 def grid_inducing(inputs, m: int) -> InducingSet:

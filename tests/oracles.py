@@ -20,6 +20,12 @@ and adapted weights bit for bit, and the same variances to the float64
 floor. `variational_posterior`, `rho_prime_to_rho` and `rho_to_rho_prime`
 are the rescaled sparse chart written out in moments, for the tests only.
 
+The expectation chart, the Legendre potentials, the closed-form KL and the
+extension map `joint_posterior_coords` are the reference algebra of the
+paper's theorems. The package fits in the natural chart and predicts from
+moments, so these live here, where the tests check the two charts and the
+extension against them.
+
 The Van der Pol reference integrates one state at a time with scalar RK4
 and builds every sequence by its own integration, the way the generator
 was first written; the batched generator must match it bit for bit.
@@ -27,11 +33,12 @@ was first written; the batched generator must match it bit for bit.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from gppca import epca, gp_pca
 from gppca.datasets import _STREAM_VDP_EVAL_INIT, _STREAM_VDP_INIT, MultiTaskDataset, VdpConfig, _rng
@@ -40,23 +47,40 @@ from gppca.gaussian_geometry import (
     MomentGaussian,
     NaturalCoord,
     chol_pd,
-    kl_divergence,
     moment_to_natural,
+    natural_to_moment,
+    pack_coords,
     pack_natural,
+    unpack_coords,
+    _check_symmetry,
     _sym,
 )
 from gppca.kernels_gp import (
     GpPrior,
     KernelConfig,
     TaskData,
+    as_anchor,
     as_points,
+    coincident,
     exact_posterior,
     gram,
     union_inputs,
 )
-from gppca.sparse_gp import InducingSet, SparsePosterior
+from gppca.sparse_gp import InducingSet
 
 __all__ = [
+    "ExpectationCoord",
+    "moment_to_expectation",
+    "expectation_to_moment",
+    "natural_to_expectation",
+    "expectation_to_natural",
+    "log_partition",
+    "dual_potential",
+    "inner_product",
+    "kl_divergence",
+    "pack_expectation",
+    "unpack_expectation",
+    "joint_posterior_coords",
     "well_conditioned_spd",
     "check_woodbury",
     "check_woodbury_derived",
@@ -79,6 +103,140 @@ __all__ = [
     "integrate_vdp_scalar",
     "vdp_tasks_scalar",
 ]
+
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# The expectation chart and the Legendre potentials.
+#
+#   expectation (m): eta = mu,  H = mu mu^T + Sigma
+#   psi(xi)   = 1/2 mu^T Sigma^-1 mu + 1/2 log det(2 pi Sigma)
+#   phi(zeta) = -1/2 log det(2 pi e Sigma)
+#
+# satisfy psi(xi) + phi(zeta) - <xi, zeta> = 0 at matched coordinates, with
+# <xi, zeta> = theta^T eta + tr(Theta^T H). KL(p||q) = E_p[log p/q] equals
+# psi(xi_q) + phi(zeta_p) - <xi_q, zeta_p>; `kl_divergence` evaluates the
+# stable closed form, so the tests can compare the two routes.
+
+
+@dataclass(frozen=True)
+class ExpectationCoord:
+    """Expectation (m-) coordinates: eta = mu, big_h = mu mu^T + Sigma."""
+
+    eta: np.ndarray
+    big_h: np.ndarray
+
+    def __post_init__(self):
+        eta = np.asarray(self.eta, dtype=float).reshape(-1)
+        big_h = _check_symmetry(self.big_h, "big_h")
+        if big_h.shape[0] != eta.shape[0]:
+            raise ValueError(f"eta has dim {eta.shape[0]} but big_h is {big_h.shape}")
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "big_h", big_h)
+
+    @property
+    def dim(self) -> int:
+        return self.eta.shape[0]
+
+
+def _logdet_from_chol(chol: np.ndarray) -> float:
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def moment_to_expectation(g: MomentGaussian) -> ExpectationCoord:
+    """eta = mu, H = mu mu^T + Sigma."""
+    return ExpectationCoord(eta=g.mu, big_h=_sym(np.outer(g.mu, g.mu) + g.sigma))
+
+
+def expectation_to_moment(c: ExpectationCoord) -> MomentGaussian:
+    """mu = eta, Sigma = H - eta eta^T."""
+    sigma = _sym(c.big_h - np.outer(c.eta, c.eta))
+    # Validate positive definiteness up front so the error names this input.
+    chol_pd(sigma, "big_h - eta*eta^T")
+    return MomentGaussian(mu=c.eta, sigma=sigma)
+
+
+def natural_to_expectation(c: NaturalCoord) -> ExpectationCoord:
+    """Composition through moment form; equals the direct rational formula
+
+    eta = -1/2 Theta^-1 theta,
+    H = 1/4 Theta^-1 theta theta^T Theta^-1 - 1/2 Theta^-1.
+    """
+    return moment_to_expectation(natural_to_moment(c))
+
+
+def expectation_to_natural(c: ExpectationCoord) -> NaturalCoord:
+    """Composition through moment form; equals
+
+    theta = (H - eta eta^T)^-1 eta,
+    Theta = -1/2 (H - eta eta^T)^-1.
+    """
+    return moment_to_natural(expectation_to_moment(c))
+
+
+def log_partition(c: NaturalCoord) -> float:
+    """Log normalizer psi(xi) = 1/2 mu^T Sigma^-1 mu + 1/2 log det(2 pi Sigma).
+
+    Its gradient in (theta, Theta) is the matched expectation coordinate.
+    """
+    a = -2.0 * c.big_theta
+    chol = chol_pd(a, "-2*big_theta")
+    mu = cho_solve((chol, True), c.theta)
+    # log det Sigma = -log det(Sigma^-1)
+    logdet_sigma = -_logdet_from_chol(chol)
+    quad = float(c.theta @ mu)  # mu^T Sigma^-1 mu
+    return 0.5 * quad + 0.5 * (c.dim * _LOG_2PI + logdet_sigma)
+
+
+def dual_potential(c: ExpectationCoord) -> float:
+    """Dual potential phi(zeta) = -1/2 log det(2 pi e Sigma), the negative entropy."""
+    sigma = _sym(c.big_h - np.outer(c.eta, c.eta))
+    chol = chol_pd(sigma, "big_h - eta*eta^T")
+    return -0.5 * (c.dim * (1.0 + _LOG_2PI) + _logdet_from_chol(chol))
+
+
+def inner_product(xi: NaturalCoord, zeta: ExpectationCoord) -> float:
+    """Pairing <xi, zeta> = theta^T eta + tr(Theta^T H)."""
+    if xi.dim != zeta.dim:
+        raise ValueError(f"dimension mismatch: {xi.dim} vs {zeta.dim}")
+    return float(xi.theta @ zeta.eta) + float(np.sum(xi.big_theta * zeta.big_h))
+
+
+def kl_divergence(p: MomentGaussian, q: MomentGaussian) -> float:
+    """KL(p || q) = E_p[log p/q] for Gaussians, in closed form.
+
+    Equals psi(xi_q) + phi(zeta_p) - <xi_q, zeta_p>; the closed form below
+    avoids the large cancelling constants of the potential route.
+    """
+    if p.dim != q.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    d = p.dim
+    chol_q = chol_pd(q.sigma, "q.sigma")
+    chol_p = chol_pd(p.sigma, "p.sigma")
+    # tr(Sigma_q^-1 Sigma_p) via triangular solves
+    half = solve_triangular(chol_q, p.sigma, lower=True)
+    half = solve_triangular(chol_q, half.T, lower=True)
+    trace_term = float(np.trace(half))
+    diff = q.mu - p.mu
+    y = solve_triangular(chol_q, diff, lower=True)
+    quad = float(y @ y)
+    logdet = _logdet_from_chol(chol_q) - _logdet_from_chol(chol_p)
+    return 0.5 * (trace_term + quad - d + logdet)
+
+
+def pack_expectation(c: ExpectationCoord) -> np.ndarray:
+    return pack_coords(c.eta, c.big_h)
+
+
+def unpack_expectation(flat: np.ndarray, d: int) -> ExpectationCoord:
+    vec, mat = unpack_coords(flat, d)
+    return ExpectationCoord(eta=vec, big_h=mat)
+
+
+# ---------------------------------------------------------------------------
+# Identity checkers and the extension map.
 
 
 def well_conditioned_spd(
@@ -174,6 +332,36 @@ def joint_moments_bruteforce(prior: GpPrior, rho: MomentGaussian, anchor, test) 
     return MomentGaussian(mu=mu, sigma=_sym(cov))
 
 
+def joint_posterior_coords(prior: GpPrior, rho: MomentGaussian, anchor, test) -> NaturalCoord:
+    """Natural coordinates of the posterior extended to anchor plus test inputs.
+
+    The extension q(f+, f) = p(f+ | f) q(f) has moments
+
+        mu*      = mu0(X*) + K* K^-1 (mu - mu0(X))
+        Sigma**  = K** + K* K^-1 (Sigma - K) K^-1 K*^T
+
+    over X* = X union X+ (anchor block first). The induced coordinate map is
+    affine and KL-preserving; test points duplicating anchor points are
+    dropped. With no test points this is the identity on coordinates.
+    """
+    anchor = as_anchor(anchor)
+    points = anchor.points
+    test = as_points(test) if test is not None else np.zeros((0, points.shape[1]))
+    if rho.dim != points.shape[0]:
+        raise ValueError(f"posterior dim {rho.dim} does not match anchor size {points.shape[0]}")
+    fresh = test[~coincident(test, points).any(axis=1)]
+    if fresh.shape[0] == 0:
+        return moment_to_natural(rho)
+    factor = anchor.factor(prior)
+    union = np.vstack([points, fresh])
+    k_star = gram(prior.kernel, union, points)
+    b = cho_solve((factor.chol, True), k_star.T)  # K^-1 K*^T, (n, M)
+    mu_star = prior.mean_at(union) + b.T @ (rho.mu - factor.mean)
+    k_union = gram(prior.kernel, union, union)
+    sigma_star = k_union + b.T @ (rho.sigma - factor.gram) @ b
+    return moment_to_natural(MomentGaussian(mu=mu_star, sigma=_sym(sigma_star)))
+
+
 def kl_decomposition_check(
     prior: GpPrior, rho: MomentGaussian, rho2: MomentGaussian, anchor, test
 ) -> float:
@@ -267,7 +455,7 @@ def _sparse_system(prior: GpPrior, task: TaskData, inducing: InducingSet):
     return chol_mm, _sym(a), chol_a, data_term
 
 
-def variational_posterior(prior: GpPrior, task: TaskData, inducing: InducingSet) -> SparsePosterior:
+def variational_posterior(prior: GpPrior, task: TaskData, inducing: InducingSet) -> MomentGaussian:
     """Optimal variational posterior in the rescaled chart.
 
     mu' = A^-1 K_mn (y - mu0(X_i)) + K_mm^-1 mu0(Z), Sigma' = beta^-1 A^-1.
@@ -277,7 +465,7 @@ def variational_posterior(prior: GpPrior, task: TaskData, inducing: InducingSet)
         (chol_mm, True), prior.mean_at(inducing.points)
     )
     sigma_prime = cho_solve((chol_a, True), np.eye(len(inducing))) / prior.beta
-    return SparsePosterior(mu_prime=mu_prime, sigma_prime=_sym(sigma_prime))
+    return MomentGaussian(mu=mu_prime, sigma=_sym(sigma_prime))
 
 
 def variational_coords_per_call(prior: GpPrior, task: TaskData, inducing: InducingSet) -> NaturalCoord:
@@ -289,20 +477,20 @@ def variational_coords_per_call(prior: GpPrior, task: TaskData, inducing: Induci
     )
 
 
-def rho_prime_to_rho(sp: SparsePosterior, inducing: InducingSet, cfg: KernelConfig) -> MomentGaussian:
-    """Undo the rescaling: mu = K_mm mu', Sigma = K_mm Sigma' K_mm."""
+def rho_prime_to_rho(sp: MomentGaussian, inducing: InducingSet, cfg: KernelConfig) -> MomentGaussian:
+    """Undo the rescaling of (mu', Sigma'): mu = K_mm mu', Sigma = K_mm Sigma' K_mm."""
     k_mm = gram(cfg, inducing.points, inducing.points)
-    return MomentGaussian(mu=k_mm @ sp.mu_prime, sigma=_sym(k_mm @ sp.sigma_prime @ k_mm))
+    return MomentGaussian(mu=k_mm @ sp.mu, sigma=_sym(k_mm @ sp.sigma @ k_mm))
 
 
-def rho_to_rho_prime(g: MomentGaussian, inducing: InducingSet, cfg: KernelConfig) -> SparsePosterior:
+def rho_to_rho_prime(g: MomentGaussian, inducing: InducingSet, cfg: KernelConfig) -> MomentGaussian:
     """Apply the rescaling: mu' = K_mm^-1 mu, Sigma' = K_mm^-1 Sigma K_mm^-1."""
     k_mm = gram(cfg, inducing.points, inducing.points)
     chol = chol_pd(k_mm, "K_mm")
     mu_prime = cho_solve((chol, True), g.mu)
     half = cho_solve((chol, True), g.sigma)
     sigma_prime = cho_solve((chol, True), half.T)
-    return SparsePosterior(mu_prime=mu_prime, sigma_prime=_sym(sigma_prime))
+    return MomentGaussian(mu=mu_prime, sigma=_sym(sigma_prime))
 
 
 def predictive_batch_per_call(prior: GpPrior, rho: MomentGaussian, anchor, x_plus):
@@ -318,18 +506,18 @@ def predictive_batch_per_call(prior: GpPrior, rho: MomentGaussian, anchor, x_plu
     return means, np.maximum(variances, 0.0)
 
 
-def sparse_predictive_batch_per_call(prior: GpPrior, sp: SparsePosterior, inducing: InducingSet, x_plus):
+def sparse_predictive_batch_per_call(prior: GpPrior, sp: MomentGaussian, inducing: InducingSet, x_plus):
     """`sparse_gp.sparse_predictive_batch` with K_mm factored in the call and an einsum variance."""
     z = inducing.points
     test = as_points(x_plus)
     k_mm = gram(prior.kernel, z, z)
     chol_mm = chol_pd(k_mm, "K_mm")
     k_m = gram(prior.kernel, z, test)
-    centered = sp.mu_prime - cho_solve((chol_mm, True), prior.mean_at(z))
+    centered = sp.mu - cho_solve((chol_mm, True), prior.mean_at(z))
     means = prior.mean_at(test) + k_m.T @ centered
     w = cho_solve((chol_mm, True), k_m)
     variances = 1.0 - np.einsum("mt,mt->t", k_m, w) + np.einsum(
-        "mt,mn,nt->t", k_m, sp.sigma_prime, k_m
+        "mt,mn,nt->t", k_m, sp.sigma, k_m
     )
     return means, np.maximum(variances, 0.0)
 
@@ -339,8 +527,7 @@ def predict_batch_per_call(model, task_or_weights, x_plus):
     rho = gp_pca._reconstructed_moments(model, gp_pca._resolve_weights(model, task_or_weights))
     if model.mode == "exact":
         return predictive_batch_per_call(model.prior, rho, model.anchor, x_plus)
-    sp = SparsePosterior(mu_prime=rho.mu, sigma_prime=rho.sigma)
-    return sparse_predictive_batch_per_call(model.prior, sp, InducingSet(model.anchor), x_plus)
+    return sparse_predictive_batch_per_call(model.prior, rho, InducingSet(model.anchor), x_plus)
 
 
 def task_point_per_call(model, task: TaskData) -> np.ndarray:

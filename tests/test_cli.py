@@ -117,10 +117,25 @@ def test_seed_option_is_rejected(tmp_path, capsys, section, key):
         ({"model": {**CONFIG["model"], "latent_dim": 5}}, ("latent_dim", "5 training tasks")),
         ({"beta": None}, ("'beta'", "null")),
         ({"kernel": {"lengthscale": None}}, ("'kernel.lengthscale'", "null")),
+        ({"evaluate": {**CONFIG["evaluate"], "n_sweep": None}}, ("'evaluate.n_sweep'", "null")),
+        (
+            {"evaluate": {**CONFIG["evaluate"], "repetitions": None}},
+            ("'evaluate.repetitions'", "null"),
+        ),
+        (
+            {"model": {**CONFIG["model"], "inducing_count": None}},
+            ("'model.inducing_count'", "null"),
+        ),
+        ({"model": {**CONFIG["model"], "inducing_count": 0}}, ("inducing_count", "0")),
+        ({"evaluate": {**CONFIG["evaluate"], "repetitions": 0}}, ("repetitions", "0")),
+        ({"evaluate": {**CONFIG["evaluate"], "n_sweep": []}}, ("n_sweep",)),
+        ({"evaluate": {**CONFIG["evaluate"], "methods": []}}, ("methods",)),
     ],
     ids=[
         "kernel-kind", "lengthscale", "beta", "mode", "method",
         "data-value", "latent_dim", "beta-null", "lengthscale-null",
+        "n_sweep-null", "repetitions-null", "inducing_count-null",
+        "inducing_count-zero", "repetitions-zero", "n_sweep-empty", "methods-empty",
     ],
 )
 def test_evaluate_rejects_invalid_configuration(tmp_path, capsys, change, named):
@@ -131,3 +146,35 @@ def test_evaluate_rejects_invalid_configuration(tmp_path, capsys, change, named)
     for text in named:
         assert text in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A dataset directory from `generate` on CONFIG."""
+    tmp = tmp_path_factory.mktemp("generated")
+    config = _write_config(tmp / "config.json", CONFIG)
+    assert cli.main(["generate", "--config", config, "--out", str(tmp / "data")]) == 0
+    return tmp / "data"
+
+
+@pytest.mark.parametrize(
+    "model, named",
+    [
+        ({"inducing_count": None}, ("'model.inducing_count'", "null")),
+        ({"latent_dim": None}, ("'model.latent_dim'", "null")),
+        ({"inducing_count": 0}, ("inducing_count", "0")),
+        ({"latent_dim": -1}, ("latent_dim", "-1", "5 training tasks")),
+        ({"latent_dim": 5}, ("latent_dim", "5 training tasks")),
+    ],
+    ids=["inducing_count-null", "latent_dim-null", "inducing_count-zero", "latent_dim-negative",
+         "latent_dim-too-large"],
+)
+def test_train_rejects_invalid_configuration(tmp_path, capsys, generated, model, named):
+    config = _write_config(tmp_path / "config.json", {**CONFIG, "model": {**CONFIG["model"], **model}})
+    out = tmp_path / "model.json"
+    assert cli.main(["train", "--data", str(generated), "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    for text in named:
+        assert text in err
+    assert not out.exists()

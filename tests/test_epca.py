@@ -5,15 +5,16 @@ from gppca import epca, evaluation, gp_pca
 from gppca import gaussian_geometry as gg
 from gppca.datasets import ArtificialConfig, gen_artificial
 from gppca.epca import FitOptions, Subspace, ValidityError
-from gppca.gaussian_geometry import (
-    MomentGaussian,
-    expectation_to_moment,
-    moment_to_natural,
-    natural_to_expectation,
-)
+from gppca.gaussian_geometry import MomentGaussian, moment_to_natural
 from gppca.kernels_gp import GpPrior, KernelConfig, TaskData, exact_posterior, union_inputs
 from gppca.sparse_gp import grid_inducing
-from oracles import joint_moments_bruteforce
+from oracles import (
+    expectation_to_moment,
+    joint_moments_bruteforce,
+    natural_to_expectation,
+    pack_expectation,
+    unpack_expectation,
+)
 from helpers import planted_subspace
 
 
@@ -125,16 +126,16 @@ class TestGradients:
         _, u0, basis, _ = planted_subspace(rng, d, 1, 2)
         s = Subspace(u0=u0, basis=basis)
         weights = np.zeros((1, 1))
-        recon_dual = gg.pack_expectation(
+        recon_dual = pack_expectation(
             natural_to_expectation(gg.unpack_natural(u0, d))
         )
         step = np.zeros_like(recon_dual)
         step[0] = 0.05  # small mean perturbation in the dual chart
         data1 = gg.pack_natural(
-            moment_to_natural(expectation_to_moment(gg.unpack_expectation(recon_dual + step, d)))
+            moment_to_natural(expectation_to_moment(unpack_expectation(recon_dual + step, d)))
         )
         data2 = gg.pack_natural(
-            moment_to_natural(expectation_to_moment(gg.unpack_expectation(recon_dual + 2 * step, d)))
+            moment_to_natural(expectation_to_moment(unpack_expectation(recon_dual + 2 * step, d)))
         )
         g1, _ = epca.gradients(weights, s, data1[None, :])
         g2, _ = epca.gradients(weights, s, data2[None, :])
@@ -202,8 +203,8 @@ class TestFit:
         d = 3
         for w, p in zip(res.weights, pts):
             rec = epca.reconstruct(w, res.subspace)
-            zr = gg.pack_expectation(natural_to_expectation(gg.unpack_natural(rec, d)))
-            zp = gg.pack_expectation(natural_to_expectation(gg.unpack_natural(p, d)))
+            zr = pack_expectation(natural_to_expectation(gg.unpack_natural(rec, d)))
+            zp = pack_expectation(natural_to_expectation(gg.unpack_natural(p, d)))
             assert np.max(np.abs(zr - zp)) < 1e-4
 
     def test_full_span(self):

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from gppca import gaussian_geometry as gg
 from gppca.gaussian_geometry import (
     DecompositionError,
-    ExpectationCoord,
     MomentGaussian,
     NaturalCoord,
+    moment_to_natural,
+    natural_to_moment,
+)
+from helpers import gaussians, gaussian_pairs, random_gaussian
+from oracles import (
+    ExpectationCoord,
     dual_potential,
     expectation_to_moment,
     expectation_to_natural,
@@ -18,11 +23,10 @@ from gppca.gaussian_geometry import (
     kl_divergence,
     log_partition,
     moment_to_expectation,
-    moment_to_natural,
     natural_to_expectation,
-    natural_to_moment,
+    pack_expectation,
+    unpack_expectation,
 )
-from helpers import gaussians, gaussian_pairs, random_gaussian
 
 
 def _potential_route_kl(p: MomentGaussian, q: MomentGaussian) -> float:
@@ -341,10 +345,10 @@ def test_pythagorean_relation():
         mat = rng.normal(size=(d, d))
         u = gg.pack_coords(0.2 * vec, 0.1 * (mat + mat.T))
         u -= (u @ v_e) / (v_e @ v_e) * v_e
-        zeta_j = gg.pack_expectation(moment_to_expectation(g_j))
+        zeta_j = pack_expectation(moment_to_expectation(g_j))
         for t in (0.2, 0.1, 0.05, 0.02, 0.01):
             try:
-                g_i = expectation_to_moment(gg.unpack_expectation(zeta_j + t * u, d))
+                g_i = expectation_to_moment(unpack_expectation(zeta_j + t * u, d))
                 break
             except DecompositionError:
                 continue

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gppca.gaussian_geometry import DecompositionError
+from gppca.gaussian_geometry import DecompositionError, MomentGaussian
 from gppca.kernels_gp import (
     GpPrior,
+    InducingSet,
     KernelConfig,
     TaskData,
     exact_posterior,
@@ -17,6 +19,7 @@ from gppca.kernels_gp import (
     predictive_batch,
     union_inputs,
 )
+from gppca.sparse_gp import sparse_predictive_batch
 
 
 def _prior(lengthscale=1.0, beta=100.0, mean=0.0):
@@ -197,6 +200,22 @@ class TestPredictive:
         y2 = np.append(y, 0.1)
         _, v_after = gp_predictive_batch(prior, TaskData(x2, y2, 0), grid)
         assert np.all(v_after <= v_before + 1e-10)
+
+    @pytest.mark.parametrize(
+        "predictive", [predictive_batch, sparse_predictive_batch], ids=["exact", "sparse"]
+    )
+    def test_negative_variance_is_clamped_with_one_warning(self, predictive):
+        # Sigma = -I is no covariance: at an anchor point the exact route gives
+        # 1 + (-1 - 1) = -1, the sparse route 1 - 1 - |k|^2.
+        prior = _prior(lengthscale=0.5)
+        anchor = InducingSet([[0.0], [0.6]])
+        rho = MomentGaussian(np.zeros(2), -np.eye(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, variances = predictive(prior, rho, anchor, [[0.0], [5.0]])
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "clamped" in str(caught[0].message)
+        assert variances[0] == 0.0
 
     def test_empty_task_prior_predictive(self):
         prior = _prior()

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from gppca.gaussian_geometry import (
-    MomentGaussian,
-    kl_divergence,
-    moment_to_natural,
-    natural_to_expectation,
-)
+from gppca.gaussian_geometry import MomentGaussian, moment_to_natural, natural_to_moment
 from gppca.kernels_gp import (
     GpPrior,
     KernelConfig,
@@ -17,12 +12,11 @@ from gppca.kernels_gp import (
 )
 from gppca.sparse_gp import (
     InducingSet,
-    SparsePosterior,
     grid_inducing,
     sparse_predictive_batch,
     variational_coords,
 )
-from oracles import rho_prime_to_rho, rho_to_rho_prime, variational_posterior
+from oracles import kl_divergence, rho_prime_to_rho, rho_to_rho_prime, variational_posterior
 
 
 def _prior(lengthscale=0.3, beta=20.0, mean=0.0):
@@ -130,7 +124,7 @@ class TestRescalingChart:
     def test_identity_when_kmm_is_one(self):
         cfg = KernelConfig(lengthscale=1.0)
         z = InducingSet([[0.0]])
-        sp = SparsePosterior([0.7], [[0.2]])
+        sp = MomentGaussian([0.7], [[0.2]])
         back = rho_prime_to_rho(sp, z, cfg)
         assert back.mu[0] == pytest.approx(0.7)
         assert back.sigma[0, 0] == pytest.approx(0.2)
@@ -158,10 +152,7 @@ class TestRescalingChart:
             t2 = _random_task(rng, 4, task_id=2, spread=False)
             sp1 = variational_posterior(prior, t1, z)
             sp2 = variational_posterior(prior, t2, z)
-            kl_prime = kl_divergence(
-                MomentGaussian(sp1.mu_prime, sp1.sigma_prime),
-                MomentGaussian(sp2.mu_prime, sp2.sigma_prime),
-            )
+            kl_prime = kl_divergence(sp1, sp2)
             kl_orig = kl_divergence(
                 rho_prime_to_rho(sp1, z, prior.kernel),
                 rho_prime_to_rho(sp2, z, prior.kernel),
@@ -175,7 +166,7 @@ class TestRescalingChart:
         z = InducingSet(np.linspace(0.05, 0.95, 5).reshape(-1, 1))
         task = _random_task(rng, 4)
         sp = variational_posterior(prior, task, z)
-        nat_prime = moment_to_natural(MomentGaussian(sp.mu_prime, sp.sigma_prime))
+        nat_prime = moment_to_natural(sp)
         nat = moment_to_natural(rho_prime_to_rho(sp, z, prior.kernel))
         k_mm = gram(prior.kernel, z.points, z.points)
         k_inv = np.linalg.inv(k_mm)
@@ -191,11 +182,10 @@ class TestVariationalCoords:
         prior = _prior()
         z = InducingSet(np.linspace(0.0, 1.0, 5).reshape(-1, 1))
         task = _random_task(rng, 5)
-        nat, expc = variational_coords(prior, task, z)
+        nat, moments = variational_coords(prior, task, z)
         sp = variational_posterior(prior, task, z)
-        nat2 = moment_to_natural(MomentGaussian(sp.mu_prime, sp.sigma_prime))
+        nat2 = moment_to_natural(sp)
         scale = max(np.max(np.abs(nat2.big_theta)), 1.0)
         assert np.max(np.abs(nat.big_theta - nat2.big_theta)) < 1e-7 * scale
         assert np.max(np.abs(nat.theta - nat2.theta)) < 1e-7 * max(np.max(np.abs(nat2.theta)), 1.0)
-        exp2 = natural_to_expectation(nat)
-        np.testing.assert_allclose(expc.eta, exp2.eta, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(moments.mu, natural_to_moment(nat).mu, rtol=1e-6, atol=1e-8)
