@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from gppca.gaussian_geometry import dim_from_flat
 
@@ -72,6 +71,8 @@ class ValidityError(RuntimeError):
 
     def __init__(self, task_index: Optional[int], data: bool = False, weights=None):
         self.task_index = task_index
+        self.data = data
+        self.weights = weights
         if data:
             message = (
                 f"input point {task_index} is not a valid Gaussian: "
@@ -84,6 +85,11 @@ class ValidityError(RuntimeError):
             message = f"reconstruction for point {task_index} violates negative definite Theta"
         super().__init__(message)
 
+    # Pickled as the constructor's arguments, so an error raised in a worker
+    # process arrives intact.
+    def __reduce__(self):
+        return type(self), (self.task_index, self.data, self.weights)
+
 
 class ValidityStallError(RuntimeError):
     """Backtracking could not find any valid step."""
@@ -94,10 +100,15 @@ class ConvergenceError(RuntimeError):
 
     def __init__(self, grad_norm: float, tol: float, iters: int):
         self.grad_norm = grad_norm
+        self.tol = tol
+        self.iters = iters
         super().__init__(
             f"projection did not converge in {iters} iterations: "
             f"gradient norm {grad_norm:.3e} > tolerance {tol:.3e}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.grad_norm, self.tol, self.iters)
 
 
 @dataclass(frozen=True)
@@ -471,6 +482,10 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
     hit, and when the continuation finds no valid or no decreasing step from
     L-BFGS-B's last iterate; the fit then keeps that iterate.
     """
+    # Imported here, not at module level: SciPy's optimizer costs every
+    # process that imports the package about 0.3 s, and only fitting uses it.
+    from scipy.optimize import minimize
+
     opts = opts or FitOptions()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n_points = pts.shape[0]
@@ -519,7 +534,7 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
 
     # Quasi-Newton descent; its sufficient-decrease line search never accepts
     # an iterate at the barrier, so every recorded iterate is a valid subspace.
-    result = _scipy_minimize(
+    result = minimize(
         value_and_grad,
         p0,
         jac=True,

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -70,6 +70,12 @@ def check_model(latent_dim, inducing_count, tasks: int) -> None:
         raise ValueError(f"inducing_count must be a positive integer, got {inducing_count!r}")
 
 
+def _check_integer(key: str, value, low: int) -> None:
+    """Raise ValueError naming `key` unless `value` is an integer (not a bool) >= `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
 def config_hash(doc) -> str:
     """Hash of the canonical JSON form of a configuration object."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=float)
@@ -102,14 +108,17 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.mode not in ("exact", "sparse"):
             raise ValueError(f"mode must be 'exact' or 'sparse', got {self.mode!r}")
+        for n in self.n_sweep:
+            _check_integer("evaluate.n_sweep entry", n, 1)
         object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be at least 1, got {self.repetitions!r}")
+        _check_integer("evaluate.repetitions", self.repetitions, 1)
+        _check_integer("evaluate.base_seed", self.base_seed, 0)
+        _check_integer("jobs", self.jobs, 1)
         if not self.n_sweep:
-            raise ValueError("n_sweep must list at least one training-set size")
+            raise ValueError("evaluate.n_sweep must list at least one training-set size")
         if not self.methods:
-            raise ValueError("methods must list at least one method")
+            raise ValueError("evaluate.methods must list at least one method")
         for n in self.n_sweep:  # the generator's own checks, before any cell runs
             try:
                 data_cfg = _generator_config(self, n, self.base_seed)
@@ -297,6 +306,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     work = [(cfg, rep, n) for rep in range(cfg.repetitions) for n in cfg.n_sweep]
     start = time.perf_counter()
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             raw = list(pool.map(_run_cell_packed, work))
     else:

@@ -11,7 +11,11 @@ Matrix blocks are stored dense d x d and re-symmetrized after every
 construction so that flattened inner products agree with the matrix trace
 pairing. Inverses appear only where the parameterization itself is an
 inverse matrix (Theta, Sigma); everything else goes through a Cholesky
-factorization with a bounded jitter-repair policy.
+factorization with a bounded jitter-repair policy. `chol_pd` is the
+package's one Cholesky factorization with that policy, and `chol_solve` the
+package's one Cholesky solve: every system against a `chol_pd` factor is
+solved through it. (The subspace fit in `epca` works on stacks of matrices
+with NumPy's batched routines instead.)
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 __all__ = [
     "DecompositionError",
@@ -29,6 +33,7 @@ __all__ = [
     "moment_to_natural",
     "natural_to_moment",
     "chol_pd",
+    "chol_solve",
     "pack_coords",
     "unpack_coords",
     "dim_from_flat",
@@ -44,10 +49,16 @@ class DecompositionError(RuntimeError):
 
     def __init__(self, name: str, detail: str = ""):
         self.matrix_name = name
+        self.detail = detail
         msg = f"matrix {name!r} is not positive definite"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    # Pickled as the constructor's arguments, so an error raised in a worker
+    # process arrives intact.
+    def __reduce__(self):
+        return type(self), (self.matrix_name, self.detail)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -80,6 +91,24 @@ def chol_pd(a: np.ndarray, name: str) -> np.ndarray:
         except np.linalg.LinAlgError:
             eps *= 10.0
     raise DecompositionError(name, f"jitter escalation exhausted at {_JITTER_MAX:.0e}*trace/d")
+
+
+def chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b for a lower Cholesky factor L, such as `chol_pd` returns.
+
+    Calls LAPACK dpotrs directly: the routine `scipy.linalg.cho_solve`
+    reaches, so the result is the same to the bit, without its wrapper's
+    per-call overhead, which dominates at the package's small sizes. `b` is
+    a vector or a matrix of right-hand sides; it is never overwritten.
+    Like `cho_solve`, raises ValueError for a non-finite factor or
+    right-hand side and for a nonzero `info` from dpotrs.
+    """
+    if not (np.isfinite(chol).all() and np.isfinite(b).all()):
+        raise ValueError("chol_solve: the factor and right-hand side must be finite")
+    x, info = dpotrs(chol, b, lower=1)
+    if info != 0:
+        raise ValueError(f"chol_solve: dpotrs rejected argument {-info}")
+    return x
 
 
 def _check_symmetry(a: np.ndarray, what: str) -> np.ndarray:
@@ -140,9 +169,9 @@ class NaturalCoord:
 def moment_to_natural(g: MomentGaussian) -> NaturalCoord:
     """theta = Sigma^-1 mu, Theta = -1/2 Sigma^-1."""
     chol = chol_pd(g.sigma, "sigma")
-    theta = cho_solve((chol, True), g.mu)
+    theta = chol_solve(chol, g.mu)
     # Theta is itself an inverse matrix, so the explicit inverse is structural.
-    inv_sigma = cho_solve((chol, True), np.eye(g.dim))
+    inv_sigma = chol_solve(chol, np.eye(g.dim))
     return NaturalCoord(theta=theta, big_theta=-0.5 * _sym(inv_sigma))
 
 
@@ -150,8 +179,8 @@ def natural_to_moment(c: NaturalCoord) -> MomentGaussian:
     """mu = -1/2 Theta^-1 theta, Sigma = -1/2 Theta^-1."""
     a = -2.0 * c.big_theta  # equals Sigma^-1, must be PD
     chol = chol_pd(a, "-2*big_theta")
-    mu = cho_solve((chol, True), c.theta)
-    sigma = cho_solve((chol, True), np.eye(c.dim))
+    mu = chol_solve(chol, c.theta)
+    sigma = chol_solve(chol, np.eye(c.dim))
     return MomentGaussian(mu=mu, sigma=_sym(sigma))
 
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from gppca.gaussian_geometry import MomentGaussian, chol_pd, _sym
+from gppca.gaussian_geometry import MomentGaussian, chol_pd, chol_solve, _sym
 
 __all__ = [
     "KernelConfig",
@@ -203,7 +202,7 @@ class InducingSet:
             k = gram(prior.kernel, self.points, self.points)
             chol = chol_pd(k, "K(anchor, anchor)")
             mean = prior.mean_at(self.points)
-            found = PriorFactor(gram=k, chol=chol, mean=mean, kinv_mean=cho_solve((chol, True), mean))
+            found = PriorFactor(gram=k, chol=chol, mean=mean, kinv_mean=chol_solve(chol, mean))
             for a in (found.gram, found.chol, found.mean, found.kinv_mean):
                 a.setflags(write=False)
             self._factors[key] = found
@@ -230,8 +229,8 @@ def exact_posterior(prior: GpPrior, task: TaskData, anchor) -> MomentGaussian:
     noisy = k_task + np.eye(len(task)) / prior.beta
     chol = chol_pd(noisy, "K_ii + beta^-1 I")
     resid = task.outputs - prior.mean_at(task.inputs)
-    mu = factor.mean + k_cross @ cho_solve((chol, True), resid)
-    sigma = factor.gram - k_cross @ cho_solve((chol, True), k_cross.T)
+    mu = factor.mean + k_cross @ chol_solve(chol, resid)
+    sigma = factor.gram - k_cross @ chol_solve(chol, k_cross.T)
     return MomentGaussian(mu=mu, sigma=_sym(sigma))
 
 
@@ -261,7 +260,7 @@ def predictive_batch(prior: GpPrior, rho: MomentGaussian, anchor, x_plus):
         raise ValueError(f"posterior dim {rho.dim} does not match anchor size {len(anchor)}")
     factor = anchor.factor(prior)
     k_cross = gram(prior.kernel, anchor.points, test)  # (n, t)
-    w = cho_solve((factor.chol, True), k_cross)  # K^-1 k, (n, t)
+    w = chol_solve(factor.chol, k_cross)  # K^-1 k, (n, t)
     means = prior.mean_at(test) + w.T @ (rho.mu - factor.mean)
     variances = 1.0 + np.sum(w * ((rho.sigma - factor.gram) @ w), axis=0)  # k(x,x) = 1 for RBF
     return means, _clamped_variance(variances)
@@ -280,7 +279,7 @@ def gp_predictive_batch(prior: GpPrior, task: TaskData, x_plus):
     noisy = k_task + np.eye(len(task)) / prior.beta
     chol = chol_pd(noisy, "K_ii + beta^-1 I")
     k_cross = gram(prior.kernel, task.inputs, test)
-    w = cho_solve((chol, True), k_cross)
+    w = chol_solve(chol, k_cross)
     means = prior.mean_at(test) + w.T @ (task.outputs - prior.mean_at(task.inputs))
     variances = 1.0 - np.einsum("nt,nt->t", k_cross, w)
     return means, _clamped_variance(variances)

@@ -27,9 +27,8 @@ exists purely for numerical hygiene on ill-conditioned inducing grids.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from gppca.gaussian_geometry import MomentGaussian, NaturalCoord, chol_pd, _sym
+from gppca.gaussian_geometry import MomentGaussian, NaturalCoord, chol_pd, chol_solve, _sym
 from gppca.kernels_gp import (
     GpPrior,
     InducingSet,
@@ -70,8 +69,8 @@ def variational_coords(
     theta = prior.beta * (data_term + a @ factor.kinv_mean)
     big_theta = -0.5 * prior.beta * a
     nat = NaturalCoord(theta=theta, big_theta=big_theta)
-    mu_prime = cho_solve((chol_a, True), data_term) + factor.kinv_mean
-    sigma_prime = _sym(cho_solve((chol_a, True), np.eye(len(inducing))) / prior.beta)
+    mu_prime = chol_solve(chol_a, data_term) + factor.kinv_mean
+    sigma_prime = _sym(chol_solve(chol_a, np.eye(len(inducing))) / prior.beta)
     return nat, MomentGaussian(mu=mu_prime, sigma=sigma_prime)
 
 
@@ -93,7 +92,7 @@ def sparse_predictive_batch(prior: GpPrior, sp: MomentGaussian, inducing: Induci
     factor = inducing.factor(prior)
     k_m = gram(prior.kernel, inducing.points, test)  # (m, t)
     means = prior.mean_at(test) + k_m.T @ (sp.mu - factor.kinv_mean)
-    w = cho_solve((factor.chol, True), k_m)
+    w = chol_solve(factor.chol, k_m)
     variances = 1.0 - np.einsum("mt,mt->t", k_m, w) + np.sum(k_m * (sp.sigma @ k_m), axis=0)
     return means, _clamped_variance(variances)
 

@@ -82,6 +82,25 @@ def test_evaluate_rewrites_identical_files(tmp_path):
     assert _rows(table)[0] == ["method", "N", "split", "mean_rmse", "std_rmse"]
 
 
+def test_evaluate_in_worker_processes_writes_identical_files(tmp_path):
+    # Two repetitions, so each of the two workers runs a cell.
+    config = _write_config(
+        tmp_path / "config.json", {**CONFIG, "evaluate": {**CONFIG["evaluate"], "repetitions": 2}}
+    )
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert cli.main(["evaluate", "--config", config, "--out", str(serial)]) == 0
+    assert cli.main(["evaluate", "--config", config, "--out", str(pooled), "--jobs", "2"]) == 0
+    for name in ("report.csv", "per_task.csv", "latents.csv"):
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    # summary.json records the configuration, worker count included, and its hash.
+    first, second = (
+        json.loads((d / "summary.json").read_text(encoding="utf-8")) for d in (serial, pooled)
+    )
+    assert second["config"] == {**first["config"], "jobs": 2}
+    assert second["summary"] == first["summary"]
+    assert second["split_hashes"] == first["split_hashes"]
+
+
 REMOVED_OPTIONS = {"seed": 0, "learning_rate": 0.1, "backtrack_factor": 0.5}
 
 
@@ -130,17 +149,28 @@ def test_seed_option_is_rejected(tmp_path, capsys, section, key):
         ({"evaluate": {**CONFIG["evaluate"], "repetitions": 0}}, ("repetitions", "0")),
         ({"evaluate": {**CONFIG["evaluate"], "n_sweep": []}}, ("n_sweep",)),
         ({"evaluate": {**CONFIG["evaluate"], "methods": []}}, ("methods",)),
+        ({"evaluate": {**CONFIG["evaluate"], "n_sweep": [2.5]}}, ("evaluate.n_sweep", "2.5")),
+        ({"evaluate": {**CONFIG["evaluate"], "n_sweep": ["a"]}}, ("evaluate.n_sweep", "'a'")),
+        ({"evaluate": {**CONFIG["evaluate"], "n_sweep": [0]}}, ("evaluate.n_sweep", "0")),
+        ({"evaluate": {**CONFIG["evaluate"], "n_sweep": [True]}}, ("evaluate.n_sweep", "True")),
+        ({"evaluate": {**CONFIG["evaluate"], "base_seed": -1}}, ("evaluate.base_seed", "-1")),
+        (["--jobs", "0"], ("jobs", "0")),
+        (["--jobs", "-3"], ("jobs", "-3")),
     ],
     ids=[
         "kernel-kind", "lengthscale", "beta", "mode", "method",
         "data-value", "latent_dim", "beta-null", "lengthscale-null",
         "n_sweep-null", "repetitions-null", "inducing_count-null",
         "inducing_count-zero", "repetitions-zero", "n_sweep-empty", "methods-empty",
+        "n_sweep-float", "n_sweep-string", "n_sweep-zero", "n_sweep-bool", "base_seed-negative",
+        "jobs-zero", "jobs-negative",
     ],
 )
 def test_evaluate_rejects_invalid_configuration(tmp_path, capsys, change, named):
-    config = _write_config(tmp_path / "config.json", {**CONFIG, **change})
-    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    # A dict changes CONFIG; a list is extra command-line arguments.
+    doc, flags = ({**CONFIG, **change}, []) if isinstance(change, dict) else (CONFIG, change)
+    config = _write_config(tmp_path / "config.json", doc)
+    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     for text in named:

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from gppca import gaussian_geometry as gg
 from gppca.gaussian_geometry import (
     DecompositionError,
     MomentGaussian,
     NaturalCoord,
+    chol_pd,
+    chol_solve,
     moment_to_natural,
     natural_to_moment,
 )
-from helpers import gaussians, gaussian_pairs, random_gaussian
+from helpers import gaussians, gaussian_pairs, random_gaussian, spd_matrix
 from oracles import (
     ExpectationCoord,
     dual_potential,
@@ -375,6 +378,55 @@ class TestJitterPolicy:
     def test_asymmetric_rejected_at_construction(self):
         with pytest.raises(ValueError, match="symmetric"):
             MomentGaussian([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
+
+
+class TestCholSolve:
+    """`chol_solve` is `cho_solve((L, True), b)` to the bit, with its finiteness checks."""
+
+    @staticmethod
+    def _factor(d, seed=0):
+        return chol_pd(spd_matrix(np.random.default_rng(seed), d), "A")
+
+    @pytest.mark.parametrize("d", [1, 12, 60])
+    @pytest.mark.parametrize("rhs_shape", [(), (7,), (1,)], ids=["vector", "matrix", "one-column"])
+    def test_matches_cho_solve(self, d, rhs_shape):
+        chol = self._factor(d)
+        b = np.random.default_rng(1).normal(size=(d, *rhs_shape))
+        x = chol_solve(chol, b)
+        assert x.shape == b.shape
+        assert np.array_equal(x, cho_solve((chol, True), b))
+
+    @pytest.mark.parametrize("d", [1, 12, 60])
+    def test_read_only_arguments(self, d):
+        # as a PriorFactor holds its factor and K^-1 mu0
+        chol = self._factor(d)
+        b = np.random.default_rng(2).normal(size=d)
+        chol.setflags(write=False)
+        b.setflags(write=False)
+        assert np.array_equal(chol_solve(chol, b), cho_solve((chol, True), b))
+
+    @pytest.mark.parametrize("d", [1, 12, 60])
+    def test_transposed_view_is_not_overwritten(self, d):
+        # as exact_posterior passes k_cross.T
+        chol = self._factor(d)
+        k_cross = np.random.default_rng(3).normal(size=(5, d))
+        kept = k_cross.copy()
+        x = chol_solve(chol, k_cross.T)
+        assert np.array_equal(x, cho_solve((chol, True), k_cross.T))
+        assert np.array_equal(k_cross, kept)
+
+    def test_empty_right_hand_side(self):
+        chol = self._factor(4)
+        assert chol_solve(chol, np.zeros((4, 0))).shape == (4, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["factor", "rhs"])
+    def test_non_finite_raises(self, bad, where):
+        chol = self._factor(3)
+        b = np.ones(3)
+        (chol if where == "factor" else b)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            chol_solve(chol, b)
 
 
 class TestFlatHelpers:

@@ -1,9 +1,16 @@
 import importlib
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import gppca
+from gppca.epca import ConvergenceError, ValidityError, ValidityStallError
+from gppca.gaussian_geometry import DecompositionError
 
 MODULES = sorted(
     f"gppca.{info.name}" for info in pkgutil.iter_modules(gppca.__path__)
@@ -16,3 +23,43 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_cli_import_leaves_optimizer_and_process_pool_unloaded():
+    # Only a fit needs SciPy's optimizer and only `evaluate --jobs N>1` a process
+    # pool; every other command should start without importing either.
+    src = Path(gppca.__file__).resolve().parents[1]
+    probe = (
+        "import sys, gppca.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ValidityError(4),
+        ValidityError(2, data=True),
+        ValidityError(None, weights=[0.5, -1.25]),
+        ValidityStallError("no valid step at line-search resolution"),
+        ConvergenceError(3.2e-4, 1e-6, 50),
+        DecompositionError("sigma", "trace -1.000e+00 is not positive"),
+        DecompositionError("A_mm"),
+    ],
+    ids=[
+        "validity-reconstruction", "validity-data", "validity-weights", "validity-stall",
+        "convergence", "decomposition-detail", "decomposition",
+    ],
+)
+def test_exceptions_survive_pickling(error):
+    # ProcessPoolExecutor hands a worker's error back to `evaluate --jobs N` pickled.
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
