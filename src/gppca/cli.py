@@ -7,6 +7,10 @@ bundle records the hash of the canonical configuration, and rerunning a
 command with the same configuration rewrites byte-identical files (timings
 are printed, never written).
 
+This module only parses documents, flags and CSV files, calls the library and
+maps its errors to exit codes: every experiment and model default and range
+check lives in `evaluation` and in the configuration types it builds.
+
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numerical
 failure.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,7 +32,6 @@ from gppca import gp_pca
 from gppca.epca import ConvergenceError, FitOptions, ValidityError, ValidityStallError
 from gppca.gaussian_geometry import DecompositionError
 from gppca.kernels_gp import GpPrior, KernelConfig, TaskData
-from gppca.sparse_gp import grid_inducing
 
 __all__ = ["main", "ConfigError", "DataError"]
 
@@ -90,21 +94,6 @@ _SCHEMA = {
     },
 }
 
-_ARTIFICIAL_DATA_KEYS = {
-    "num_tasks", "samples_per_task", "noise_variance", "z_values",
-    "eval_points_per_task", "num_new_tasks", "new_task_samples", "seed",
-}
-_VDP_DATA_KEYS = {
-    "alphas", "sequences_per_task", "points_per_sequence", "dt", "substep",
-    "initial_state", "eval_sequences_per_task", "num_new_tasks",
-    "new_task_sequences", "seed",
-}
-
-DEFAULT_HYPERPARAMS = {
-    "artificial": {"lengthscale": 0.2, "beta": 25.0},
-    "vdp": {"lengthscale": 0.6, "beta": 50.0},
-}
-
 
 def _validate(doc, schema, path="") -> None:
     if not isinstance(doc, dict):
@@ -150,7 +139,8 @@ def _require_experiment(doc: dict, flag) -> str:
 
 def _data_config(doc: dict, experiment: str) -> dict:
     data = dict(doc.get("data", {}))
-    allowed = _ARTIFICIAL_DATA_KEYS if experiment == "artificial" else _VDP_DATA_KEYS
+    generator = ds.ArtificialConfig if experiment == "artificial" else ds.VdpConfig
+    allowed = {f.name for f in dataclasses.fields(generator)}
     for key in data:
         if key not in allowed:
             raise ConfigError(f"key 'data.{key}' does not apply to the {experiment} experiment")
@@ -170,7 +160,7 @@ def _fit_options(doc: dict, section: str) -> FitOptions:
 
 
 def _hyper(doc: dict, experiment: str) -> GpPrior:
-    defaults = DEFAULT_HYPERPARAMS[experiment]
+    defaults = ev.DEFAULT_HYPERPARAMS[experiment]
     kernel_doc = doc.get("kernel", {})
     lengthscale = float(kernel_doc.get("lengthscale", defaults["lengthscale"]))
     try:
@@ -178,11 +168,10 @@ def _hyper(doc: dict, experiment: str) -> GpPrior:
     except ValueError as exc:
         raise ConfigError(f"invalid 'kernel' section: {exc}")
     beta = float(doc.get("beta", defaults["beta"]))
-    mean = float(doc.get("prior_mean", 0.0))
     try:
-        return GpPrior(kernel=kernel, beta=beta, mean_fn=mean)
+        return GpPrior(kernel=kernel, beta=beta, mean_fn=doc.get("prior_mean", 0.0))
     except ValueError as exc:
-        raise ConfigError(f"invalid key 'beta': {exc}")
+        raise ConfigError(f"invalid key 'beta' or 'prior_mean': {exc}")
 
 
 def _float_list(values) -> list:
@@ -244,33 +233,29 @@ def cmd_train(args) -> int:
     manifest, dataset = _load_training_data(data_dir)
     doc = load_config(args.config) if args.config else manifest.get("config", {})
     _validate(doc, _SCHEMA)
-    experiment = manifest["experiment"]
-    prior = _hyper(doc, experiment)
-    model_doc = doc.get("model", {})
-    mode = args.mode or model_doc.get("mode", "sparse")
-    latent_dim = args.latent_dim if args.latent_dim is not None else model_doc.get("latent_dim", 1)
-    if mode not in ("exact", "sparse"):
-        raise ConfigError(f"mode must be 'exact' or 'sparse', got {mode!r}")
+    prior = _hyper(doc, manifest["experiment"])
+    settings = {**ev.MODEL_DEFAULTS, **doc.get("model", {})}
+    if args.mode is not None:
+        settings["mode"] = args.mode
+    if args.latent_dim is not None:
+        settings["latent_dim"] = args.latent_dim
     tasks = dataset.train_tasks
-    count = model_doc.get("inducing_count", 12) if mode == "sparse" else None
     try:
-        ev.check_model(latent_dim, count, len(tasks))
+        ev.check_model(**settings, tasks=len(tasks))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    inducing = None
-    if mode == "sparse":
-        inducing = grid_inducing(np.vstack([t.inputs for t in tasks]), count)
     opts = _fit_options(doc, "fit")
-    model = gp_pca.train(tasks, prior, latent_dim, mode=mode, opts=opts, inducing=inducing)
+    model = ev.train_model(tasks, prior, **settings, opts=opts)
+    mode = settings["mode"]
     train_echo = {
         "manifest_hash": manifest["config_hash"],
         "mode": mode,
-        "latent_dim": latent_dim,
+        "latent_dim": settings["latent_dim"],
         "kernel": {"kind": prior.kernel.kind, "lengthscale": prior.kernel.lengthscale},
         "beta": prior.beta,
-        "prior_mean": float(prior.mean_fn),
+        "prior_mean": prior.mean_fn,
         "fit": {"max_iters": opts.max_iters, "rel_tol": opts.rel_tol},
-        "inducing_count": len(inducing) if inducing is not None else None,
+        "inducing_count": len(model.anchor) if mode == "sparse" else None,
     }
     gp_pca.save_model(model, args.out, config_hash=ev.config_hash(train_echo))
     fr = model.fit_result
@@ -290,49 +275,32 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"--grid must look like 'start:stop:count', got {spec!r}")
 
 
-def _read_xy_csv(path) -> TaskData:
+def _read_points_csv(path, with_y: bool, columns: int) -> np.ndarray:
+    """The rows of a CSV with header x[,x1,...] (then y when `with_y`), as an array.
+
+    It must have `columns` x columns, rows of the header's width and only
+    finite values.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            if header[-1] != "y" or not all(h.startswith("x") for h in header[:-1]):
-                raise DataError(f"{path}: expected header x[,x1,...],y, got {header}")
-            xs, ys = [], []
-            for rec in reader:
-                xs.append([float(v) for v in rec[:-1]])
-                ys.append(float(rec[-1]))
-    except FileNotFoundError:
-        raise DataError(f"few-shot file not found: {path}")
-    except (StopIteration, IndexError, ValueError) as exc:
-        raise DataError(f"{path}: malformed few-shot CSV ({exc})")
-    if not xs:
-        raise DataError(f"{path}: no observations")
-    return TaskData(inputs=np.asarray(xs), outputs=np.asarray(ys), task_id=-1)
-
-
-def _prediction_inputs(args) -> np.ndarray:
-    if args.grid:
-        return _parse_grid(args.grid)
-    if args.inputs:
-        return _read_inputs_csv(args.inputs)
-    raise ConfigError("provide either --grid or --inputs")
-
-
-def _read_inputs_csv(path) -> np.ndarray:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not all(h.startswith("x") for h in header):
-                raise DataError(f"{path}: expected header of x columns, got {header}")
             rows = [[float(v) for v in rec] for rec in reader]
     except FileNotFoundError:
-        raise DataError(f"inputs file not found: {path}")
+        raise DataError(f"file not found: {path}")
     except (StopIteration, ValueError) as exc:
-        raise DataError(f"{path}: malformed inputs CSV ({exc})")
-    if not rows:
-        raise DataError(f"{path}: no input rows")
-    return np.asarray(rows)
+        raise DataError(f"{path}: malformed CSV ({exc})")
+    x_cols = header[:-1] if with_y else header
+    if not all(h.startswith("x") for h in x_cols) or (with_y and header[-1:] != ["y"]):
+        raise DataError(f"{path}: expected header x[,x1,...]{',y' if with_y else ''}, got {header}")
+    if len(x_cols) != columns:
+        raise DataError(f"{path}: {len(x_cols)} input columns; the model's inputs have {columns}")
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise DataError(f"{path}: expected one or more rows of {len(header)} values")
+    values = np.asarray(rows)
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: every value must be finite")
+    return values
 
 
 def _write_prediction_csv(path, points: np.ndarray, means, variances) -> None:
@@ -360,7 +328,12 @@ def cmd_predict(args) -> int:
             )
     else:
         raise ConfigError("provide either --task or --weights")
-    points = _prediction_inputs(args)
+    if args.grid:
+        points = _parse_grid(args.grid)
+    elif args.inputs:
+        points = _read_points_csv(args.inputs, with_y=False, columns=model.anchor.shape[1])
+    else:
+        raise ConfigError("provide either --grid or --inputs")
     means, variances = gp_pca.predict_batch(model, target, points)
     _write_prediction_csv(args.out, points, means, variances)
     print(f"wrote {args.out} ({points.shape[0]} predictions)")
@@ -378,7 +351,8 @@ def _load_model_checked(path) -> gp_pca.GpPcaModel:
 
 def cmd_adapt(args) -> int:
     model = _load_model_checked(args.model)
-    fewshot = _read_xy_csv(args.data)
+    rows = _read_points_csv(args.data, with_y=True, columns=model.anchor.shape[1])
+    fewshot = TaskData(inputs=rows[:, :-1], outputs=rows[:, -1], task_id=-1)
     doc = load_config(args.config) if args.config else {}
     opts = _fit_options(doc, "adapt")
     w = gp_pca.adapt_new_task(model, fewshot, opts)
@@ -397,18 +371,11 @@ def cmd_evaluate(args) -> int:
     data_cfg.pop("samples_per_task", None)
     data_cfg.pop("sequences_per_task", None)
     prior = _hyper(doc, experiment)
-    model_doc = doc.get("model", {})
-    eval_doc = doc.get("evaluate", {})
     try:
         cfg = ev.ExperimentConfig(
             experiment=experiment,
-            n_sweep=tuple(eval_doc.get("n_sweep", [10])),
-            repetitions=eval_doc.get("repetitions", 5),
-            base_seed=eval_doc.get("base_seed", 0),
-            methods=tuple(eval_doc.get("methods", [ev.METHOD_GP, ev.METHOD_SUBSPACE])),
-            mode=model_doc.get("mode", "sparse"),
-            latent_dim=model_doc.get("latent_dim", 1),
-            inducing_count=model_doc.get("inducing_count", 12),
+            **doc.get("evaluate", {}),
+            **doc.get("model", {}),
             lengthscale=prior.kernel.lengthscale,
             beta=prior.beta,
             prior_mean=prior.mean_fn,
@@ -427,7 +394,7 @@ def cmd_evaluate(args) -> int:
             f"  {row['method']:8s} N={row['n']:<4d} {row['split']:5s} "
             f"rmse {row['mean_rmse']:.4f} +- {row['std_rmse']:.4f}"
         )
-    print(f"total wall clock: {report.timings['total_seconds']:.1f}s")
+    print(f"total wall clock: {report.total_seconds:.1f}s")
     return 0
 
 
@@ -448,16 +415,6 @@ def cmd_export_plot(args) -> int:
                     [row["method"], row["n"], row["split"],
                      repr(row["mean_rmse"]), repr(row["std_rmse"])]
                 )
-    elif args.kind == "latent":
-        if not args.report:
-            raise ConfigError("--kind latent needs --report DIR")
-        latents_path = Path(args.report) / "latents.csv"
-        if not latents_path.exists():
-            raise DataError(f"no latents.csv in {args.report}")
-        with open(latents_path, newline="", encoding="utf-8") as src:
-            rows = list(csv.reader(src))
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
     elif args.kind == "curves":
         if not args.model:
             raise ConfigError("--kind curves needs --model FILE")
@@ -532,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("export-plot", help="emit plot-ready CSV tables")
-    p.add_argument("--kind", required=True, choices=["rmse", "latent", "curves"])
+    p.add_argument("--kind", required=True, choices=["rmse", "curves"])
     p.add_argument("--report", help="report directory from `evaluate`")
     p.add_argument("--model", help="model file for --kind curves")
     p.add_argument("--data", help="dataset directory (adds latents to curves)")

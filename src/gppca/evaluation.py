@@ -9,9 +9,14 @@ plain GP per task on that task's own data. RMSE is computed per task over
 its evaluation split, averaged over tasks to one cell value, and mean/std
 are reported over repetitions.
 
-Report files are deterministic given the configuration: timings are kept in
-memory and printed, never written, so rerunning a configuration reproduces
-the output files byte for byte.
+Report files are deterministic given the configuration: the wall clock is
+kept in memory and printed, never written, and the worker count is left out
+of the recorded configuration, so rerunning a configuration reproduces the
+output files byte for byte.
+
+This module owns every experiment and model default, every range check on
+those settings (`check_model`, `ExperimentConfig`) and the one step that
+trains a model from them (`train_model`); the command line only parses.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "run_experiment",
     "config_hash",
     "check_model",
+    "train_model",
     "write_report_files",
 ]
 
@@ -45,6 +51,13 @@ METHOD_GP = "gp"
 METHOD_SUBSPACE = "gp_epca"
 # Few-shot projection controls when a configuration sets none.
 ADAPT_OPTIONS = FitOptions(rel_tol=1e-6, max_iters=20_000)
+# Kernel lengthscale and noise precision per experiment when a configuration sets none.
+DEFAULT_HYPERPARAMS = {
+    "artificial": {"lengthscale": 0.2, "beta": 25.0},
+    "vdp": {"lengthscale": 0.6, "beta": 50.0},
+}
+# Model settings when a configuration sets none.
+MODEL_DEFAULTS = {"mode": "sparse", "latent_dim": 1, "inducing_count": 12}
 
 
 def rmse(predicted, truth) -> float:
@@ -56,18 +69,34 @@ def rmse(predicted, truth) -> float:
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
-def check_model(latent_dim, inducing_count, tasks: int) -> None:
+def check_model(mode, latent_dim, inducing_count, tasks: int) -> None:
     """Raise ValueError naming the model key that is out of range for `tasks` training tasks.
 
-    `inducing_count` is None in exact mode, where it is not used.
+    `inducing_count` is checked in sparse mode only; exact mode does not use it.
     """
+    if mode not in ("exact", "sparse"):
+        raise ValueError(f"mode must be 'exact' or 'sparse', got {mode!r}")
     if not (isinstance(latent_dim, int) and 0 <= latent_dim < tasks):
         raise ValueError(
             f"latent_dim must be an integer in [0, {tasks - 1}] "
             f"for {tasks} training tasks, got {latent_dim!r}"
         )
-    if inducing_count is not None and not (isinstance(inducing_count, int) and inducing_count >= 1):
+    if mode == "sparse" and not (isinstance(inducing_count, int) and inducing_count >= 1):
         raise ValueError(f"inducing_count must be a positive integer, got {inducing_count!r}")
+
+
+def train_model(
+    tasks, prior: GpPrior, mode: str, latent_dim: int, inducing_count: int, opts: FitOptions
+) -> gp_pca.GpPcaModel:
+    """Fit a model with settings that `check_model` accepts.
+
+    Sparse mode places `inducing_count` grid inducing points over the
+    stacked training inputs; exact mode anchors on their union.
+    """
+    inducing = None
+    if mode == "sparse":
+        inducing = grid_inducing(np.vstack([t.inputs for t in tasks]), inducing_count)
+    return gp_pca.train(tasks, prior, latent_dim, mode=mode, opts=opts, inducing=inducing)
 
 
 def _check_integer(key: str, value, low: int) -> None:
@@ -89,25 +118,26 @@ class ExperimentConfig:
     repetitions: int = 5
     base_seed: int = 0
     methods: tuple = (METHOD_GP, METHOD_SUBSPACE)
-    mode: str = "sparse"
-    latent_dim: int = 1
-    inducing_count: int = 12
-    lengthscale: float = 0.2
-    beta: float = 25.0
+    mode: str = MODEL_DEFAULTS["mode"]
+    latent_dim: int = MODEL_DEFAULTS["latent_dim"]
+    inducing_count: int = MODEL_DEFAULTS["inducing_count"]
+    lengthscale: Optional[float] = None  # None: the experiment's DEFAULT_HYPERPARAMS
+    beta: Optional[float] = None  # None: the experiment's DEFAULT_HYPERPARAMS
     prior_mean: float = 0.0
     data: dict = field(default_factory=dict)  # generator overrides
     fit_opts: FitOptions = field(default_factory=FitOptions)
     adapt_opts: FitOptions = ADAPT_OPTIONS
-    jobs: int = 1
+    jobs: int = 1  # worker processes; how cells run, not what they compute
 
     def __post_init__(self):
         if self.experiment not in ("artificial", "vdp"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for key, value in DEFAULT_HYPERPARAMS[self.experiment].items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         for m in self.methods:
             if m not in (METHOD_GP, METHOD_SUBSPACE):
                 raise ValueError(f"unknown method {m!r}")
-        if self.mode not in ("exact", "sparse"):
-            raise ValueError(f"mode must be 'exact' or 'sparse', got {self.mode!r}")
         for n in self.n_sweep:
             _check_integer("evaluate.n_sweep entry", n, 1)
         object.__setattr__(self, "n_sweep", tuple(int(n) for n in self.n_sweep))
@@ -129,10 +159,12 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"invalid 'data' section: {exc}") from None
         if METHOD_SUBSPACE in self.methods:
-            check_model(self.latent_dim, self.inducing_count if self.mode == "sparse" else None, tasks)
+            check_model(self.mode, self.latent_dim, self.inducing_count, tasks)
 
     def to_dict(self) -> dict:
+        """The settings that decide the results: every field except `jobs`."""
         doc = asdict(self)
+        del doc["jobs"]
         doc["n_sweep"] = list(self.n_sweep)
         doc["methods"] = list(self.methods)
         return doc
@@ -146,7 +178,7 @@ class ExperimentReport:
     per_task: list  # cells plus task_id and latent
     latents: list  # subspace weights per task: {repetition, n, task_id, kind, latent, w...}
     split_hashes: dict  # "rep:n" -> {method: hash of evaluation arrays}
-    timings: dict  # wall-clock seconds; in-memory only
+    total_seconds: float  # wall clock of the run; in-memory only
 
     def summary(self) -> list:
         """Mean and population std of cell RMSE over repetitions."""
@@ -223,10 +255,9 @@ def _run_cell(cfg: ExperimentConfig, rep: int, n: int) -> dict:
         beta=cfg.beta,
         mean_fn=cfg.prior_mean,
     )
-    out = {"cells": [], "per_task": [], "latents": [], "split_hashes": {}, "timings": {}}
+    out = {"cells": [], "per_task": [], "latents": [], "split_hashes": {}}
 
     for method in cfg.methods:
-        start = time.perf_counter()
         out["split_hashes"][method] = _split_hash(dataset)
         if method == METHOD_GP:
             train_means = [
@@ -238,13 +269,9 @@ def _run_cell(cfg: ExperimentConfig, rep: int, n: int) -> dict:
                 for task, ev in zip(dataset.new_tasks, dataset.new_eval)
             ]
         else:
-            inducing = None
-            if cfg.mode == "sparse":
-                all_inputs = np.vstack([t.inputs for t in dataset.train_tasks])
-                inducing = grid_inducing(all_inputs, cfg.inducing_count)
-            model = gp_pca.train(
-                dataset.train_tasks, prior, cfg.latent_dim,
-                mode=cfg.mode, opts=cfg.fit_opts, inducing=inducing,
+            model = train_model(
+                dataset.train_tasks, prior, cfg.mode, cfg.latent_dim, cfg.inducing_count,
+                cfg.fit_opts,
             )
             train_means = [
                 gp_pca.predict_batch(model, i, ev.inputs)[0]
@@ -292,7 +319,6 @@ def _run_cell(cfg: ExperimentConfig, rep: int, n: int) -> dict:
                         "rmse": float(np.mean([r["rmse"] for r in rows])),
                     }
                 )
-        out["timings"][method] = time.perf_counter() - start
     return out
 
 
@@ -321,29 +347,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         per_task=[],
         latents=[],
         split_hashes={},
-        timings={"total_seconds": 0.0, "cells": {}},
+        total_seconds=0.0,
     )
     for rep, n, out in raw:
-        key = f"{rep}:{n}"
         report.cells.extend(out["cells"])
         report.per_task.extend(out["per_task"])
         report.latents.extend(out["latents"])
-        report.split_hashes[key] = out["split_hashes"]
-        report.timings["cells"][key] = out["timings"]
+        report.split_hashes[f"{rep}:{n}"] = out["split_hashes"]
     report.cells.sort(key=lambda c: (c["method"], c["n"], c["repetition"], c["split"]))
     report.per_task.sort(
         key=lambda c: (c["method"], c["n"], c["repetition"], c["split"], c["task_id"])
     )
     report.latents.sort(key=lambda c: (c["repetition"], c["n"], c["task_id"]))
-    report.timings["total_seconds"] = time.perf_counter() - start
+    report.total_seconds = time.perf_counter() - start
     return report
 
 
 def write_report_files(report: ExperimentReport, outdir) -> None:
     """Write report.csv, per_task.csv, latents.csv and summary.json.
 
-    Timings stay out of the files so identical configurations rewrite
-    identical bytes.
+    The wall clock stays out of the files so identical configurations
+    rewrite identical bytes.
     """
     import csv
     from pathlib import Path

@@ -234,8 +234,6 @@ def _require(doc: dict, key: str):
 
 
 def model_to_dict(model: GpPcaModel, config_hash: str = "") -> dict:
-    if callable(model.prior.mean_fn):
-        raise ValueError("only constant prior means can be persisted")
     return {
         "version": MODEL_FORMAT_VERSION,
         "mode": model.mode,
@@ -249,7 +247,7 @@ def model_to_dict(model: GpPcaModel, config_hash: str = "") -> dict:
         "u0": [float(v) for v in model.subspace.u0],
         "basis": [[float(v) for v in row] for row in model.subspace.basis],
         "weights": [[float(v) for v in row] for row in model.weights],
-        "prior_mean_constant": float(model.prior.mean_fn),
+        "prior_mean_constant": model.prior.mean_fn,
         "config_hash": config_hash,
     }
 

@@ -24,9 +24,10 @@ default zero prior mean.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
 
@@ -99,25 +100,22 @@ class TaskData:
 
 @dataclass(frozen=True)
 class GpPrior:
-    """GP prior: mean function (constant or callable), kernel, noise precision beta."""
+    """GP prior: constant mean, kernel, noise precision beta."""
 
     kernel: KernelConfig = field(default_factory=KernelConfig)
     beta: float = 100.0
-    mean_fn: Union[float, Callable[[np.ndarray], np.ndarray]] = 0.0
+    mean_fn: float = 0.0
 
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (isinstance(self.mean_fn, numbers.Real) and math.isfinite(self.mean_fn)):
+            raise ValueError(f"mean_fn must be a finite number, got {self.mean_fn!r}")
+        object.__setattr__(self, "mean_fn", float(self.mean_fn))
 
     def mean_at(self, points) -> np.ndarray:
         """Prior mean evaluated at an (n, p) point set, as an (n,) vector."""
-        pts = as_points(points)
-        if callable(self.mean_fn):
-            vals = np.asarray(self.mean_fn(pts), dtype=float).reshape(-1)
-            if vals.shape[0] != pts.shape[0]:
-                raise ValueError("mean_fn returned wrong number of values")
-            return vals
-        return np.full(pts.shape[0], float(self.mean_fn))
+        return np.full(as_points(points).shape[0], self.mean_fn)
 
 
 def gram(cfg: KernelConfig, a, b) -> np.ndarray:

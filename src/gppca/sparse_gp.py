@@ -19,8 +19,8 @@ and therefore preserves every KL divergence between tasks. The rescaled
 posterior (mu', Sigma') is a `MomentGaussian`.
 
 `variational_coords` builds the natural coordinates of the rescaled
-posterior directly from A (Theta' = -1/2 beta A exactly), avoiding a second
-factorization of Sigma'; it agrees with the generic conversion chain and
+posterior directly from A (Theta' = -1/2 beta A exactly), so neither Sigma'
+nor A is ever inverted; it agrees with the generic conversion chain and
 exists purely for numerical hygiene on ill-conditioned inducing grids.
 """
 
@@ -48,13 +48,14 @@ __all__ = [
 
 def variational_coords(
     prior: GpPrior, task: TaskData, inducing: InducingSet
-) -> tuple[NaturalCoord, MomentGaussian]:
-    """Natural coordinates and moments (mu', Sigma') of the rescaled posterior.
+) -> tuple[NaturalCoord, np.ndarray]:
+    """Natural coordinates of the rescaled posterior, and the Cholesky factor of A.
 
     Built directly from the system matrix: Theta' = -1/2 beta A and
-    theta' = beta (K_mn (y - mu0) + A K_mm^-1 mu0(Z)) are exact products, so
-    only one factorization (for the moment side) is ever inverted.
-    K_mm and K_mm^-1 mu0(Z) come from the inducing set's factor.
+    theta' = beta (K_mn (y - mu0) + A K_mm^-1 mu0(Z)) are exact products.
+    A is factored only to check that it is positive definite (a
+    `DecompositionError` otherwise). K_mm and K_mm^-1 mu0(Z) come from the
+    inducing set's factor.
     """
     factor = inducing.factor(prior)
     if len(task) == 0:
@@ -68,10 +69,7 @@ def variational_coords(
     chol_a = chol_pd(a, "A_mm")
     theta = prior.beta * (data_term + a @ factor.kinv_mean)
     big_theta = -0.5 * prior.beta * a
-    nat = NaturalCoord(theta=theta, big_theta=big_theta)
-    mu_prime = chol_solve(chol_a, data_term) + factor.kinv_mean
-    sigma_prime = _sym(chol_solve(chol_a, np.eye(len(inducing))) / prior.beta)
-    return nat, MomentGaussian(mu=mu_prime, sigma=sigma_prime)
+    return NaturalCoord(theta=theta, big_theta=big_theta), chol_a
 
 
 def sparse_predictive_batch(prior: GpPrior, sp: MomentGaussian, inducing: InducingSet, x_plus):

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from gppca import cli
@@ -90,15 +91,10 @@ def test_evaluate_in_worker_processes_writes_identical_files(tmp_path):
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     assert cli.main(["evaluate", "--config", config, "--out", str(serial)]) == 0
     assert cli.main(["evaluate", "--config", config, "--out", str(pooled), "--jobs", "2"]) == 0
-    for name in ("report.csv", "per_task.csv", "latents.csv"):
+    # The worker count decides how cells run, not what they compute, so the
+    # recorded configuration and its hash leave it out.
+    for name in REPORT_FILES:
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
-    # summary.json records the configuration, worker count included, and its hash.
-    first, second = (
-        json.loads((d / "summary.json").read_text(encoding="utf-8")) for d in (serial, pooled)
-    )
-    assert second["config"] == {**first["config"], "jobs": 2}
-    assert second["summary"] == first["summary"]
-    assert second["split_hashes"] == first["split_hashes"]
 
 
 REMOVED_OPTIONS = {"seed": 0, "learning_rate": 0.1, "backtrack_factor": 0.5}
@@ -208,3 +204,96 @@ def test_train_rejects_invalid_configuration(tmp_path, capsys, generated, model,
     for text in named:
         assert text in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained(generated, tmp_path_factory):
+    """A sparse, one-dimensional model from `train` on the `generated` dataset."""
+    model = tmp_path_factory.mktemp("trained") / "model.json"
+    assert cli.main(["train", "--data", str(generated), "--out", str(model)]) == 0
+    return model
+
+
+def test_train_flags_override_the_model_section(tmp_path, generated):
+    out = tmp_path / "model.json"
+    assert cli.main(
+        ["train", "--data", str(generated), "--mode", "exact", "--latent-dim", "2",
+         "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["mode"] == "exact" and doc["latent_dim"] == 2
+    assert np.asarray(doc["weights"]).shape == (CONFIG["data"]["num_tasks"], 2)
+    # Exact mode anchors on the union of the 5 tasks' 5 training inputs.
+    assert len(doc["anchor"]) == CONFIG["data"]["num_tasks"] * CONFIG["data"]["samples_per_task"]
+
+
+def test_predict_from_weights_at_an_inputs_file(tmp_path, trained):
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x\n0.1\n0.45\n0.9\n", encoding="utf-8")
+    weights = json.loads(trained.read_text(encoding="utf-8"))["weights"][0]
+    by_weights, by_task = tmp_path / "weights.csv", tmp_path / "task.csv"
+    spec = ",".join(repr(w) for w in weights)
+    assert cli.main(
+        ["predict", "--model", str(trained), "--weights", spec, "--inputs", str(inputs),
+         "--out", str(by_weights)]
+    ) == 0
+    assert cli.main(
+        ["predict", "--model", str(trained), "--task", "0", "--inputs", str(inputs),
+         "--out", str(by_task)]
+    ) == 0
+    rows = _rows(by_weights)
+    assert rows[0] == ["x", "mean", "variance"]
+    assert [r[0] for r in rows[1:]] == ["0.1", "0.45", "0.9"]
+    # Task 0's own weights predict what task 0 does.
+    assert rows == _rows(by_task)
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("predict", "--inputs", "x0,x1\n0.1,0.2\n0.5,0.6\n"),
+        ("adapt", "--data", "x,y\n0.1,nan\n0.5,0.4\n"),
+        ("adapt", "--data", "x0,x1,y\n0.1,0.2,1.0\n"),
+    ],
+    ids=["predict-two-columns", "adapt-nan-output", "adapt-two-columns"],
+)
+def test_user_csv_that_does_not_fit_the_model_is_a_data_error(
+    tmp_path, capsys, trained, command, flag, text
+):
+    data = tmp_path / "user.csv"
+    data.write_text(text, encoding="utf-8")
+    args = [command, "--model", str(trained), flag, str(data)]
+    if command == "predict":
+        args += ["--task", "0", "--out", str(tmp_path / "pred.csv")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(data) in err
+
+
+def test_generate_vdp_from_its_data_section(tmp_path, capsys):
+    data = {
+        "alphas": [0.2, 0.5, 0.9], "sequences_per_task": 2, "points_per_sequence": 3,
+        "initial_state": [1.0, 0.0], "eval_sequences_per_task": 1, "num_new_tasks": 2, "seed": 3,
+    }
+    config = _write_config(tmp_path / "config.json", {"data": data})
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--experiment", "vdp", "--config", config, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["experiment"] == "vdp" and manifest["latents_train"] == data["alphas"]
+    assert len(manifest["train_task_ids"]) == 3 and len(manifest["new_task_ids"]) == 2
+    # 3 + 2 tasks, each 2 sequences of 3 points, so 2 forward differences per sequence.
+    assert sum(row[1] == "train" for row in _rows(out / "dataset.csv")) == 5 * 2 * 2
+
+    config = _write_config(tmp_path / "wrong.json", {"data": {**data, "noise_variance": 0.1}})
+    assert cli.main(["generate", "--experiment", "vdp", "--config", config, "--out", str(out)]) == 1
+    assert "'data.noise_variance' does not apply to the vdp experiment" in capsys.readouterr().err
+
+
+def test_export_plot_has_no_latent_kind(tmp_path):
+    # `evaluate` writes latents.csv itself.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["export-plot", "--kind", "latent", "--report", str(tmp_path),
+             "--out", str(tmp_path / "latents.csv")]
+        )
+    assert exc.value.code == 2
