@@ -186,10 +186,12 @@ def cmd_generate(args) -> int:
     doc = load_config(args.config)
     experiment = _require_experiment(doc, args.experiment)
     data_cfg = _data_config(doc, experiment)
-    if experiment == "artificial":
-        dataset = ds.gen_artificial(ds.ArtificialConfig(**data_cfg))
-    else:
-        dataset = ds.vdp_tasks(ds.VdpConfig(**data_cfg))
+    artificial = experiment == "artificial"
+    try:
+        generator_cfg = (ds.ArtificialConfig if artificial else ds.VdpConfig)(**data_cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid 'data' section: {exc}")
+    dataset = (ds.gen_artificial if artificial else ds.vdp_tasks)(generator_cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ds.write_dataset_csv(dataset, outdir / "dataset.csv")
@@ -215,17 +217,34 @@ def _load_manifest(data_dir: Path) -> dict:
     path = data_dir / "manifest.json"
     if not path.exists():
         raise DataError(f"no manifest.json in {data_dir}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path} must hold a JSON object")
+    return manifest
 
 
 def _load_training_data(data_dir: Path):
     manifest = _load_manifest(data_dir)
+    ids = [manifest.get("train_task_ids"), manifest.get("new_task_ids")]
+    if not (
+        manifest.get("experiment") in ("artificial", "vdp") and "config_hash" in manifest
+        and all(isinstance(v, list) and all(type(i) is int for i in v) for v in ids)
+    ):
+        raise DataError(
+            f"{data_dir / 'manifest.json'} lacks what `generate` writes: 'experiment', "
+            "'config_hash' and the integer lists 'train_task_ids' and 'new_task_ids'"
+        )
     csv_path = data_dir / "dataset.csv"
     if not csv_path.exists():
         raise DataError(f"no dataset.csv in {data_dir}")
-    dataset = ds.read_dataset_csv(csv_path, manifest["train_task_ids"], manifest["new_task_ids"])
-    return manifest, dataset
+    try:
+        return manifest, ds.read_dataset_csv(csv_path, *ids)
+    except ValueError as exc:
+        raise DataError(f"{csv_path}: {exc}")
 
 
 def cmd_train(args) -> int:

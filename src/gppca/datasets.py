@@ -18,6 +18,13 @@ points; regression pairs are (x_j, v_j) with the forward difference
 v_j = (x_{j+1} - x_j) / (t_{j+1} - t_j), giving N (J - 1) pairs per task.
 Evaluation sequences restart from random initial states.
 
+The regression input is the scalar position x alone. On the limit cycle
+each x is passed twice, once per direction, so the velocity is two-valued
+there and no function of x fits it: both the independent GP and the
+subspace method sit at an RMSE of about 1.73 at N = 10. PAPER.md holds only the paper's
+opening, which does not state this setup, so the task is kept as it is
+rather than rebuilt on a guess (for instance, with (x, v) as input).
+
 All randomness flows through numpy SeedSequence children keyed by purpose
 and task index, so resizing one part of a dataset never reshuffles another.
 """
@@ -180,15 +187,13 @@ class VdpConfig:
             raise ValueError("every task needs at least one training and one evaluation sequence")
         if not (self.dt > 0 and self.substep > 0):
             raise ValueError("dt and substep must be positive")
+        if np.any(self.alpha_grid() < 0):
+            raise ValueError("alpha must be nonnegative")
 
     def alpha_grid(self) -> np.ndarray:
         if self.alphas is not None:
-            a = np.asarray(list(self.alphas), dtype=float)
-        else:
-            a = np.linspace(0.1, 1.0, 10)
-        if np.any(a < 0):
-            raise ValueError("alpha must be nonnegative")
-        return a
+            return np.asarray(list(self.alphas), dtype=float)
+        return np.linspace(0.1, 1.0, 10)
 
 
 def _rk4(alpha, state, h: float, steps: int, stride: int = 1) -> np.ndarray:
@@ -317,18 +322,32 @@ def write_dataset_csv(dataset: MultiTaskDataset, path) -> None:
 
 
 def read_dataset_csv(path, train_ids: Sequence[int], new_ids: Sequence[int]) -> MultiTaskDataset:
-    """Rebuild a dataset from CSV given the id partition recorded in a manifest."""
+    """Rebuild a dataset from CSV given the id partition recorded in a manifest.
+
+    Raises ValueError, naming the line, unless the header is
+    task_id,split,x[,x1,...],y, every row has the header's width, every task
+    id is an integer and every x and y is finite.
+    """
     rows: dict[tuple[int, str], list[tuple[list[float], float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "task_id" or header[1] != "split" or header[-1] != "y":
-            raise ValueError(f"unexpected dataset header {header}")
+        header = next(reader, [])
+        x_cols = header[2:-1]
+        if header[:2] != ["task_id", "split"] or header[-1:] != ["y"] or not x_cols or not all(
+            h.startswith("x") for h in x_cols
+        ):
+            raise ValueError(f"expected header task_id,split,x[,x1,...],y, got {header}")
         for rec in reader:
-            tid = int(rec[0])
-            split = rec[1]
-            xs = [float(v) for v in rec[2:-1]]
-            rows.setdefault((tid, split), []).append((xs, float(rec[-1])))
+            try:
+                if len(rec) != len(header):
+                    raise ValueError(f"{len(rec)} values under a header of {len(header)}")
+                tid = int(rec[0])
+                values = [float(v) for v in rec[2:]]
+                if not np.all(np.isfinite(values)):
+                    raise ValueError("every x and y must be finite")
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+            rows.setdefault((tid, rec[1]), []).append((values[:-1], values[-1]))
 
     def build(tid: int, split: str) -> TaskData:
         entries = rows.get((tid, split), [])

@@ -1,13 +1,16 @@
 """Benchmark protocol: subspace-sharing GP versus independent GP baselines.
 
-For each repetition and each training-set size N, one dataset is generated
-and both methods consume identical splits (verified by hashing the
-evaluation arrays). The subspace method trains on all tasks jointly,
-predicts training tasks from their fitted weights, and handles held-out
-tasks by few-shot projection onto the learned subspace; the baseline fits a
-plain GP per task on that task's own data. RMSE is computed per task over
-its evaluation split, averaged over tasks to one cell value, and mean/std
-are reported over repetitions.
+For each repetition and each training-set size N, one cell generates one
+dataset, and every method evaluates on its splits. The cell walks its
+tasks as one ordered list, training tasks first, then held-out tasks. The
+subspace method trains on the training tasks jointly, places each held-out
+task on the learned subspace by few-shot projection, and predicts every
+task from its weights; the baseline fits a plain GP per task on that
+task's own data. RMSE is computed per task over its evaluation split,
+averaged over the training or the held-out tasks to one cell value, and
+mean/std are reported over repetitions. `summary.json` records one sha256
+of each cell's evaluation arrays under "rep:n" (`split_hashes`), so two
+runs can be checked to have evaluated on the same data.
 
 Report files are deterministic given the configuration: the wall clock is
 kept in memory and printed, never written, and the worker count is left out
@@ -26,6 +29,7 @@ import json
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -177,32 +181,25 @@ class ExperimentReport:
     cells: list  # {method, n, repetition, split, rmse}
     per_task: list  # cells plus task_id and latent
     latents: list  # subspace weights per task: {repetition, n, task_id, kind, latent, w...}
-    split_hashes: dict  # "rep:n" -> {method: hash of evaluation arrays}
+    split_hashes: dict  # "rep:n" -> sha256 of the cell's evaluation arrays
     total_seconds: float  # wall clock of the run; in-memory only
 
     def summary(self) -> list:
         """Mean and population std of cell RMSE over repetitions."""
-        keys = sorted({(c["method"], c["n"], c["split"]) for c in self.cells})
-        rows = []
-        for method, n, split in keys:
-            vals = np.asarray(
-                [
-                    c["rmse"]
-                    for c in self.cells
-                    if (c["method"], c["n"], c["split"]) == (method, n, split)
-                ]
-            )
-            rows.append(
-                {
-                    "method": method,
-                    "n": n,
-                    "split": split,
-                    "mean_rmse": float(np.mean(vals)),
-                    "std_rmse": float(np.std(vals)),
-                    "repetitions": int(vals.size),
-                }
-            )
-        return rows
+        groups: dict = {}
+        for c in self.cells:
+            groups.setdefault((c["method"], c["n"], c["split"]), []).append(c["rmse"])
+        return [
+            {
+                "method": method,
+                "n": n,
+                "split": split,
+                "mean_rmse": float(np.mean(vals)),
+                "std_rmse": float(np.std(vals)),
+                "repetitions": len(vals),
+            }
+            for (method, n, split), vals in sorted(groups.items())
+        ]
 
 
 def _cell_seed(base_seed: int, repetition: int) -> int:
@@ -230,23 +227,6 @@ def _split_hash(dataset) -> str:
     return h.hexdigest()
 
 
-def _per_task_rows(method, n, rep, split, tasks, evals, latents, mean_per_task):
-    rows = []
-    for task, eval_task, latent, means in zip(tasks, evals, latents, mean_per_task):
-        rows.append(
-            {
-                "method": method,
-                "n": n,
-                "repetition": rep,
-                "split": split,
-                "task_id": task.task_id,
-                "latent": float(latent),
-                "rmse": rmse(means, eval_task.outputs),
-            }
-        )
-    return rows
-
-
 def _run_cell(cfg: ExperimentConfig, rep: int, n: int) -> dict:
     seed = _cell_seed(cfg.base_seed, rep)
     dataset = _make_dataset(cfg, n, seed)
@@ -255,112 +235,82 @@ def _run_cell(cfg: ExperimentConfig, rep: int, n: int) -> dict:
         beta=cfg.beta,
         mean_fn=cfg.prior_mean,
     )
-    out = {"cells": [], "per_task": [], "latents": [], "split_hashes": {}}
+    # One ordered list: the first k tasks train the model, the rest are held out.
+    k = len(dataset.train_tasks)
+    tasks = [*dataset.train_tasks, *dataset.new_tasks]
+    evals = [*dataset.train_eval, *dataset.new_eval]
+    latents = [*dataset.latents_train, *dataset.latents_new]
+    out = {
+        "cells": [], "per_task": [], "latents": [],
+        "split_hashes": {f"{rep}:{n}": _split_hash(dataset)},
+    }
 
     for method in cfg.methods:
-        out["split_hashes"][method] = _split_hash(dataset)
         if method == METHOD_GP:
-            train_means = [
-                gp_predictive_batch(prior, task, ev.inputs)[0]
-                for task, ev in zip(dataset.train_tasks, dataset.train_eval)
-            ]
-            test_means = [
-                gp_predictive_batch(prior, task, ev.inputs)[0]
-                for task, ev in zip(dataset.new_tasks, dataset.new_eval)
-            ]
+            weights = None
+            means = [gp_predictive_batch(prior, t, ev.inputs)[0] for t, ev in zip(tasks, evals)]
         else:
             model = train_model(
                 dataset.train_tasks, prior, cfg.mode, cfg.latent_dim, cfg.inducing_count,
                 cfg.fit_opts,
             )
-            train_means = [
-                gp_pca.predict_batch(model, i, ev.inputs)[0]
-                for i, ev in enumerate(dataset.train_eval)
-            ]
-            adapted = [
-                gp_pca.adapt_new_task(model, task, cfg.adapt_opts) for task in dataset.new_tasks
-            ]
-            test_means = [
-                gp_pca.predict_batch(model, w, ev.inputs)[0]
-                for w, ev in zip(adapted, dataset.new_eval)
-            ]
-            for i, (task, latent) in enumerate(zip(dataset.train_tasks, dataset.latents_train)):
+            adapted = [gp_pca.adapt_new_task(model, t, cfg.adapt_opts) for t in tasks[k:]]
+            weights = [*model.weights, *adapted]
+            means = [gp_pca.predict_batch(model, w, ev.inputs)[0] for w, ev in zip(weights, evals)]
+
+        rows = []
+        for i, (task, ev, latent, mean) in enumerate(zip(tasks, evals, latents, means)):
+            rows.append(
+                {
+                    "method": method, "n": n, "repetition": rep,
+                    "split": "train" if i < k else "test", "task_id": task.task_id,
+                    "latent": float(latent), "rmse": rmse(mean, ev.outputs),
+                }
+            )
+            if weights is not None:
                 out["latents"].append(
                     {
-                        "repetition": rep, "n": n, "task_id": task.task_id, "kind": "train",
-                        "latent": float(latent),
-                        **{f"w{j}": float(v) for j, v in enumerate(model.weights[i])},
+                        "repetition": rep, "n": n, "task_id": task.task_id,
+                        "kind": "train" if i < k else "new", "latent": float(latent),
+                        **{f"w{j}": float(v) for j, v in enumerate(weights[i])},
                     }
                 )
-            for task, latent, w in zip(dataset.new_tasks, dataset.latents_new, adapted):
-                out["latents"].append(
-                    {
-                        "repetition": rep, "n": n, "task_id": task.task_id, "kind": "new",
-                        "latent": float(latent),
-                        **{f"w{j}": float(v) for j, v in enumerate(w)},
-                    }
-                )
-
-        train_rows = _per_task_rows(
-            method, n, rep, "train",
-            dataset.train_tasks, dataset.train_eval, dataset.latents_train, train_means,
-        )
-        test_rows = _per_task_rows(
-            method, n, rep, "test",
-            dataset.new_tasks, dataset.new_eval, dataset.latents_new, test_means,
-        )
-
-        for split, rows in (("train", train_rows), ("test", test_rows)):
-            if rows:
-                out["per_task"].extend(rows)
+        out["per_task"].extend(rows)
+        for split, part in (("train", rows[:k]), ("test", rows[k:])):
+            if part:
                 out["cells"].append(
                     {
                         "method": method, "n": n, "repetition": rep, "split": split,
-                        "rmse": float(np.mean([r["rmse"] for r in rows])),
+                        "rmse": float(np.mean([r["rmse"] for r in part])),
                     }
                 )
     return out
 
 
-def _run_cell_packed(args) -> tuple:
-    cfg, rep, n = args
-    return rep, n, _run_cell(cfg, rep, n)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full protocol; deterministic given the configuration."""
-    work = [(cfg, rep, n) for rep in range(cfg.repetitions) for n in cfg.n_sweep]
+    reps, ns = zip(*[(rep, n) for rep in range(cfg.repetitions) for n in cfg.n_sweep])
     start = time.perf_counter()
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
 
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            raw = list(pool.map(_run_cell_packed, work))
+            outs = list(pool.map(_run_cell, [cfg] * len(reps), reps, ns))
     else:
-        raw = [_run_cell_packed(args) for args in work]
-    raw.sort(key=lambda item: (item[0], item[1]))
+        outs = [_run_cell(cfg, rep, n) for rep, n in zip(reps, ns)]
 
-    report = ExperimentReport(
+    def gathered(key, *order):  # rows that tie on `order` come from repeated settings, equal
+        return sorted((row for out in outs for row in out[key]), key=itemgetter(*order))
+
+    return ExperimentReport(
         config=cfg.to_dict(),
         config_hash=config_hash(cfg.to_dict()),
-        cells=[],
-        per_task=[],
-        latents=[],
-        split_hashes={},
-        total_seconds=0.0,
+        cells=gathered("cells", "method", "n", "repetition", "split"),
+        per_task=gathered("per_task", "method", "n", "repetition", "split", "task_id"),
+        latents=gathered("latents", "repetition", "n", "task_id"),
+        split_hashes={key: h for out in outs for key, h in out["split_hashes"].items()},
+        total_seconds=time.perf_counter() - start,
     )
-    for rep, n, out in raw:
-        report.cells.extend(out["cells"])
-        report.per_task.extend(out["per_task"])
-        report.latents.extend(out["latents"])
-        report.split_hashes[f"{rep}:{n}"] = out["split_hashes"]
-    report.cells.sort(key=lambda c: (c["method"], c["n"], c["repetition"], c["split"]))
-    report.per_task.sort(
-        key=lambda c: (c["method"], c["n"], c["repetition"], c["split"], c["task_id"])
-    )
-    report.latents.sort(key=lambda c: (c["repetition"], c["n"], c["task_id"]))
-    report.total_seconds = time.perf_counter() - start
-    return report
 
 
 def write_report_files(report: ExperimentReport, outdir) -> None:

@@ -83,7 +83,7 @@ class GpPcaModel:
     prior: GpPrior
     anchor: np.ndarray
     subspace: Subspace
-    weights: np.ndarray
+    weights: np.ndarray  # (tasks, latent_dim)
     mode: str
     latent_dim: int
     fit_result: Optional[FitResult] = None
@@ -92,11 +92,6 @@ class GpPcaModel:
     def __post_init__(self):
         anchor_set = as_anchor(self.anchor)
         weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 2:
-            if self.latent_dim == 0:
-                weights = weights.reshape(max(weights.shape[0], 0) if weights.ndim else 0, 0)
-            else:
-                weights = weights.reshape(-1, self.latent_dim)
         if self.mode not in ("exact", "sparse"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if weights.ndim != 2 or weights.shape[1] != self.latent_dim:
@@ -269,7 +264,7 @@ def model_from_dict(doc: dict) -> GpPcaModel:
     anchor = np.asarray(_require(doc, "anchor"), dtype=float)
     u0 = np.asarray(_require(doc, "u0"), dtype=float)
     basis = np.asarray(_require(doc, "basis"), dtype=float).reshape(latent_dim, u0.shape[0])
-    weights = np.asarray(_require(doc, "weights"), dtype=float).reshape(-1, latent_dim)
+    weights = np.asarray(_require(doc, "weights"), dtype=float)  # one row per task, even at L = 0
     return GpPcaModel(
         prior=prior,
         anchor=anchor,

@@ -45,6 +45,7 @@ __all__ = [
     "predictive_batch",
     "gp_predictive_batch",
     "union_inputs",
+    "distinct_rows",
     "coincident",
     "as_points",
 ]
@@ -145,6 +146,11 @@ def union_inputs(tasks, tol: float = 1e-12) -> np.ndarray:
     points = np.concatenate(rows) if rows else np.zeros((0, 1))
     if points.shape[0] == 0:
         raise ValueError("no inputs found across tasks")
+    return distinct_rows(points, tol)
+
+
+def distinct_rows(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """`points` without each row that lies within `tol` in max-norm of an earlier kept row."""
     earlier = np.tril(coincident(points, points, tol), -1)
     keep = np.ones(points.shape[0], dtype=bool)
     for i in np.flatnonzero(earlier.any(axis=1)):

@@ -35,6 +35,7 @@ from gppca.kernels_gp import (
     TaskData,
     _clamped_variance,
     as_points,
+    distinct_rows,
     gram,
 )
 
@@ -99,8 +100,9 @@ def grid_inducing(inputs, m: int) -> InducingSet:
     """Evenly spaced inducing points spanning the observed input range.
 
     For 1-D inputs this is a uniform grid over [min, max]. For higher input
-    dimension, an evenly strided subset of the inputs sorted by first
-    coordinate is used instead.
+    dimension, an evenly strided subset of the distinct inputs (under
+    `InducingSet`'s tolerance) sorted by first coordinate is used instead;
+    asking for more points than there are distinct inputs returns them all.
     """
     pts = as_points(inputs)
     if m < 1:
@@ -111,7 +113,6 @@ def grid_inducing(inputs, m: int) -> InducingSet:
         if hi <= lo:
             hi = lo + 1.0
         return InducingSet(points=np.linspace(lo, hi, m).reshape(-1, 1))
-    order = np.lexsort(pts.T[::-1])
-    unique = pts[order]
+    unique = distinct_rows(pts[np.lexsort(pts.T[::-1])])
     keep = np.unique(np.linspace(0, unique.shape[0] - 1, m).round().astype(int))
     return InducingSet(points=unique[keep])

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -287,6 +288,69 @@ def test_generate_vdp_from_its_data_section(tmp_path, capsys):
     config = _write_config(tmp_path / "wrong.json", {"data": {**data, "noise_variance": 0.1}})
     assert cli.main(["generate", "--experiment", "vdp", "--config", config, "--out", str(out)]) == 1
     assert "'data.noise_variance' does not apply to the vdp experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"experiment": "artificial", "data": {"noise_variance": -1}}, "noise_variance"),
+        ({"experiment": "vdp", "data": {"alphas": [-1.0, 0.5]}}, "alpha must be nonnegative"),
+    ],
+    ids=["artificial-noise", "vdp-alpha"],
+)
+def test_generate_rejects_a_value_the_generator_rejects(tmp_path, capsys, doc, named):
+    config = _write_config(tmp_path / "config.json", doc)
+    assert cli.main(["generate", "--config", config, "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid 'data' section: ") and named in err
+    assert not (tmp_path / "data").exists()
+
+
+def _edit_line(path, index, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _drop_train_ids(path):
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["train_task_ids"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("dataset.csv", lambda p: _edit_line(p, 1, lambda row: row.rsplit(",", 1)[0] + ",nan")),
+        ("dataset.csv", lambda p: _edit_line(p, 1, lambda row: "zero" + row[row.index(","):])),
+        ("dataset.csv", lambda p: _edit_line(p, 0, lambda row: "id,split,x,y")),
+        ("dataset.csv", lambda p: _edit_line(p, 1, lambda row: row + ",0.5")),
+        ("manifest.json", lambda p: p.write_text("{", encoding="utf-8")),
+        ("manifest.json", _drop_train_ids),
+    ],
+    ids=["nan-y", "task-id-word", "header", "extra-column", "manifest-not-json",
+         "manifest-without-train-ids"],
+)
+def test_train_on_a_malformed_dataset_is_a_data_error(tmp_path, capsys, generated, name, damage):
+    data = tmp_path / "data"
+    shutil.copytree(generated, data)
+    damage(data / name)
+    out = tmp_path / "model.json"
+    assert cli.main(["train", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(data / name) in err
+    assert not out.exists()
+
+
+def test_a_model_without_latent_dimensions_predicts_after_loading(tmp_path, generated):
+    model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+    assert cli.main(
+        ["train", "--data", str(generated), "--latent-dim", "0", "--out", str(model)]
+    ) == 0
+    assert cli.main(
+        ["predict", "--model", str(model), "--task", "4", "--grid", "0:1:3", "--out", str(pred)]
+    ) == 0
+    assert len(_rows(pred)) == 4
 
 
 def test_export_plot_has_no_latent_kind(tmp_path):

@@ -1,4 +1,7 @@
-from gppca.evaluation import ExperimentConfig
+from collections import Counter
+
+from gppca.epca import FitOptions
+from gppca.evaluation import ExperimentConfig, run_experiment
 
 
 def test_unset_hyperparameters_come_from_the_experiment():
@@ -7,3 +10,24 @@ def test_unset_hyperparameters_come_from_the_experiment():
     assert (vdp.lengthscale, vdp.beta) == (0.6, 50.0)
     given = ExperimentConfig(experiment="vdp", lengthscale=0.3, beta=10.0)
     assert (given.lengthscale, given.beta) == (0.3, 10.0)
+
+
+def test_a_cell_hashes_its_splits_once_and_reports_train_then_held_out_tasks():
+    cfg = ExperimentConfig(
+        experiment="artificial", n_sweep=(4, 3), repetitions=2,
+        data={"num_tasks": 3, "eval_points_per_task": 5, "num_new_tasks": 2},
+        fit_opts=FitOptions(max_iters=50),
+    )
+    report = run_experiment(cfg)
+    # Evaluation splits depend on the repetition's seed, not on N.
+    hashes = report.split_hashes
+    assert sorted(hashes) == ["0:3", "0:4", "1:3", "1:4"]
+    assert all(isinstance(h, str) and len(h) == 64 for h in hashes.values())
+    assert hashes["0:3"] == hashes["0:4"] != hashes["1:3"] == hashes["1:4"]
+    assert Counter((r["method"], r["split"]) for r in report.per_task) == {
+        ("gp", "train"): 12, ("gp", "test"): 8, ("gp_epca", "train"): 12, ("gp_epca", "test"): 8,
+    }
+    assert [(r["task_id"], r["kind"]) for r in report.latents[:5]] == [
+        (0, "train"), (1, "train"), (2, "train"), (3, "new"), (4, "new"),
+    ]
+    assert [len(rows) for rows in (report.cells, report.summary())] == [16, 8]

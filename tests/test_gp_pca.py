@@ -473,6 +473,17 @@ class TestPersistence:
             np.testing.assert_array_equal(m1, m2)
             np.testing.assert_array_equal(v1, v2)
 
+    def test_round_trip_without_latent_dimensions(self, tmp_path):
+        model = gp_pca.train(_toy_tasks(), _prior(), 0, mode="exact", opts=TIGHT)
+        path = tmp_path / "model.json"
+        gp_pca.save_model(model, path)
+        loaded = gp_pca.load_model(path)
+        assert loaded.weights.shape == (3, 0)
+        grid = np.linspace(0, 1, 5).reshape(-1, 1)
+        got, want = (gp_pca.predict_batch(m, 2, grid) for m in (loaded, model))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
     def test_missing_field_rejected(self, tmp_path):
         prior = _prior()
         model = gp_pca.train(_toy_tasks(), prior, 0, mode="exact", opts=TIGHT)

@@ -44,6 +44,16 @@ class TestInducingSet:
         z = grid_inducing(np.array([[0.0], [2.0]]), 5)
         np.testing.assert_allclose(z.points[:, 0], [0.0, 0.5, 1.0, 1.5, 2.0])
 
+    def test_grid_over_two_columns_drops_repeated_rows(self):
+        # Sorted, the rows are (0, 0) four times within 1e-12, then three distinct rows.
+        rows = [[1.0, 1.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [1e-13, 0.0], [0.25, 0.25], [0, 0]]
+        z = grid_inducing(np.array(rows, dtype=float), 3)
+        np.testing.assert_array_equal(z.points, [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+
+    def test_grid_over_two_columns_returns_every_distinct_row_when_short(self):
+        z = grid_inducing(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), 5)
+        np.testing.assert_array_equal(z.points, [[0.0, 1.0], [1.0, 0.0]])
+
 
 class TestVariationalPosterior:
     def test_no_data_is_prior_in_rescaled_chart(self):
