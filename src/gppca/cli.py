@@ -46,7 +46,7 @@ class DataError(Exception):
 
 # ---------------------------------------------------------------------------
 # Configuration schema. Leaves are the value's type; every key may be absent,
-# none may be null. Dicts nest. Lists hold floats.
+# none may be null. Dicts nest. [float] is a list of numbers.
 
 _FIT_SCHEMA = {
     "max_iters": int,
@@ -60,17 +60,17 @@ _SCHEMA = {
         "num_tasks": int,
         "samples_per_task": int,
         "noise_variance": float,
-        "z_values": list,
+        "z_values": [float],
         "eval_points_per_task": int,
         "num_new_tasks": int,
         "new_task_samples": int,
         # vdp
-        "alphas": list,
+        "alphas": [float],
         "sequences_per_task": int,
         "points_per_sequence": int,
         "dt": float,
         "substep": float,
-        "initial_state": list,
+        "initial_state": [float],
         "eval_sequences_per_task": int,
         "new_task_sequences": int,
         # shared
@@ -95,6 +95,10 @@ _SCHEMA = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate(doc, schema, path="") -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"section {path or '<root>'} must be an object")
@@ -108,7 +112,11 @@ def _validate(doc, schema, path="") -> None:
             continue
         if value is None:
             raise ConfigError(f"key {where!r} must not be null; omit it to use the default")
-        if spec is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if spec == [float]:
+            if not (isinstance(value, list) and all(map(_is_number, value))):
+                raise ConfigError(f"key {where!r} must be a list of numbers, got {value!r}")
+            continue
+        if spec is float and _is_number(value):
             continue
         if spec is int and isinstance(value, bool):
             raise ConfigError(f"key {where!r} must be an integer")
@@ -150,11 +158,10 @@ def _data_config(doc: dict, experiment: str) -> dict:
 
 
 def _fit_options(doc: dict, section: str) -> FitOptions:
-    kwargs = doc.get(section, {})
-    if section == "adapt" and not kwargs:
-        return ev.ADAPT_OPTIONS
+    """The `fit` or `adapt` section over that section's own defaults."""
+    default = ev.ADAPT_OPTIONS if section == "adapt" else FitOptions()
     try:
-        return FitOptions(**kwargs)
+        return dataclasses.replace(default, **doc.get(section, {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {section} options: {exc}")
 

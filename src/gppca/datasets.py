@@ -326,7 +326,8 @@ def read_dataset_csv(path, train_ids: Sequence[int], new_ids: Sequence[int]) -> 
 
     Raises ValueError, naming the line, unless the header is
     task_id,split,x[,x1,...],y, every row has the header's width, every task
-    id is an integer and every x and y is finite.
+    id is an integer and every x and y is finite; and, naming the ids, unless
+    every training task has "train" rows.
     """
     rows: dict[tuple[int, str], list[tuple[list[float], float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -348,6 +349,9 @@ def read_dataset_csv(path, train_ids: Sequence[int], new_ids: Sequence[int]) -> 
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
             rows.setdefault((tid, rec[1]), []).append((values[:-1], values[-1]))
+    missing = [t for t in train_ids if (t, "train") not in rows]
+    if missing:
+        raise ValueError(f"train_task_ids {missing} have no 'train' rows")
 
     def build(tid: int, split: str) -> TaskData:
         entries = rows.get((tid, split), [])

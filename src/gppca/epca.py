@@ -28,6 +28,12 @@ described next. Single-point projections are convex in w and use a monotone
 backtracking descent: candidates that leave the cone or fail to decrease the
 objective are shrunk by `_BACKTRACK_FACTOR`, with quasi-Newton step proposals
 and `_LEARNING_RATE` as the scale of steepest-descent steps.
+
+One routine, `_project_batch`, projects a batch of points onto a subspace:
+the fit's final polish passes the batch it already factored, and
+`project_point` (few-shot adaptation) is its one-point case. Each point stops
+on its own, once its weight gradient norm falls below rel_tol times the norm
+of its dual coordinates, and reports its own early stop.
 """
 
 from __future__ import annotations
@@ -198,6 +204,25 @@ def _batched_logdet(chol: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(diag), axis=-1)
 
 
+def _natural_to_dual(points: np.ndarray, d: int):
+    """Per-point moments and expectation coordinates of natural points (n, D).
+
+    Returns (precisions, log det Sigma, means, covariances, expectation
+    coordinates); raises _InvalidBatch with the first point whose Theta is
+    not negative definite.
+    """
+    n = points.shape[0]
+    vec = points[:, :d]
+    mat = points[:, d:].reshape(n, d, d)
+    mat = 0.5 * (mat + np.transpose(mat, (0, 2, 1)))
+    a = -2.0 * mat  # Sigma^-1 per point, must be PD
+    logdet = -_batched_logdet(_strict_cholesky(a))
+    mu = np.linalg.solve(a, vec[..., None])[..., 0]
+    sigma = np.linalg.inv(a)
+    dual_mat = sigma + np.einsum("ni,nj->nij", mu, mu)
+    return a, logdet, mu, sigma, np.concatenate([mu, dual_mat.reshape(n, -1)], axis=1)
+
+
 class _PointBatch:
     """Precomputed per-point quantities of the data.
 
@@ -210,21 +235,19 @@ class _PointBatch:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         self.count, self.flat_dim = points.shape
         self.dim = dim_from_flat(self.flat_dim)
-        d, n = self.dim, self.count
         self.primal = points
-        vec = points[:, :d]
-        mat = points[:, d:].reshape(n, d, d)
-        mat = 0.5 * (mat + np.transpose(mat, (0, 2, 1)))
-        a = -2.0 * mat  # Sigma^-1 per point, must be PD
         try:
-            chol = _strict_cholesky(a)
+            _, self.logdet, self.mu, self.sigma, self.dual = _natural_to_dual(points, self.dim)
         except _InvalidBatch as exc:
             raise ValidityError(exc.index, data=True) from None
-        self.logdet = -_batched_logdet(chol)  # log det Sigma
-        self.mu = np.linalg.solve(a, vec[..., None])[..., 0]
-        self.sigma = np.linalg.inv(a)
-        dual_mat = self.sigma + np.einsum("ni,nj->nij", self.mu, self.mu)
-        self.dual = np.concatenate([self.mu, dual_mat.reshape(n, -1)], axis=1)
+
+    def row(self, i: int) -> "_PointBatch":
+        """The one-point batch of point i, sliced from this batch without factoring it again."""
+        row = object.__new__(_PointBatch)
+        row.__dict__.update(vars(self), count=1)
+        for name in ("primal", "logdet", "mu", "sigma", "dual"):
+            setattr(row, name, getattr(self, name)[i : i + 1])
+        return row
 
     def evaluate(self, weights: np.ndarray, u0: np.ndarray, basis: np.ndarray):
         """KL objective and expectation coordinates of the reconstructions u0 + W U~.
@@ -232,23 +255,12 @@ class _PointBatch:
         Returns (total_kl, duals); raises _InvalidBatch with the first
         offending point index if a reconstruction leaves the cone.
         """
-        d, n = self.dim, self.count
-        recon = u0 + weights @ basis
-        vec = recon[:, :d]
-        mat = recon[:, d:].reshape(n, d, d)
-        mat = 0.5 * (mat + np.transpose(mat, (0, 2, 1)))
-        a = -2.0 * mat  # reconstruction precisions
-        chol = _strict_cholesky(a)
-        logdet_rec = -_batched_logdet(chol)  # log det Sigma_rec
-        mu_rec = np.linalg.solve(a, vec[..., None])[..., 0]
+        a, logdet_rec, mu_rec, _, duals = _natural_to_dual(u0 + weights @ basis, self.dim)
         # KL(data || recon): the reconstruction precision is `a` exactly.
         trace = np.einsum("nij,nij->n", a, self.sigma)
         diff = mu_rec - self.mu
         quad = np.einsum("ni,nij,nj->n", diff, a, diff)
-        kl = 0.5 * (trace + quad - d + logdet_rec - self.logdet)
-        sigma_rec = np.linalg.inv(a)
-        dual_mat = sigma_rec + np.einsum("ni,nj->nij", mu_rec, mu_rec)
-        duals = np.concatenate([mu_rec, dual_mat.reshape(n, -1)], axis=1)
+        kl = 0.5 * (trace + quad - self.dim + logdet_rec - self.logdet)
         return float(np.sum(kl)), duals
 
     def gradient(self, weights: np.ndarray, basis: np.ndarray, duals: np.ndarray):
@@ -469,9 +481,9 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
     Descends the summed KL jointly over (W, u0, basis) with L-BFGS-B until
     the relative objective change falls below opts.rel_tol or opts.max_iters
     is reached, then polishes each weight row by projecting its point onto
-    the final basis. L-BFGS-B's line search fails when its trial steps leave
-    the cone; the descent then resumes from its last iterate with the
-    cone-aware `_Minimizer` for the remaining iterations. The objective over
+    the final basis (`_project_batch`). L-BFGS-B's line search fails when
+    its trial steps leave the cone; the descent then resumes from its last
+    iterate with the cone-aware `_Minimizer` for the remaining iterations. The objective over
     accepted steps never increases. The returned `objective` is recomputed
     exactly for the returned (normalized) parameters.
 
@@ -565,8 +577,8 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
             converged = converged and len(tail) > 1  # a stall that never moved
     weights, u0, basis = unpack_params(params)
     subspace = Subspace(u0=u0, basis=basis)
-    if latent_dim > 0:
-        weights = _polish_weights(batch, subspace, weights, opts)
+    if latent_dim > 0:  # each row's own projection; a row stopped early keeps its weights
+        weights, _ = _project_batch(batch, subspace, opts, weights)
     u0, basis, weights = _normalize(u0, basis, weights)
     subspace = Subspace(u0=u0, basis=basis)
     _, final, _ = _evaluate_checked(batch, weights, subspace)
@@ -580,62 +592,67 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
     )
 
 
-def _polish_weights(batch: _PointBatch, subspace: Subspace, weights: np.ndarray, opts: FitOptions):
-    """Project every point onto the final basis; KL per point can only drop."""
-    polished = weights.copy()
-    for i in range(batch.count):
-        try:
-            polished[i] = _project_flat(
-                batch.primal[i], subspace, opts, start=weights[i], strict=False
-            )
-        except ValidityStallError:
-            continue
-    return polished
+def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, start: np.ndarray):
+    """Project every point of `batch` onto `subspace`, each from its row of `start`.
 
-
-def _project_flat(
-    point: np.ndarray, subspace: Subspace, opts: FitOptions, start=None, strict=True
-) -> np.ndarray:
+    Each point runs its own `_Minimizer` descent over its weights, stopping
+    once the weight gradient norm falls below rel_tol times the norm of that
+    point's dual coordinates (or as `_Minimizer.run` stops otherwise).
+    Returns (weights (I, L), errors): errors[i] is None, or the error that
+    stopped point i early. A ConvergenceError (the iteration cap) leaves the
+    row at its last iterate; a ValidityStallError (no valid step) or a
+    ValidityError (a start off the cone) leaves it at its start.
+    """
     basis = subspace.basis
-    latent_dim = basis.shape[0]
-    if latent_dim == 0:
-        return np.zeros(0)
-    batch = _PointBatch(point[None, :])
-    scale = float(np.linalg.norm(batch.dual[0]))
-    tol = opts.rel_tol * max(scale, 1e-300)
+    weights = np.array(start, dtype=float)
+    errors: list[Optional[Exception]] = [None] * batch.count
+    for i in range(batch.count):
+        point = batch.row(i)
+        tol = opts.rel_tol * max(float(np.linalg.norm(point.dual[0])), 1e-300)
 
-    def evaluate(w):
-        return batch.evaluate(w[None, :], subspace.u0, basis)
+        def evaluate(w):
+            return point.evaluate(w[None, :], subspace.u0, basis)
 
-    def gradient(w, duals):
-        return (duals[0] - batch.dual[0]) @ basis.T
+        def gradient(w, duals):
+            return (duals[0] - point.dual[0]) @ basis.T
 
-    # Start at the offset itself (always valid); the problem is convex in w.
-    w = np.zeros(latent_dim) if start is None else np.asarray(start, dtype=float).copy()
-
-    minimizer = _Minimizer(evaluate, gradient, opts)
-    try:
-        w, _, _, iterations, converged, grad_norm = minimizer.run(w, stop_grad_tol=tol)
-    except _InvalidBatch as exc:
-        raise ValidityError(exc.index) from None
-    if not converged and strict:
-        raise ConvergenceError(grad_norm, tol, opts.max_iters)
-    return w
+        try:
+            w, _, _, _, converged, grad_norm = _Minimizer(evaluate, gradient, opts).run(
+                weights[i], stop_grad_tol=tol
+            )
+        except _InvalidBatch:
+            errors[i] = ValidityError(i)
+        except ValidityStallError as exc:
+            errors[i] = exc
+        else:
+            weights[i] = w
+            if not converged:
+                errors[i] = ConvergenceError(grad_norm, tol, opts.max_iters)
+    return weights, errors
 
 
 def project_point(point, subspace: Subspace, opts: Optional[FitOptions] = None) -> np.ndarray:
     """Weights of the KL-minimizing projection of one coordinate point.
 
-    Descends the point's KL over w alone until the weight-space gradient
-    norm falls below rel_tol times the norm of the point's dual coordinates,
-    the per-step relative KL change falls below rel_tol, or no strictly
-    decreasing valid step exists (stationarity at numeric resolution); the
-    problem is convex in w so all three witness the unique projection.
-    Raises ConvergenceError with the final gradient norm if the iteration
-    cap is hit first.
+    The one-point case of `_project_batch`, started at w = 0 (the offset
+    itself, always valid). It descends the point's KL over w alone until the
+    weight-space gradient norm falls below rel_tol times the norm of the
+    point's dual coordinates, the per-step relative KL change falls below
+    rel_tol, or no strictly decreasing valid step exists (stationarity at
+    numeric resolution); the problem is convex in w so all three witness the
+    unique projection. Raises ConvergenceError with the final gradient norm
+    if the iteration cap is hit first, and ValidityStallError if no valid
+    step exists.
     """
     opts = opts or FitOptions()
     point = np.asarray(point, dtype=float).reshape(-1)
     if point.shape[0] != subspace.flat_dim:
         raise ValueError(f"point length {point.shape[0]} != subspace dim {subspace.flat_dim}")
-    return _project_flat(point, subspace, opts, start=None, strict=True)
+    if subspace.latent_dim == 0:
+        return np.zeros(0)
+    weights, errors = _project_batch(
+        _PointBatch(point[None, :]), subspace, opts, np.zeros((1, subspace.latent_dim))
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return weights[0]

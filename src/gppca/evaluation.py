@@ -153,6 +153,9 @@ class ExperimentConfig:
             raise ValueError("evaluate.n_sweep must list at least one training-set size")
         if not self.methods:
             raise ValueError("evaluate.methods must list at least one method")
+        for key, values in (("evaluate.n_sweep", self.n_sweep), ("evaluate.methods", self.methods)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} must not repeat an entry, got {list(values)!r}")
         for n in self.n_sweep:  # the generator's own checks, before any cell runs
             try:
                 data_cfg = _generator_config(self, n, self.base_seed)

@@ -15,7 +15,10 @@ factorization with a bounded jitter-repair policy. `chol_pd` is the
 package's one Cholesky factorization with that policy, and `chol_solve` the
 package's one Cholesky solve: every system against a `chol_pd` factor is
 solved through it. (The subspace fit in `epca` works on stacks of matrices
-with NumPy's batched routines instead.)
+with NumPy's batched routines instead.) `chol_solve` imports SciPy's LAPACK
+binding when it is first called, not with the module: `import scipy.linalg`
+costs every process that imports the package about 0.2 s, and commands that
+solve nothing, such as `gppca generate`, need none of it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 __all__ = [
     "DecompositionError",
@@ -105,6 +107,8 @@ def chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if not (np.isfinite(chol).all() and np.isfinite(b).all()):
         raise ValueError("chol_solve: the factor and right-hand side must be finite")
+    from scipy.linalg.lapack import dpotrs  # deferred: see the module docstring
+
     x, info = dpotrs(chol, b, lower=1)
     if info != 0:
         raise ValueError(f"chol_solve: dpotrs rejected argument {-info}")

@@ -153,6 +153,14 @@ def test_seed_option_is_rejected(tmp_path, capsys, section, key):
         ({"evaluate": {**CONFIG["evaluate"], "base_seed": -1}}, ("evaluate.base_seed", "-1")),
         (["--jobs", "0"], ("jobs", "0")),
         (["--jobs", "-3"], ("jobs", "-3")),
+        ({"evaluate": {**CONFIG["evaluate"], "n_sweep": [3, 3]}}, ("evaluate.n_sweep", "[3, 3]")),
+        (
+            {"evaluate": {**CONFIG["evaluate"], "methods": ["gp", "gp"]}},
+            ("evaluate.methods", "['gp', 'gp']"),
+        ),
+        ({"data": {**CONFIG["data"], "z_values": ["a"] * 5}}, ("'data.z_values'", "'a'")),
+        ({"experiment": "vdp", "data": {"alphas": [0.5, "b"]}}, ("'data.alphas'", "'b'")),
+        ({"experiment": "vdp", "data": {"initial_state": ["a", 0]}}, ("'data.initial_state'", "'a'")),
     ],
     ids=[
         "kernel-kind", "lengthscale", "beta", "mode", "method",
@@ -160,7 +168,8 @@ def test_seed_option_is_rejected(tmp_path, capsys, section, key):
         "n_sweep-null", "repetitions-null", "inducing_count-null",
         "inducing_count-zero", "repetitions-zero", "n_sweep-empty", "methods-empty",
         "n_sweep-float", "n_sweep-string", "n_sweep-zero", "n_sweep-bool", "base_seed-negative",
-        "jobs-zero", "jobs-negative",
+        "jobs-zero", "jobs-negative", "n_sweep-repeated", "methods-repeated",
+        "z_values-string", "alphas-string", "initial_state-string",
     ],
 )
 def test_evaluate_rejects_invalid_configuration(tmp_path, capsys, change, named):
@@ -306,10 +315,49 @@ def test_generate_rejects_a_value_the_generator_rejects(tmp_path, capsys, doc, n
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"experiment": "artificial", "data": {"num_tasks": 2, "z_values": ["a", "b"]}}, "z_values"),
+        ({"experiment": "vdp", "data": {"alphas": [0.5, "b"]}}, "alphas"),
+        ({"experiment": "vdp", "data": {"initial_state": ["a", 0]}}, "initial_state"),
+        ({"experiment": "vdp", "data": {"initial_state": [True, 0]}}, "initial_state"),
+    ],
+    ids=["z_values-string", "alphas-string", "initial_state-string", "initial_state-bool"],
+)
+def test_generate_rejects_a_data_list_that_is_not_numbers(tmp_path, capsys, doc, key):
+    config = _write_config(tmp_path / "config.json", doc)
+    assert cli.main(["generate", "--config", config, "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: key 'data.{key}' must be a list of numbers")
+    assert not (tmp_path / "data").exists()
+
+
+def test_partial_fit_and_adapt_sections_keep_their_other_defaults(tmp_path):
+    doc = {
+        **CONFIG,
+        "fit": {"rel_tol": 1e-7},
+        "adapt": {"max_iters": 500},
+        "evaluate": {**CONFIG["evaluate"], "methods": ["gp"]},
+    }
+    config = _write_config(tmp_path / "config.json", doc)
+    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    recorded = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))["config"]
+    assert recorded["fit_opts"] == {"max_iters": 10_000, "rel_tol": 1e-7}
+    assert recorded["adapt_opts"] == {"max_iters": 500, "rel_tol": 1e-6}
+
+
 def _edit_line(path, index, edit):
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[index] = edit(lines[index])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _drop_train_rows_of_task_1(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    kept = [line for line in lines if not line.startswith("1,train,")]
+    assert len(kept) < len(lines)
+    path.write_text("\n".join(kept) + "\n", encoding="utf-8")
 
 
 def _drop_train_ids(path):
@@ -327,9 +375,10 @@ def _drop_train_ids(path):
         ("dataset.csv", lambda p: _edit_line(p, 1, lambda row: row + ",0.5")),
         ("manifest.json", lambda p: p.write_text("{", encoding="utf-8")),
         ("manifest.json", _drop_train_ids),
+        ("dataset.csv", _drop_train_rows_of_task_1),
     ],
     ids=["nan-y", "task-id-word", "header", "extra-column", "manifest-not-json",
-         "manifest-without-train-ids"],
+         "manifest-without-train-ids", "train-task-without-rows"],
 )
 def test_train_on_a_malformed_dataset_is_a_data_error(tmp_path, capsys, generated, name, damage):
     data = tmp_path / "data"
@@ -340,6 +389,17 @@ def test_train_on_a_malformed_dataset_is_a_data_error(tmp_path, capsys, generate
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(data / name) in err
     assert not out.exists()
+
+
+def test_train_names_manifest_task_ids_without_train_rows(tmp_path, capsys, generated):
+    data = tmp_path / "data"
+    shutil.copytree(generated, data)
+    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    manifest["train_task_ids"] += [97, 98]
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "model.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "train_task_ids [97, 98] have no 'train' rows" in err
 
 
 def test_a_model_without_latent_dimensions_predicts_after_loading(tmp_path, generated):

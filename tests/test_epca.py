@@ -4,7 +4,7 @@ import pytest
 from gppca import epca, evaluation, gp_pca
 from gppca import gaussian_geometry as gg
 from gppca.datasets import ArtificialConfig, gen_artificial
-from gppca.epca import FitOptions, Subspace, ValidityError
+from gppca.epca import ConvergenceError, FitOptions, Subspace, ValidityError
 from gppca.gaussian_geometry import MomentGaussian, moment_to_natural
 from gppca.kernels_gp import GpPrior, KernelConfig, TaskData, exact_posterior, union_inputs
 from gppca.sparse_gp import grid_inducing
@@ -15,7 +15,7 @@ from oracles import (
     pack_expectation,
     unpack_expectation,
 )
-from helpers import planted_subspace
+from helpers import planted_subspace, random_gaussian
 
 
 def _nat_point(mu, sigma):
@@ -183,6 +183,60 @@ class TestProjectPoint:
         point = epca.reconstruct(w_true, s)
         w = epca.project_point(point, s, FitOptions(rel_tol=1e-10))
         np.testing.assert_allclose(w, w_true, atol=1e-6)
+
+
+class TestProjectBatch:
+    """The fit's polish and `project_point` share one batch projection routine."""
+
+    @staticmethod
+    def _points_off_a_subspace(k: int):
+        rng = np.random.default_rng(21)
+        d = 3
+        _, u0, basis, _ = planted_subspace(rng, d, 2, 1)
+        pts = np.array([
+            gg.pack_natural(moment_to_natural(random_gaussian(rng, d, cond_max=4.0)))
+            for _ in range(k)
+        ])
+        return pts, Subspace(u0=u0, basis=basis)
+
+    def test_batch_rows_equal_one_point_projections(self):
+        pts, s = self._points_off_a_subspace(4)
+        opts = FitOptions(rel_tol=1e-10)
+        weights, errors = epca._project_batch(epca._PointBatch(pts), s, opts, np.zeros((4, 2)))
+        assert errors == [None] * 4
+        singles = np.array([epca.project_point(p, s, opts) for p in pts])
+        assert np.any(singles != 0.0)
+        assert np.array_equal(weights, singles)
+
+    def test_row_at_the_iteration_cap_keeps_its_last_iterate(self):
+        pts, s = self._points_off_a_subspace(2)
+        opts = FitOptions(max_iters=2, rel_tol=1e-14)
+        start = np.zeros((2, 2))
+        weights, errors = epca._project_batch(epca._PointBatch(pts), s, opts, start)
+        assert all(isinstance(e, ConvergenceError) and e.iters == 2 for e in errors)
+        for p, w in zip(pts, weights):
+            # moved downhill from the start, and not thrown away
+            assert epca.objective(w[None, :], s, p[None, :]) < epca.objective(
+                start[:1], s, p[None, :]
+            )
+        with pytest.raises(ConvergenceError) as err:
+            epca.project_point(pts[1], s, opts)
+        assert err.value.grad_norm == errors[1].grad_norm
+        assert err.value.tol == errors[1].tol
+
+    def test_fit_factors_its_points_once(self, monkeypatch):
+        # The polish projects the rows of the batch the fit built, not fresh copies.
+        built = []
+        init = epca._PointBatch.__init__
+
+        def counting_init(batch, points):
+            built.append(np.atleast_2d(points).shape[0])
+            init(batch, points)
+
+        monkeypatch.setattr(epca._PointBatch, "__init__", counting_init)
+        pts, *_ = planted_subspace(np.random.default_rng(22), 2, 1, 5)
+        epca.fit(pts, 1)
+        assert built == [5]
 
 
 class TestFit:

@@ -26,12 +26,13 @@ def test_every_exported_name_resolves(module):
 
 
 def test_cli_import_leaves_optimizer_and_process_pool_unloaded():
-    # Only a fit needs SciPy's optimizer and only `evaluate --jobs N>1` a process
-    # pool; every other command should start without importing either.
+    # Only a fit needs SciPy's optimizer, only a Cholesky solve its LAPACK binding
+    # and only `evaluate --jobs N>1` a process pool; every command should start
+    # without importing any of them.
     src = Path(gppca.__file__).resolve().parents[1]
     probe = (
         "import sys, gppca.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'concurrent.futures.process') "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg', 'concurrent.futures.process') "
         "if m in sys.modules))"
     )
     out = subprocess.run(
