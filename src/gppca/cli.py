@@ -196,9 +196,10 @@ def cmd_generate(args) -> int:
     artificial = experiment == "artificial"
     try:
         generator_cfg = (ds.ArtificialConfig if artificial else ds.VdpConfig)(**data_cfg)
+        # A trajectory that diverges (a large vdp alpha) makes a non-finite task.
+        dataset = (ds.gen_artificial if artificial else ds.vdp_tasks)(generator_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'data' section: {exc}")
-    dataset = (ds.gen_artificial if artificial else ds.vdp_tasks)(generator_cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ds.write_dataset_csv(dataset, outdir / "dataset.csv")
@@ -347,7 +348,12 @@ def cmd_predict(args) -> int:
         if not 0 <= target < model.num_tasks:
             raise ConfigError(f"--task {target} out of range [0, {model.num_tasks})")
     elif args.weights:
-        target = np.asarray([float(v) for v in args.weights.split(",")])
+        try:
+            target = np.asarray([float(v) for v in args.weights.split(",")])
+        except ValueError:
+            raise ConfigError(f"--weights must be comma-separated numbers, got {args.weights!r}")
+        if not np.isfinite(target).all():
+            raise ConfigError(f"--weights must be finite, got {args.weights!r}")
         if target.shape[0] != model.latent_dim:
             raise ConfigError(
                 f"--weights needs {model.latent_dim} components, got {target.shape[0]}"

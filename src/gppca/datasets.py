@@ -95,6 +95,14 @@ class ArtificialConfig:
     def __post_init__(self):
         if self.num_tasks < 1 or self.samples_per_task < 1:
             raise ValueError("num_tasks and samples_per_task must be at least 1")
+        if self.eval_points_per_task < 1:
+            raise ValueError(
+                f"eval_points_per_task must be at least 1, got {self.eval_points_per_task}"
+            )
+        if self.new_task_samples is not None and self.new_task_samples < 1:
+            raise ValueError(f"new_task_samples must be at least 1, got {self.new_task_samples}")
+        if self.num_new_tasks < 0:
+            raise ValueError(f"num_new_tasks must be nonnegative, got {self.num_new_tasks}")
         if not self.noise_variance > 0:
             raise ValueError("noise_variance must be positive")
         if self.z_values is not None and len(self.z_values) != self.num_tasks:
@@ -185,6 +193,8 @@ class VdpConfig:
         new_n = self.sequences_per_task if self.new_task_sequences is None else self.new_task_sequences
         if min(self.sequences_per_task, new_n, self.eval_sequences_per_task) < 1:
             raise ValueError("every task needs at least one training and one evaluation sequence")
+        if self.num_new_tasks < 0:
+            raise ValueError(f"num_new_tasks must be nonnegative, got {self.num_new_tasks}")
         if not (self.dt > 0 and self.substep > 0):
             raise ValueError("dt and substep must be positive")
         if np.any(self.alpha_grid() < 0):

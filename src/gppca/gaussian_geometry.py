@@ -116,9 +116,19 @@ def chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetry(a: np.ndarray, what: str) -> np.ndarray:
+    """`a` averaged with its transpose, as a new array; ValueError beyond 1e-12 relative asymmetry.
+
+    A matrix equal to its transpose bit for bit, as every matrix the package
+    builds is, is copied without the scans: 0.5 (A + A^T) would be A itself
+    (short of overflow). Any other matrix, one with a 0.0 facing a -0.0
+    included, is scanned and averaged.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
+    bits = a.view(np.int64)
+    if (bits == bits.T).all():
+        return a.copy()
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > 1e-12 * max(scale, 1e-300):

@@ -75,7 +75,8 @@ class GpPcaModel:
 
     Constructing the model factors the prior over the anchor once
     (`anchor_set.factor(prior)`: K, its Cholesky factor, mu0 and K^-1 mu0),
-    and every prediction and adaptation reads that factor. The factor and
+    and every prediction and adaptation reads that factor; a sparse model's
+    first prediction adds K^-1 to it. The factor and
     `fit_result` (training diagnostics) are not persisted; a loaded model
     builds its factor again.
     """
@@ -186,6 +187,8 @@ def _resolve_weights(model: GpPcaModel, task_or_weights) -> np.ndarray:
     w = np.asarray(task_or_weights, dtype=float).reshape(-1)
     if w.shape[0] != model.latent_dim:
         raise ValueError(f"weight length {w.shape[0]} != latent dim {model.latent_dim}")
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, got {w.tolist()}")
     return w
 
 

@@ -28,6 +28,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class TaskData:
-    """One regression task: inputs (n, p), outputs (n,), and an integer id."""
+    """One regression task: inputs (n, p), outputs (n,), and an integer id; all finite."""
 
     inputs: np.ndarray
     outputs: np.ndarray
@@ -92,6 +93,8 @@ class TaskData:
             raise ValueError(
                 f"task {self.task_id}: {inputs.shape[0]} inputs vs {outputs.shape[0]} outputs"
             )
+        if not (np.isfinite(inputs).all() and np.isfinite(outputs).all()):
+            raise ValueError(f"task {self.task_id}: inputs and outputs must be finite")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
 
@@ -165,12 +168,23 @@ class PriorFactor:
     `gram` is K = k(Z, Z) as computed, without jitter; `chol` is its lower
     `chol_pd` factor (jittered only if K itself does not factor); `mean` is
     mu0(Z) and `kinv_mean` is K^-1 mu0(Z).
+
+    `kinv` is K^-1 = `chol_solve(chol, I)`, symmetrized. It is computed when
+    first read and kept: sparse predictions read it, so a sparse model
+    inverts K_mm once; an exact anchor (the union of the task inputs,
+    hundreds of points) never computes it, since nothing there reads it.
     """
 
     gram: np.ndarray
     chol: np.ndarray
     mean: np.ndarray
     kinv_mean: np.ndarray
+
+    @cached_property
+    def kinv(self) -> np.ndarray:
+        kinv = _sym(chol_solve(self.chol, np.eye(self.chol.shape[0])))
+        kinv.setflags(write=False)
+        return kinv
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,21 @@ posterior (mu', Sigma') is a `MomentGaussian`.
 posterior directly from A (Theta' = -1/2 beta A exactly), so neither Sigma'
 nor A is ever inverted; it agrees with the generic conversion chain and
 exists purely for numerical hygiene on ill-conditioned inducing grids.
+
+`sparse_predictive_batch` predicts from the rescaled posterior with
+
+    var(x+) = k(x+,x+) - k_m^T (K_mm^-1 - Sigma') k_m,   k_m = k(Z, x+)
+
+where K_mm^-1 is the inducing set's `PriorFactor.kinv`: inverted once per
+kernel and prior mean, on the first sparse prediction, so a call solves no
+system and its variances are one matrix product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gppca.gaussian_geometry import MomentGaussian, NaturalCoord, chol_pd, chol_solve, _sym
+from gppca.gaussian_geometry import MomentGaussian, NaturalCoord, chol_pd, _sym
 from gppca.kernels_gp import (
     GpPrior,
     InducingSet,
@@ -77,13 +85,15 @@ def sparse_predictive_batch(prior: GpPrior, sp: MomentGaussian, inducing: Induci
     """Predictive mean and variance at each test point, from the rescaled posterior sp = (mu', Sigma').
 
     mean(x+) = mu0(x+) + k_m^T (mu' - K_mm^-1 mu0(Z))
-    var(x+)  = k(x+,x+) - k_m^T K_mm^-1 k_m + k_m^T Sigma' k_m
+    var(x+)  = k(x+,x+) - k_m^T (K_mm^-1 - Sigma') k_m
 
     The mean is centered on the prior so that the no-data posterior
     reproduces the prior for any constant mean; for a zero mean this is
-    literally k_m^T mu'. K_mm's factor and K_mm^-1 mu0(Z) come from the
-    inducing set's factor, and the last variance term is the column sums of
-    k_m * (Sigma' k_m), one matrix product.
+    literally k_m^T mu'. K_mm^-1 mu0(Z) and K_mm^-1 come from the inducing
+    set's factor, which inverts K_mm once, on the first sparse prediction.
+    A call therefore solves no system: the variances are the column sums of
+    k_m * ((K_mm^-1 - Sigma') k_m), one m x m subtraction and one matrix
+    product.
     """
     test = as_points(x_plus)
     if sp.dim != len(inducing):
@@ -91,8 +101,7 @@ def sparse_predictive_batch(prior: GpPrior, sp: MomentGaussian, inducing: Induci
     factor = inducing.factor(prior)
     k_m = gram(prior.kernel, inducing.points, test)  # (m, t)
     means = prior.mean_at(test) + k_m.T @ (sp.mu - factor.kinv_mean)
-    w = chol_solve(factor.chol, k_m)
-    variances = 1.0 - np.einsum("mt,mt->t", k_m, w) + np.sum(k_m * (sp.sigma @ k_m), axis=0)
+    variances = 1.0 - np.sum(k_m * ((factor.kinv - sp.sigma) @ k_m), axis=0)  # k(x,x) = 1 for RBF
     return means, _clamped_variance(variances)
 
 

@@ -161,6 +161,13 @@ def test_seed_option_is_rejected(tmp_path, capsys, section, key):
         ({"data": {**CONFIG["data"], "z_values": ["a"] * 5}}, ("'data.z_values'", "'a'")),
         ({"experiment": "vdp", "data": {"alphas": [0.5, "b"]}}, ("'data.alphas'", "'b'")),
         ({"experiment": "vdp", "data": {"initial_state": ["a", 0]}}, ("'data.initial_state'", "'a'")),
+        (
+            {"data": {**CONFIG["data"], "eval_points_per_task": 0}},
+            ("'data'", "eval_points_per_task", "0"),
+        ),
+        ({"data": {**CONFIG["data"], "new_task_samples": 0}}, ("'data'", "new_task_samples", "0")),
+        ({"data": {**CONFIG["data"], "num_new_tasks": -1}}, ("'data'", "num_new_tasks", "-1")),
+        ({"experiment": "vdp", "data": {"num_new_tasks": -1}}, ("'data'", "num_new_tasks", "-1")),
     ],
     ids=[
         "kernel-kind", "lengthscale", "beta", "mode", "method",
@@ -170,6 +177,8 @@ def test_seed_option_is_rejected(tmp_path, capsys, section, key):
         "n_sweep-float", "n_sweep-string", "n_sweep-zero", "n_sweep-bool", "base_seed-negative",
         "jobs-zero", "jobs-negative", "n_sweep-repeated", "methods-repeated",
         "z_values-string", "alphas-string", "initial_state-string",
+        "eval_points_per_task-zero", "new_task_samples-zero", "num_new_tasks-negative",
+        "vdp-num_new_tasks-negative",
     ],
 )
 def test_evaluate_rejects_invalid_configuration(tmp_path, capsys, change, named):
@@ -258,6 +267,19 @@ def test_predict_from_weights_at_an_inputs_file(tmp_path, trained):
     assert rows == _rows(by_task)
 
 
+@pytest.mark.parametrize("weights", ["a", "nan", "inf"])
+def test_predict_rejects_weights_that_are_not_finite_numbers(tmp_path, capsys, trained, weights):
+    out = tmp_path / "pred.csv"
+    assert cli.main(
+        ["predict", "--model", str(trained), "--weights", weights, "--grid", "0:1:3",
+         "--out", str(out)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "--weights must be" in err
+    assert repr(weights) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, text",
     [
@@ -278,6 +300,19 @@ def test_user_csv_that_does_not_fit_the_model_is_a_data_error(
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(data) in err
+
+
+def test_generate_with_a_diverging_trajectory_is_a_configuration_error(tmp_path, capsys):
+    # RK4 at the default step diverges for a large alpha, so the task holds NaN.
+    config = _write_config(tmp_path / "config.json", {"data": {"alphas": [1000.0, 0.5]}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["generate", "--experiment", "vdp", "--config", config,
+                         "--out", str(tmp_path / "data")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid 'data' section: task 0: ")
+    assert "finite" in err
+    assert not (tmp_path / "data").exists()
 
 
 def test_generate_vdp_from_its_data_section(tmp_path, capsys):

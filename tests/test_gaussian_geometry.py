@@ -429,6 +429,64 @@ class TestCholSolve:
             chol_solve(chol, b)
 
 
+class TestCheckSymmetry:
+    """`_check_symmetry` returns 0.5 (A + A^T) as a new array; beyond 1e-12 relative it raises."""
+
+    @staticmethod
+    def _symmetric(d, seed=0):
+        r = np.random.default_rng(seed).normal(size=(d, d))
+        return r + r.T
+
+    @pytest.mark.parametrize("d", [1, 12, 60])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "read-only"])
+    def test_symmetric_input_comes_back_equal_in_a_new_array(self, d, layout):
+        a = self._symmetric(d)
+        if layout == "fortran":
+            a = np.asfortranarray(a)
+        elif layout == "strided":
+            a = np.kron(a, np.ones((2, 2)))[::2, ::2]
+        elif layout == "read-only":
+            a.setflags(write=False)
+        out = gg._check_symmetry(a, "A")
+        assert np.array_equal(out, a) and np.array_equal(out, gg._sym(a))
+        assert not np.shares_memory(out, a) and out.flags.writeable
+        sigma = MomentGaussian(np.zeros(d), a).sigma
+        assert np.array_equal(sigma, a) and not np.shares_memory(sigma, a)
+
+    def test_facing_signed_zeros_are_averaged(self):
+        # 0.0 == -0.0, but the averaged entries are +0.0 on both sides.
+        a = np.array([[1.0, -0.0], [0.0, 1.0]])
+        out = gg._check_symmetry(a, "A")
+        assert not np.signbit(out).any()
+        assert np.array_equal(np.signbit(out), np.signbit(gg._sym(a)))
+
+    @pytest.mark.parametrize("d", [2, 12, 60])
+    def test_asymmetry_within_tolerance_is_averaged(self, d):
+        a = self._symmetric(d)
+        a[0, -1] += 5e-13 * np.max(np.abs(a))
+        out = gg._check_symmetry(a, "A")
+        assert np.array_equal(out, 0.5 * (a + a.T)) and np.array_equal(out, out.T)
+        assert not np.array_equal(out, a)
+
+    @pytest.mark.parametrize("d", [2, 12, 60])
+    def test_asymmetry_beyond_tolerance_raises(self, d):
+        a = self._symmetric(d)
+        a[0, -1] += 2e-12 * np.max(np.abs(a))
+        with pytest.raises(ValueError, match="A is not symmetric"):
+            gg._check_symmetry(a, "A")
+
+    @pytest.mark.parametrize("where", [(1, 2), (2, 2)], ids=["off-diagonal", "diagonal"])
+    @pytest.mark.parametrize("both", [False, True], ids=["one-side", "both-sides"])
+    def test_nan_passes_through_to_the_average(self, where, both):
+        a = self._symmetric(4)
+        a[where] = np.nan
+        if both:
+            a[where[::-1]] = np.nan
+        out = gg._check_symmetry(a, "A")
+        np.testing.assert_array_equal(out, 0.5 * (a + a.T))
+        assert np.isnan(out[where]) and np.isnan(out[where[::-1]])
+
+
 class TestFlatHelpers:
     def test_pack_unpack_round_trip(self):
         rng = np.random.default_rng(2)

@@ -184,6 +184,9 @@ class TestPredict:
             gp_pca.predict_batch(model, np.zeros(2), [[0.1]])
         with pytest.raises(IndexError):
             gp_pca.predict_batch(model, 7, [[0.1]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"weights must be finite, got \[(nan|-?inf)\]"):
+                gp_pca.predict_batch(model, [bad], [[0.1]])
 
 
 class TestAdapt:
@@ -261,11 +264,13 @@ class TestAnchorFactor:
         for task, w in zip(data.new_tasks, adapted):
             assert np.array_equal(w, oracles.adapt_per_call(model, task, adapt_opts))
         weights = [*model.weights, *adapted]
+        dense = np.linspace(-0.1, 1.1, 1_200).reshape(-1, 1)  # as many points as a vdp call
         for w, ev in zip(weights, [*data.train_eval, *data.new_eval]):
-            means, variances = gp_pca.predict_batch(model, w, ev.inputs)
-            ref_means, ref_variances = oracles.predict_batch_per_call(model, w, ev.inputs)
-            assert np.array_equal(means, ref_means)
-            assert np.all(np.abs(variances - ref_variances) <= _variance_floor(model, w, ev.inputs))
+            for x in (ev.inputs, dense):
+                means, variances = gp_pca.predict_batch(model, w, x)
+                ref_means, ref_variances = oracles.predict_batch_per_call(model, w, x)
+                assert np.array_equal(means, ref_means)
+                assert np.all(np.abs(variances - ref_variances) <= _variance_floor(model, w, x))
 
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_anchor_factored_once_per_model(self, mode, monkeypatch):
@@ -305,6 +310,32 @@ class TestAnchorFactor:
         assert calls == {"gram": 1, "chol_pd": 1}
 
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_kinv_is_computed_once_and_only_for_sparse_predictions(self, mode, monkeypatch):
+        model, data = _artificial_model(mode)
+        factor = model.anchor_set.factor(model.prior)
+        inversions = []
+
+        def counting_chol_solve(chol, b):
+            if chol is factor.chol and np.array_equal(b, np.eye(len(factor.mean))):
+                inversions.append(b)
+            return gg.chol_solve(chol, b)
+
+        monkeypatch.setattr(kernels_gp, "chol_solve", counting_chol_solve)
+        for _ in range(3):
+            for i, ev in enumerate(data.train_eval):
+                gp_pca.predict_batch(model, i, ev.inputs)
+            gp_pca.predict_batch(model, np.zeros(model.latent_dim), data.new_eval[0].inputs)
+        if mode == "exact":
+            assert inversions == [] and "kinv" not in vars(factor)
+            return
+        kinv = factor.kinv
+        assert len(inversions) == 1  # the read above inverted nothing more
+        assert np.array_equal(kinv, kinv.T) and not kinv.flags.writeable
+        np.testing.assert_allclose(
+            kinv, np.linalg.inv(factor.gram), rtol=1e-6, atol=1e-6 * np.abs(kinv).max()
+        )
+
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_loaded_and_augmented_models_predict_identically(self, mode, tmp_path):
         model, data = _artificial_model(mode)
         w = gp_pca.adapt_new_task(model, data.new_tasks[0], FitOptions(rel_tol=1e-6))
@@ -337,6 +368,21 @@ class TestAnchorFactor:
         for a in (factor.gram, factor.chol, factor.mean, factor.kinv_mean):
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+
+@pytest.mark.parametrize("mode", ["exact", "sparse"])
+@pytest.mark.parametrize(
+    "inputs, outputs",
+    [([[0.2], [0.6]], [0.4, np.nan]), ([[0.2], [np.nan]], [0.4, 0.1]), ([[0.2], [0.6]], [np.inf, 0.1])],
+    ids=["nan-output", "nan-input", "inf-output"],
+)
+def test_few_shot_task_with_non_finite_data_is_refused(mode, inputs, outputs):
+    # Unchecked, the sparse route adapts such a task to w = 0 without an error.
+    tasks = _toy_tasks()
+    inducing = InducingSet(union_inputs(tasks)) if mode == "sparse" else None
+    model = gp_pca.train(tasks, _prior(), 1, mode=mode, opts=FitOptions(max_iters=50), inducing=inducing)
+    with pytest.raises(ValueError, match="task 7: inputs and outputs must be finite"):
+        gp_pca.adapt_new_task(model, TaskData(inputs, outputs, 7))
 
 
 class TestJointCoords:
