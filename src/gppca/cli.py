@@ -11,6 +11,11 @@ This module only parses documents, flags and CSV files, calls the library and
 maps its errors to exit codes: every experiment and model default and range
 check lives in `evaluation` and in the configuration types it builds.
 
+`evaluate` sets each cell's training-set size from `evaluate.n_sweep` and its
+seed from `evaluate.base_seed`, so it ignores `data.samples_per_task`,
+`data.sequences_per_task` and `data.seed` in a configuration shared with
+`generate`.
+
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numerical
 failure.
 """
@@ -418,7 +423,10 @@ def cmd_evaluate(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    report = ev.run_experiment(cfg)
+    try:
+        report = ev.run_experiment(cfg)
+    except ev.DataSectionError as exc:
+        raise ConfigError(str(exc))
     ev.write_report_files(report, args.out)
     print(f"config hash {report.config_hash[:12]}; wrote report files to {args.out}")
     for row in report.summary():

@@ -16,7 +16,9 @@ integrated by fixed-step RK4 from a common initial state. Each task's
 trajectory is recorded at a coarse step and chopped into sequences of J
 points; regression pairs are (x_j, v_j) with the forward difference
 v_j = (x_{j+1} - x_j) / (t_{j+1} - t_j), giving N (J - 1) pairs per task.
-Evaluation sequences restart from random initial states.
+Evaluation sequences restart from random initial states, each integrated
+for a fixed burn-in of 1.0 time units (`VdpConfig.eval_burn_in`, not
+configurable) before its sequence is recorded.
 
 The regression input is the scalar position x alone. On the limit cycle
 each x is passed twice, once per direction, so the velocity is two-valued
@@ -32,8 +34,8 @@ and task index, so resizing one part of a dataset never reshuffles another.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -115,10 +117,20 @@ def artificial_curve(z: float, x) -> np.ndarray:
     return z * np.sin(2.0 * np.pi * x) + (1.0 - z) * ((-x - 1.0) ** 2 + 1.0)
 
 
-def _sample_artificial_task(z, n, noise_std, rng_x, rng_eps, task_id) -> TaskData:
-    x = rng_x.uniform(0.0, 1.0, size=n)
-    eps = rng_eps.normal(0.0, noise_std, size=n)
-    return TaskData(inputs=x.reshape(-1, 1), outputs=artificial_curve(z, x) + eps, task_id=task_id)
+def _artificial_split(cfg, latents, n, x_stream, noise_stream, first_id) -> list:
+    """One task of `n` noisy samples per latent, with ids from `first_id` on.
+
+    Task i draws its inputs from stream (x_stream, i) and its noise from
+    stream (noise_stream, i).
+    """
+    noise_std = float(np.sqrt(cfg.noise_variance))
+    tasks = []
+    for i, z in enumerate(latents):
+        x = _rng(cfg.seed, x_stream, i).uniform(0.0, 1.0, size=n)
+        eps = _rng(cfg.seed, noise_stream, i).normal(0.0, noise_std, size=n)
+        y = artificial_curve(z, x) + eps
+        tasks.append(TaskData(inputs=x.reshape(-1, 1), outputs=y, task_id=first_id + i))
+    return tasks
 
 
 def gen_artificial(cfg: ArtificialConfig) -> MultiTaskDataset:
@@ -129,45 +141,19 @@ def gen_artificial(cfg: ArtificialConfig) -> MultiTaskDataset:
         z_train = np.array([0.5])
     else:
         z_train = np.linspace(0.0, 1.0, cfg.num_tasks)
-    noise_std = float(np.sqrt(cfg.noise_variance))
-    new_n = cfg.new_task_samples if cfg.new_task_samples is not None else cfg.samples_per_task
-
-    train_tasks, train_eval = [], []
-    for i, z in enumerate(z_train):
-        train_tasks.append(
-            _sample_artificial_task(
-                z, cfg.samples_per_task, noise_std,
-                _rng(cfg.seed, _STREAM_TRAIN_X, i), _rng(cfg.seed, _STREAM_TRAIN_NOISE, i), i,
-            )
-        )
-        train_eval.append(
-            _sample_artificial_task(
-                z, cfg.eval_points_per_task, noise_std,
-                _rng(cfg.seed, _STREAM_EVAL_X, i), _rng(cfg.seed, _STREAM_EVAL_NOISE, i), i,
-            )
-        )
-
     z_new = _rng(cfg.seed, _STREAM_NEW_LATENT).uniform(0.0, 1.0, size=cfg.num_new_tasks)
-    new_tasks, new_eval = [], []
-    for j, z in enumerate(z_new):
-        tid = cfg.num_tasks + j
-        new_tasks.append(
-            _sample_artificial_task(
-                z, new_n, noise_std,
-                _rng(cfg.seed, _STREAM_NEW_X, j), _rng(cfg.seed, _STREAM_NEW_NOISE, j), tid,
-            )
-        )
-        new_eval.append(
-            _sample_artificial_task(
-                z, cfg.eval_points_per_task, noise_std,
-                _rng(cfg.seed, _STREAM_NEW_EVAL_X, j), _rng(cfg.seed, _STREAM_NEW_EVAL_NOISE, j), tid,
-            )
-        )
+    new_n = cfg.new_task_samples if cfg.new_task_samples is not None else cfg.samples_per_task
+    eval_n = cfg.eval_points_per_task
+    held_out = cfg.num_tasks  # id of the first held-out task
     return MultiTaskDataset(
-        train_tasks=train_tasks,
-        train_eval=train_eval,
-        new_tasks=new_tasks,
-        new_eval=new_eval,
+        train_tasks=_artificial_split(
+            cfg, z_train, cfg.samples_per_task, _STREAM_TRAIN_X, _STREAM_TRAIN_NOISE, 0
+        ),
+        train_eval=_artificial_split(cfg, z_train, eval_n, _STREAM_EVAL_X, _STREAM_EVAL_NOISE, 0),
+        new_tasks=_artificial_split(cfg, z_new, new_n, _STREAM_NEW_X, _STREAM_NEW_NOISE, held_out),
+        new_eval=_artificial_split(
+            cfg, z_new, eval_n, _STREAM_NEW_EVAL_X, _STREAM_NEW_EVAL_NOISE, held_out
+        ),
         latents_train=z_train,
         latents_new=z_new,
     )
@@ -183,9 +169,10 @@ class VdpConfig:
     initial_state: tuple = (2.0, 0.0)
     seed: int = 0
     eval_sequences_per_task: int = 100
-    eval_burn_in: float = 1.0  # time integrated before an eval sequence starts
     num_new_tasks: int = 10
     new_task_sequences: Optional[int] = None
+    # Time integrated from each random start before its eval sequence; fixed, not a field.
+    eval_burn_in: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.points_per_sequence < 2:
@@ -246,8 +233,9 @@ def vdp_tasks(cfg: VdpConfig) -> MultiTaskDataset:
     Training sequences continue one trajectory from the shared initial
     state, so initial points coincide across tasks. Evaluation sequences
     start at random states from a dedicated stream, shared across tasks; a
-    positive burn-in first integrates them toward the attractor, so they
-    measure the settled dynamics rather than arbitrary transients.
+    burn-in of `VdpConfig.eval_burn_in` first integrates them toward the
+    attractor, so they measure the settled dynamics rather than arbitrary
+    transients.
     """
     alphas = cfg.alpha_grid()
     new_n = cfg.new_task_sequences if cfg.new_task_sequences is not None else cfg.sequences_per_task
@@ -281,9 +269,8 @@ def vdp_tasks(cfg: VdpConfig) -> MultiTaskDataset:
     state0 = np.broadcast_to(np.asarray(cfg.initial_state, dtype=float), (len(all_alphas), 2))
     chained = record(all_alphas, state0, max(cfg.sequences_per_task, new_n))
     starts = np.broadcast_to(eval_inits, (len(all_alphas), *eval_inits.shape))
-    if cfg.eval_burn_in > 0.0:
-        burn = max(int(round(cfg.eval_burn_in / cfg.substep)), 1)
-        starts = _rk4(all_alphas[:, None], starts, cfg.substep, burn, burn)[..., -1, :]
+    burn = max(int(round(cfg.eval_burn_in / cfg.substep)), 1)
+    starts = _rk4(all_alphas[:, None], starts, cfg.substep, burn, burn)[..., -1, :]
     evals = record(all_alphas[:, None], starts, 1)[:, :, 0]
 
     counts = [cfg.sequences_per_task] * n_train + [new_n] * len(alphas_new)
@@ -366,7 +353,7 @@ def read_dataset_csv(path, train_ids: Sequence[int], new_ids: Sequence[int]) -> 
     def build(tid: int, split: str) -> TaskData:
         entries = rows.get((tid, split), [])
         if not entries:
-            return TaskData(inputs=np.zeros((0, 1)), outputs=np.zeros(0), task_id=tid)
+            return TaskData(inputs=np.zeros((0, len(x_cols))), outputs=np.zeros(0), task_id=tid)
         xs = np.asarray([e[0] for e in entries], dtype=float)
         ys = np.asarray([e[1] for e in entries], dtype=float)
         return TaskData(inputs=xs, outputs=ys, task_id=tid)

@@ -176,8 +176,6 @@ def reconstruct(w: np.ndarray, subspace: Subspace) -> np.ndarray:
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.shape[0] != subspace.latent_dim:
         raise ValueError(f"weight length {w.shape[0]} != latent dim {subspace.latent_dim}")
-    if w.shape[0] == 0:
-        return subspace.u0.copy()
     return subspace.u0 + w @ subspace.basis
 
 
@@ -439,8 +437,6 @@ def _initial_subspace(
     the start at the offset itself, which is always valid).
     """
     u0 = _mean_point(batch)
-    if latent_dim == 0:
-        return u0, np.zeros((0, batch.flat_dim)), np.zeros((batch.count, 0))
     centered = batch.primal - np.mean(batch.primal, axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     basis = vt[:latent_dim].copy()
@@ -468,8 +464,6 @@ def _initial_subspace(
 
 def _normalize(u0, basis, weights):
     """Rescale basis rows to unit norm, folding the scale into the weights."""
-    if basis.shape[0] == 0:
-        return u0, basis, weights
     norms = np.linalg.norm(basis, axis=1)
     norms = np.where(norms > 0, norms, 1.0)
     return u0, basis / norms[:, None], weights * norms[None, :]
@@ -576,9 +570,8 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
             iterations += extra
             converged = converged and len(tail) > 1  # a stall that never moved
     weights, u0, basis = unpack_params(params)
-    subspace = Subspace(u0=u0, basis=basis)
-    if latent_dim > 0:  # each row's own projection; a row stopped early keeps its weights
-        weights, _ = _project_batch(batch, subspace, opts, weights)
+    # Each row's own projection; a row stopped early keeps its weights.
+    weights, _ = _project_batch(batch, Subspace(u0=u0, basis=basis), opts, weights)
     u0, basis, weights = _normalize(u0, basis, weights)
     subspace = Subspace(u0=u0, basis=basis)
     _, final, _ = _evaluate_checked(batch, weights, subspace)
@@ -648,8 +641,6 @@ def project_point(point, subspace: Subspace, opts: Optional[FitOptions] = None) 
     point = np.asarray(point, dtype=float).reshape(-1)
     if point.shape[0] != subspace.flat_dim:
         raise ValueError(f"point length {point.shape[0]} != subspace dim {subspace.flat_dim}")
-    if subspace.latent_dim == 0:
-        return np.zeros(0)
     weights, errors = _project_batch(
         _PointBatch(point[None, :]), subspace, opts, np.zeros((1, subspace.latent_dim))
     )

@@ -1,7 +1,11 @@
 """Benchmark protocol: subspace-sharing GP versus independent GP baselines.
 
 For each repetition and each training-set size N, one cell generates one
-dataset, and every method evaluates on its splits. The cell walks its
+dataset, and every method evaluates on its splits. N comes from `n_sweep`
+and each cell's generator seed from `base_seed` and the repetition, so the
+generator keys `samples_per_task`, `sequences_per_task` and `seed` of
+`data` have no effect here. A generator that rejects a cell's dataset (a
+vdp trajectory that diverges) raises `DataSectionError`. The cell walks its
 tasks as one ordered list, training tasks first, then held-out tasks. The
 subspace method trains on the training tasks jointly, places each held-out
 task on the learned subspace by few-shot projection, and predicts every
@@ -41,6 +45,7 @@ from gppca.kernels_gp import GpPrior, KernelConfig, gp_predictive_batch
 from gppca.sparse_gp import grid_inducing
 
 __all__ = [
+    "DataSectionError",
     "ExperimentConfig",
     "ExperimentReport",
     "rmse",
@@ -62,6 +67,15 @@ DEFAULT_HYPERPARAMS = {
 }
 # Model settings when a configuration sets none.
 MODEL_DEFAULTS = {"mode": "sparse", "latent_dim": 1, "inducing_count": 12}
+
+
+class DataSectionError(ValueError):
+    """The generator rejected a cell's dataset: the `data` section is at fault, not the model.
+
+    `ExperimentConfig` checks each generator configuration before any cell
+    runs, but only generating shows, for instance, that a vdp alpha makes
+    RK4 diverge; a cell then raises this, with the generator's message.
+    """
 
 
 def rmse(predicted, truth) -> float:
@@ -216,10 +230,11 @@ def _generator_config(cfg: ExperimentConfig, n: int, seed: int):
 
 
 def _make_dataset(cfg: ExperimentConfig, n: int, seed: int):
-    data_cfg = _generator_config(cfg, n, seed)
-    if cfg.experiment == "artificial":
-        return gen_artificial(data_cfg)
-    return vdp_tasks(data_cfg)
+    generate = gen_artificial if cfg.experiment == "artificial" else vdp_tasks
+    try:
+        return generate(_generator_config(cfg, n, seed))
+    except ValueError as exc:  # e.g. a vdp alpha whose trajectory diverges to a non-finite task
+        raise DataSectionError(f"invalid 'data' section: {exc}") from None
 
 
 def _split_hash(dataset) -> str:

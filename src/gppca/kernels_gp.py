@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 
+# Max-norm distance at or under which two input rows count as one point.
+COINCIDENT_TOL = 1e-12
+
+
 def as_points(x) -> np.ndarray:
     """Coerce inputs to an (n, p) float array; scalars and (n,) become 1-D points."""
     a = np.asarray(x, dtype=float)
@@ -132,29 +136,29 @@ def gram(cfg: KernelConfig, a, b) -> np.ndarray:
     return np.exp(-d2 / (2.0 * cfg.lengthscale**2))
 
 
-def coincident(a, b, tol: float = 1e-12) -> np.ndarray:
-    """Boolean (len(A), len(B)) matrix: rows a_i and b_j lie within `tol` in max-norm."""
+def coincident(a, b) -> np.ndarray:
+    """Boolean (len(A), len(B)) matrix: a_i and b_j lie within `COINCIDENT_TOL` in max-norm."""
     pa = as_points(a)
     pb = as_points(b)
-    return np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2) <= tol
+    return np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2) <= COINCIDENT_TOL
 
 
-def union_inputs(tasks, tol: float = 1e-12) -> np.ndarray:
+def union_inputs(tasks) -> np.ndarray:
     """Deduplicated concatenation of all task inputs, in task order.
 
-    A row within `tol` in max-norm of an earlier kept row is dropped, so the
-    anchor gram matrix stays nonsingular.
+    A row within `COINCIDENT_TOL` in max-norm of an earlier kept row is
+    dropped, so the anchor gram matrix stays nonsingular.
     """
     rows = [task.inputs for task in tasks]
     points = np.concatenate(rows) if rows else np.zeros((0, 1))
     if points.shape[0] == 0:
         raise ValueError("no inputs found across tasks")
-    return distinct_rows(points, tol)
+    return distinct_rows(points)
 
 
-def distinct_rows(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """`points` without each row that lies within `tol` in max-norm of an earlier kept row."""
-    earlier = np.tril(coincident(points, points, tol), -1)
+def distinct_rows(points: np.ndarray) -> np.ndarray:
+    """`points` without each row within `COINCIDENT_TOL` in max-norm of an earlier kept row."""
+    earlier = np.tril(coincident(points, points), -1)
     keep = np.ones(points.shape[0], dtype=bool)
     for i in np.flatnonzero(earlier.any(axis=1)):
         keep[i] = not np.any(earlier[i] & keep)
@@ -189,7 +193,7 @@ class PriorFactor:
 
 @dataclass(frozen=True)
 class InducingSet:
-    """Anchor inputs Z, pairwise distinct under a 1e-12 tolerance.
+    """Anchor inputs Z, pairwise distinct under `COINCIDENT_TOL` (1e-12).
 
     `factor(prior)` computes the prior's `PriorFactor` over Z on its first
     call and returns the same one afterwards, one per kernel and prior mean.

@@ -67,14 +67,9 @@ def variational_coords(
     inducing set's factor.
     """
     factor = inducing.factor(prior)
-    if len(task) == 0:
-        a = factor.gram / prior.beta
-        data_term = np.zeros(len(inducing))
-    else:
-        k_mn = gram(prior.kernel, inducing.points, task.inputs)
-        data_term = k_mn @ (task.outputs - prior.mean_at(task.inputs))
-        a = factor.gram / prior.beta + k_mn @ k_mn.T
-    a = _sym(a)
+    k_mn = gram(prior.kernel, inducing.points, task.inputs)
+    data_term = k_mn @ (task.outputs - prior.mean_at(task.inputs))
+    a = _sym(factor.gram / prior.beta + k_mn @ k_mn.T)
     chol_a = chol_pd(a, "A_mm")
     theta = prior.beta * (data_term + a @ factor.kinv_mean)
     big_theta = -0.5 * prior.beta * a

@@ -315,6 +315,23 @@ def test_generate_with_a_diverging_trajectory_is_a_configuration_error(tmp_path,
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evaluate_with_a_diverging_trajectory_is_a_configuration_error(tmp_path, capsys, jobs):
+    # `evaluate` generates inside each cell, in a worker process when jobs > 1.
+    config = _write_config(tmp_path / "config.json", {
+        "experiment": "vdp", "data": {"alphas": [1000.0, 0.5, 0.7]},
+        "evaluate": {"n_sweep": [2], "repetitions": 2, "methods": ["gp"]},
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out"),
+                         "--jobs", jobs])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid 'data' section: task 0: ")
+    assert "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_vdp_from_its_data_section(tmp_path, capsys):
     data = {
         "alphas": [0.2, 0.5, 0.9], "sequences_per_task": 2, "points_per_sequence": 3,

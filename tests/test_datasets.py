@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from gppca.datasets import ArtificialConfig, VdpConfig, gen_artificial, integrate_vdp, vdp_tasks
+from gppca.datasets import (
+    ArtificialConfig,
+    VdpConfig,
+    gen_artificial,
+    integrate_vdp,
+    read_dataset_csv,
+    vdp_tasks,
+)
 from oracles import integrate_vdp_scalar, vdp_tasks_scalar
 
 # Three training alphas, including the undamped 0, and two held-out tasks.
@@ -23,13 +30,12 @@ def _assert_same_tasks(a, b):
     "overrides",
     [
         {},
-        {"eval_burn_in": 0.0},
         {"substep": 0.03, "dt": 0.1},
         {"points_per_sequence": 2},
         {"new_task_sequences": 5},
-        {"eval_burn_in": 0.004, "seed": 3},
+        {"seed": 3},
     ],
-    ids=["small", "no-burn-in", "uneven-substep", "two-points", "new-task-sequences", "short-burn-in"],
+    ids=["small", "uneven-substep", "two-points", "new-task-sequences", "seed-3"],
 )
 def test_vdp_tasks_match_scalar_reference(overrides):
     cfg = VdpConfig(**{**SMALL, **overrides})
@@ -85,3 +91,14 @@ def test_vdp_seed_changes_held_out_alphas_and_evaluation_states():
     assert not np.any(a.latents_new == b.latents_new)
     for s, t in zip(a.train_eval + a.new_eval, b.train_eval + b.new_eval):
         assert not np.array_equal(s.inputs, t.inputs)
+
+
+def test_an_empty_split_read_from_csv_keeps_the_input_width(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_text(
+        "task_id,split,x0,x1,y\n0,train,0.1,0.2,1.0\n0,test,0.3,0.4,0.5\n1,train,0.5,0.6,0.7\n",
+        encoding="utf-8",
+    )
+    data = read_dataset_csv(path, [0, 1], [2])
+    shapes = [t.inputs.shape for t in (*data.train_eval, *data.new_tasks, *data.new_eval)]
+    assert shapes == [(1, 2), (0, 2), (0, 2), (0, 2)]

@@ -1,5 +1,8 @@
 from collections import Counter
 
+import pytest
+
+from gppca import evaluation
 from gppca.epca import FitOptions
 from gppca.evaluation import ExperimentConfig, run_experiment
 
@@ -31,3 +34,17 @@ def test_a_cell_hashes_its_splits_once_and_reports_train_then_held_out_tasks():
         (0, "train"), (1, "train"), (2, "train"), (3, "new"), (4, "new"),
     ]
     assert [len(rows) for rows in (report.cells, report.summary())] == [16, 8]
+
+
+def test_a_value_error_outside_the_generator_is_not_a_data_section_error(monkeypatch):
+    def failing(*args):
+        raise ValueError("not from the generator")
+
+    monkeypatch.setattr(evaluation, "gp_predictive_batch", failing)
+    cfg = ExperimentConfig(
+        experiment="artificial", n_sweep=(3,), repetitions=1, methods=("gp",),
+        data={"num_tasks": 3, "eval_points_per_task": 5, "num_new_tasks": 2},
+    )
+    with pytest.raises(ValueError, match="not from the generator") as raised:
+        run_experiment(cfg)
+    assert type(raised.value) is ValueError

@@ -237,17 +237,24 @@ def _artificial_model(mode):
 
 
 def _variance_floor(model, w, x):
-    """EPS * kappa * scale per test point, kappa = cond(K) + cond(-2 Theta) of the reconstruction."""
+    """Bound per test point on |`predict_batch` - `predict_batch_per_call`| variances.
+
+    Both routes predict from the same reconstructed posterior (Sigma).
+    Exact: EPS * (cond(K) + cond(-2 Theta)) * scale. Sparse: the routes
+    differ only in K^-1 k_m (K^-1 formed once against a solve per call),
+    bounded by EPS * cond(K) * (1 + sum |k_m * K^-1 k_m|), and in the order
+    of the sums of k_m^T Sigma' k_m, bounded by 2 m EPS |k_m|^T |Sigma'| |k_m|.
+    """
     k = gram(model.prior.kernel, model.anchor, model.anchor)
     k_cross = gram(model.prior.kernel, model.anchor, x)
     kinv_k = np.linalg.solve(k, k_cross)
     nat = gg.unpack_natural(epca.reconstruct(w, model.subspace), model.anchor.shape[0])
     sigma = natural_to_moment(nat).sigma
-    if model.mode == "exact":
-        scale = 1.0 + np.sum(np.abs(kinv_k) * (np.abs(sigma - k) @ np.abs(kinv_k)), axis=0)
-    else:
-        scale = (1.0 + np.sum(np.abs(k_cross * kinv_k), axis=0)
-                 + np.sum(np.abs(k_cross) * (np.abs(sigma) @ np.abs(k_cross)), axis=0))
+    if model.mode == "sparse":
+        quad = np.sum(np.abs(k_cross) * (np.abs(sigma) @ np.abs(k_cross)), axis=0)
+        solve = 1.0 + np.sum(np.abs(k_cross * kinv_k), axis=0)
+        return EPS * (np.linalg.cond(k) * solve + 2 * len(k) * quad)
+    scale = 1.0 + np.sum(np.abs(kinv_k) * (np.abs(sigma - k) @ np.abs(kinv_k)), axis=0)
     kappa = np.linalg.cond(k) + np.linalg.cond(-2.0 * nat.big_theta)
     return EPS * kappa * scale
 
@@ -368,6 +375,41 @@ class TestAnchorFactor:
         for a in (factor.gram, factor.chol, factor.mean, factor.kinv_mean):
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+
+@pytest.mark.parametrize("mode", ["exact", "sparse"])
+def test_zero_latent_dimensions_fit_and_predict_the_moment_matched_posterior(mode):
+    # With L = 0 the KL-optimal offset matches the mean of the tasks' expectation
+    # coordinates (E[f], E[f f^T]), and every task is predicted from it.
+    prior = _prior()
+    tasks = _toy_tasks()
+    inducing = InducingSet(np.linspace(0.0, 1.0, 4).reshape(-1, 1)) if mode == "sparse" else None
+    model = gp_pca.train(tasks, prior, 0, mode=mode, opts=TIGHT, inducing=inducing)
+    if mode == "exact":
+        posteriors = [oracles.exact_posterior_per_call(prior, t, model.anchor) for t in tasks]
+    else:
+        posteriors = [oracles.variational_posterior(prior, t, inducing) for t in tasks]
+    duals = [moment_to_expectation(p) for p in posteriors]
+    matched = expectation_to_moment(oracles.ExpectationCoord(
+        eta=np.mean([c.eta for c in duals], axis=0), big_h=np.mean([c.big_h for c in duals], axis=0)
+    ))
+    offset = natural_to_moment(gg.unpack_natural(model.subspace.u0, len(model.anchor)))
+    scale = np.max(np.abs(matched.sigma))
+    np.testing.assert_allclose(offset.mu, matched.mu, rtol=1e-9, atol=1e-9 * scale)
+    np.testing.assert_allclose(offset.sigma, matched.sigma, rtol=1e-9, atol=1e-9 * scale)
+    kl = sum(kl_divergence(p, matched) for p in posteriors)
+    assert model.fit_result.objective == pytest.approx(kl, rel=1e-9)
+
+    w = gp_pca.adapt_new_task(model, tasks[0], FitOptions())
+    assert w.shape == (0,)
+    grid = np.linspace(-0.1, 1.1, 9).reshape(-1, 1)
+    if mode == "exact":
+        want = oracles.predictive_batch_per_call(prior, matched, model.anchor, grid)
+    else:
+        want = oracles.sparse_predictive_batch_per_call(prior, matched, inducing, grid)
+    for weights in (w, 1):
+        for got, ref in zip(gp_pca.predict_batch(model, weights, grid), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["exact", "sparse"])

@@ -10,6 +10,7 @@ import pytest
 
 import gppca
 from gppca.epca import ConvergenceError, ValidityError, ValidityStallError
+from gppca.evaluation import DataSectionError
 from gppca.gaussian_geometry import DecompositionError
 
 MODULES = sorted(
@@ -52,10 +53,12 @@ def test_cli_import_leaves_optimizer_and_process_pool_unloaded():
         ConvergenceError(3.2e-4, 1e-6, 50),
         DecompositionError("sigma", "trace -1.000e+00 is not positive"),
         DecompositionError("A_mm"),
+        DataSectionError("invalid 'data' section: task 0: inputs and outputs must be finite"),
     ],
     ids=[
         "validity-reconstruction", "validity-data", "validity-weights", "validity-stall",
         "convergence", "decomposition-detail", "decomposition",
+        "data-section",
     ],
 )
 def test_exceptions_survive_pickling(error):

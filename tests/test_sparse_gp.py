@@ -187,6 +187,18 @@ class TestRescalingChart:
 
 
 class TestVariationalCoords:
+    def test_empty_task_gives_the_prior(self):
+        # No data: A = K / beta, so theta' = beta A K^-1 mu0 and Theta' = -K / 2.
+        prior = _prior(mean=0.7)
+        points = np.linspace(0.0, 1.0, 4)
+        z = InducingSet(points.reshape(-1, 1))
+        nat, _ = variational_coords(prior, TaskData(np.zeros((0, 1)), np.zeros(0), 3), z)
+        k = np.exp(-np.subtract.outer(points, points) ** 2 / (2 * 0.3**2))
+        a = k / prior.beta
+        theta = prior.beta * a @ np.linalg.solve(k, np.full(4, 0.7))
+        np.testing.assert_allclose(nat.theta, theta, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(nat.big_theta, -0.5 * k, rtol=1e-14, atol=0)
+
     def test_agrees_with_generic_conversion(self):
         rng = np.random.default_rng(6)
         prior = _prior()
