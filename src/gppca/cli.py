@@ -14,7 +14,7 @@ check lives in `evaluation` and in the configuration types it builds.
 `evaluate` sets each cell's training-set size from `evaluate.n_sweep` and its
 seed from `evaluate.base_seed`, so it ignores `data.samples_per_task`,
 `data.sequences_per_task` and `data.seed` in a configuration shared with
-`generate`.
+`generate`, and leaves them out of the configuration and hash it records.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numerical
 failure.
@@ -405,8 +405,8 @@ def cmd_evaluate(args) -> int:
     doc = load_config(args.config)
     experiment = _require_experiment(doc, None)
     data_cfg = _data_config(doc, experiment)
-    data_cfg.pop("samples_per_task", None)
-    data_cfg.pop("sequences_per_task", None)
+    for ignored in ("samples_per_task", "sequences_per_task", "seed"):  # set per cell
+        data_cfg.pop(ignored, None)
     prior = _hyper(doc, experiment)
     try:
         cfg = ev.ExperimentConfig(

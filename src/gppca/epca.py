@@ -34,11 +34,17 @@ the fit's final polish passes the batch it already factored, and
 `project_point` (few-shot adaptation) is its one-point case. Each point stops
 on its own, once its weight gradient norm falls below rel_tol times the norm
 of its dual coordinates, and reports its own early stop.
+
+Each `Subspace` factors its offset u0 once, on first read
+(`Subspace.offset_factor`), and every projection evaluates w = 0 from that
+factor: `project_point` starts there, so adapting many tasks to one model
+factors the offset once, not once per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -133,20 +139,35 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Affine subspace in natural coordinates: offset u0 (D,) and basis rows (L, D)."""
+    """Affine subspace in natural coordinates: offset u0 (D,) and basis rows (L, D).
+
+    `u0` and `basis` are read-only copies, so `offset_factor` cannot go stale.
+    `offset_factor` is `_natural_to_dual` of the offset, computed when first
+    read and kept, with read-only arrays; every projection reads it for its
+    evaluations at w = 0. An offset off the cone raises `_InvalidBatch` on
+    each read and keeps nothing.
+    """
 
     u0: np.ndarray
     basis: np.ndarray
 
     def __post_init__(self):
-        u0 = np.asarray(self.u0, dtype=float).reshape(-1)
-        basis = np.asarray(self.basis, dtype=float)
+        u0 = np.array(self.u0, dtype=float).reshape(-1)
+        basis = np.array(self.basis, dtype=float)
         if basis.size == 0:
             basis = basis.reshape(0, u0.shape[0])
         if basis.ndim != 2 or basis.shape[1] != u0.shape[0]:
             raise ValueError(f"basis shape {basis.shape} does not match offset length {u0.shape[0]}")
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "basis", basis)
+        for name, a in (("u0", u0), ("basis", basis)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def offset_factor(self) -> tuple:
+        factor = _natural_to_dual(self.u0[None, :], dim_from_flat(self.flat_dim))
+        for a in factor:
+            a.setflags(write=False)
+        return factor
 
     @property
     def latent_dim(self) -> int:
@@ -180,21 +201,33 @@ def reconstruct(w: np.ndarray, subspace: Subspace) -> np.ndarray:
 
 
 class _InvalidBatch(Exception):
-    def __init__(self, index: int):
-        self.index = index
+    """A batch holds a point off the cone.
 
+    `index`, the first slice of `stack` that does not factor, is searched for
+    only when read: the fit's line searches discard it. Without a stack it is -1.
+    """
 
-def _strict_cholesky(stack: np.ndarray) -> np.ndarray:
-    """Batched Cholesky without jitter; identifies the offending slice on failure."""
-    try:
-        return np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        for i, a in enumerate(stack):
+    def __init__(self, stack: Optional[np.ndarray] = None):
+        self.stack = stack
+
+    @property
+    def index(self) -> int:
+        if self.stack is None:
+            return -1
+        for i, a in enumerate(self.stack):
             try:
                 np.linalg.cholesky(a)
             except np.linalg.LinAlgError:
-                raise _InvalidBatch(i) from None
-        raise _InvalidBatch(0) from None
+                return i
+        return 0
+
+
+def _strict_cholesky(stack: np.ndarray) -> np.ndarray:
+    """Batched Cholesky without jitter; raises _InvalidBatch, which can name the offending slice."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        raise _InvalidBatch(stack) from None
 
 
 def _batched_logdet(chol: np.ndarray) -> np.ndarray:
@@ -250,10 +283,14 @@ class _PointBatch:
     def evaluate(self, weights: np.ndarray, u0: np.ndarray, basis: np.ndarray):
         """KL objective and expectation coordinates of the reconstructions u0 + W U~.
 
-        Returns (total_kl, duals); raises _InvalidBatch with the first
-        offending point index if a reconstruction leaves the cone.
+        Returns (total_kl, duals); raises _InvalidBatch, naming the first
+        offending point, if a reconstruction leaves the cone.
         """
-        a, logdet_rec, mu_rec, _, duals = _natural_to_dual(u0 + weights @ basis, self.dim)
+        return self.evaluate_factored(_natural_to_dual(u0 + weights @ basis, self.dim))
+
+    def evaluate_factored(self, recon: tuple):
+        """`evaluate` against reconstructions already passed through `_natural_to_dual`."""
+        a, logdet_rec, mu_rec, _, duals = recon
         # KL(data || recon): the reconstruction precision is `a` exactly.
         trace = np.einsum("nij,nij->n", a, self.sigma)
         diff = mu_rec - self.mu
@@ -427,14 +464,15 @@ def _mean_point(batch: _PointBatch) -> np.ndarray:
 
 def _initial_subspace(
     batch: _PointBatch, latent_dim: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offset, basis and weights to start the descent from.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Offset, basis and weights to start the descent from, and the objective there.
 
     The offset is the always-valid mean-dual point, the basis holds the
     top-L right singular vectors of the centered data, and the weights are
     the least-squares scores of the data against that frame, halved until
     every starting reconstruction is a valid Gaussian (weights of zero put
-    the start at the offset itself, which is always valid).
+    the start at the offset itself, which is always valid). The objective is
+    `_BARRIER` if the start is off the cone or not finite.
     """
     u0 = _mean_point(batch)
     centered = batch.primal - np.mean(batch.primal, axis=0)
@@ -453,13 +491,17 @@ def _initial_subspace(
     weights = (batch.primal - u0) @ basis.T  # rows are orthonormal
     for _ in range(80):
         try:
-            batch.evaluate(weights, u0, basis)
+            total = batch.evaluate(weights, u0, basis)[0]
             break
         except _InvalidBatch:
             weights *= 0.5
     else:
         weights = np.zeros((batch.count, latent_dim))
-    return u0, basis, weights
+        try:
+            total = batch.evaluate(weights, u0, basis)[0]
+        except _InvalidBatch:
+            total = _BARRIER
+    return u0, basis, weights, total if np.isfinite(total) else _BARRIER
 
 
 def _normalize(u0, basis, weights):
@@ -504,7 +546,7 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
             f"latent dimension {latent_dim} not in [0, {max(n_points - 1, 0)}] for {n_points} points"
         )
     batch = _PointBatch(pts)
-    u0_init, basis_init, w_init = _initial_subspace(batch, latent_dim)
+    u0_init, basis_init, w_init, start = _initial_subspace(batch, latent_dim)
     flat_dim = batch.flat_dim
     n_w = n_points * latent_dim
 
@@ -517,7 +559,7 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
     def evaluate(p):
         total, duals = batch.evaluate(*unpack_params(p))
         if not np.isfinite(total):
-            raise _InvalidBatch(-1)
+            raise _InvalidBatch()
         return total, duals
 
     def gradient(p, duals):
@@ -533,7 +575,7 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
         return total, gradient(p, duals)
 
     p0 = np.concatenate([w_init.reshape(-1), u0_init, basis_init.reshape(-1)])
-    history = [value_and_grad(p0)[0]]
+    history = [start]  # _initial_subspace evaluated p0 already
 
     def record(intermediate_result):  # scipy passes the objective of each iterate
         history.append(intermediate_result.fun)
@@ -590,7 +632,9 @@ def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, sta
 
     Each point runs its own `_Minimizer` descent over its weights, stopping
     once the weight gradient norm falls below rel_tol times the norm of that
-    point's dual coordinates (or as `_Minimizer.run` stops otherwise).
+    point's dual coordinates (or as `_Minimizer.run` stops otherwise). An
+    evaluation at w = 0 reads `subspace.offset_factor` instead of factoring
+    the offset again.
     Returns (weights (I, L), errors): errors[i] is None, or the error that
     stopped point i early. A ConvergenceError (the iteration cap) leaves the
     row at its last iterate; a ValidityStallError (no valid step) or a
@@ -604,6 +648,8 @@ def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, sta
         tol = opts.rel_tol * max(float(np.linalg.norm(point.dual[0])), 1e-300)
 
         def evaluate(w):
+            if not w.any():  # the offset itself
+                return point.evaluate_factored(subspace.offset_factor)
             return point.evaluate(w[None, :], subspace.u0, basis)
 
         def gradient(w, duals):
@@ -627,15 +673,16 @@ def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, sta
 def project_point(point, subspace: Subspace, opts: Optional[FitOptions] = None) -> np.ndarray:
     """Weights of the KL-minimizing projection of one coordinate point.
 
-    The one-point case of `_project_batch`, started at w = 0 (the offset
-    itself, always valid). It descends the point's KL over w alone until the
-    weight-space gradient norm falls below rel_tol times the norm of the
-    point's dual coordinates, the per-step relative KL change falls below
-    rel_tol, or no strictly decreasing valid step exists (stationarity at
-    numeric resolution); the problem is convex in w so all three witness the
-    unique projection. Raises ConvergenceError with the final gradient norm
-    if the iteration cap is hit first, and ValidityStallError if no valid
-    step exists.
+    The one-point case of `_project_batch`, started at w = 0: the offset
+    itself, whose factor the subspace keeps, so only the first projection
+    onto a subspace factors it. It descends the point's KL over w alone
+    until the weight-space gradient norm falls below rel_tol times the norm
+    of the point's dual coordinates, the per-step relative KL change falls
+    below rel_tol, or no strictly decreasing valid step exists (stationarity
+    at numeric resolution); the problem is convex in w so all three witness
+    the unique projection. Raises ConvergenceError with the final gradient
+    norm if the iteration cap is hit first, and ValidityStallError if no
+    valid step exists.
     """
     opts = opts or FitOptions()
     point = np.asarray(point, dtype=float).reshape(-1)

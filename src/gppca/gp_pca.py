@@ -76,9 +76,11 @@ class GpPcaModel:
     Constructing the model factors the prior over the anchor once
     (`anchor_set.factor(prior)`: K, its Cholesky factor, mu0 and K^-1 mu0),
     and every prediction and adaptation reads that factor; a sparse model's
-    first prediction adds K^-1 to it. The factor and
+    first prediction adds K^-1 to it. Next to it, the first adaptation
+    factors the subspace offset once (`subspace.offset_factor`), and every
+    later adaptation starts its projection from that factor. The factors and
     `fit_result` (training diagnostics) are not persisted; a loaded model
-    builds its factor again.
+    builds its factors again.
     """
 
     prior: GpPrior
@@ -291,7 +293,7 @@ def load_model(path) -> GpPcaModel:
 
 
 def with_extra_task(model: GpPcaModel, w: np.ndarray) -> GpPcaModel:
-    """Model with one more weight row (an adapted task) appended; it shares the anchor factor."""
+    """Model with one more weight row (an adapted task) appended; it shares both factors."""
     w = np.asarray(w, dtype=float).reshape(1, model.latent_dim)
     return replace(
         model, anchor=model.anchor_set, weights=np.vstack([model.weights, w]), fit_result=None

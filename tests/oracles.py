@@ -12,13 +12,15 @@ inputs can fall close together, cond(Sigma**) then reaches 1e10, and no
 fixed absolute tolerance holds for every draw.
 
 The per-call route (`predict_batch_per_call`, `adapt_per_call` and the
-functions under them) is the predictive and task-point code as it was
-before each model cached its anchor factor: every call builds K over the
-anchor, factors it and recomputes the prior-mean centre, and the variances
-come from a three-operand einsum. The cached route must give the same means
-and adapted weights bit for bit, and the same variances to the float64
-floor. `variational_posterior`, `rho_prime_to_rho` and `rho_to_rho_prime`
-are the rescaled sparse chart written out in moments, for the tests only.
+functions under them) is the predictive, task-point and projection code as
+it was before each model cached its anchor factor and each subspace its
+offset factor: every call builds K over the anchor, factors it and
+recomputes the prior-mean centre, the variances come from a three-operand
+einsum, and the projection factors every iterate, w = 0 included, as
+u0 + w @ basis. The cached route must give the same means and adapted
+weights bit for bit, and the same variances to the float64 floor.
+`variational_posterior`, `rho_prime_to_rho` and `rho_to_rho_prime` are the
+rescaled sparse chart written out in moments, for the tests only.
 
 The expectation chart, the Legendre potentials, the closed-form KL and the
 extension map `joint_posterior_coords` are the reference algebra of the
@@ -539,9 +541,29 @@ def task_point_per_call(model, task: TaskData) -> np.ndarray:
     return pack_natural(nat)
 
 
+def project_point_per_call(point, subspace: epca.Subspace, opts: Optional[FitOptions] = None) -> np.ndarray:
+    """`epca.project_point` factoring every iterate, w = 0 included, as u0 + w @ basis."""
+    opts = opts or FitOptions()
+    batch = epca._PointBatch(np.asarray(point, dtype=float).reshape(1, -1))
+    tol = opts.rel_tol * max(float(np.linalg.norm(batch.dual[0])), 1e-300)
+
+    def evaluate(w):
+        return batch.evaluate(w[None, :], subspace.u0, subspace.basis)
+
+    def gradient(w, duals):
+        return (duals[0] - batch.dual[0]) @ subspace.basis.T
+
+    w, _, _, _, converged, grad_norm = epca._Minimizer(evaluate, gradient, opts).run(
+        np.zeros(subspace.latent_dim), stop_grad_tol=tol
+    )
+    if not converged:
+        raise epca.ConvergenceError(grad_norm, tol, opts.max_iters)
+    return w
+
+
 def adapt_per_call(model, fewshot: TaskData, opts: Optional[FitOptions] = None) -> np.ndarray:
-    """`gp_pca.adapt_new_task` with the task point built by the per-call functions."""
-    return epca.project_point(task_point_per_call(model, fewshot), model.subspace, opts)
+    """`gp_pca.adapt_new_task` with the task point and the projection by the per-call functions."""
+    return project_point_per_call(task_point_per_call(model, fewshot), model.subspace, opts)
 
 
 def _vdp_rhs(state: np.ndarray, alpha: float) -> np.ndarray:

@@ -98,6 +98,21 @@ def test_evaluate_in_worker_processes_writes_identical_files(tmp_path):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
+def test_evaluate_records_the_same_summary_whatever_the_ignored_data_seed(tmp_path):
+    # `generate` draws from data.seed; `evaluate` seeds each cell from evaluate.base_seed.
+    written = {}
+    for seed in (1, 2):
+        config = _write_config(
+            tmp_path / f"config{seed}.json", {**CONFIG, "data": {**CONFIG["data"], "seed": seed}}
+        )
+        out, data = tmp_path / f"report{seed}", tmp_path / f"data{seed}"
+        assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 0
+        assert cli.main(["generate", "--config", config, "--out", str(data)]) == 0
+        written[seed] = (out / "summary.json").read_bytes(), (data / "dataset.csv").read_bytes()
+    assert written[1][0] == written[2][0]
+    assert written[1][1] != written[2][1]
+
+
 REMOVED_OPTIONS = {"seed": 0, "learning_rate": 0.1, "backtrack_factor": 0.5}
 
 

@@ -240,23 +240,25 @@ def _variance_floor(model, w, x):
     """Bound per test point on |`predict_batch` - `predict_batch_per_call`| variances.
 
     Both routes predict from the same reconstructed posterior (Sigma).
-    Exact: EPS * (cond(K) + cond(-2 Theta)) * scale. Sparse: the routes
-    differ only in K^-1 k_m (K^-1 formed once against a solve per call),
-    bounded by EPS * cond(K) * (1 + sum |k_m * K^-1 k_m|), and in the order
-    of the sums of k_m^T Sigma' k_m, bounded by 2 m EPS |k_m|^T |Sigma'| |k_m|.
+    Exact: both routes take w = K^-1 k from the same Cholesky factor of K
+    and differ only in the order of the sums of w^T (Sigma - K) w, bounded by
+    2 n EPS (1 + |w|^T |Sigma - K| |w|). Sparse: the routes differ only in
+    K^-1 k_m (K^-1 formed once against a solve per call), bounded by
+    EPS * cond(K) * (1 + sum |k_m * K^-1 k_m|), and in the order of the sums
+    of k_m^T Sigma' k_m, bounded by 2 m EPS |k_m|^T |Sigma'| |k_m|.
     """
     k = gram(model.prior.kernel, model.anchor, model.anchor)
     k_cross = gram(model.prior.kernel, model.anchor, x)
-    kinv_k = np.linalg.solve(k, k_cross)
     nat = gg.unpack_natural(epca.reconstruct(w, model.subspace), model.anchor.shape[0])
     sigma = natural_to_moment(nat).sigma
     if model.mode == "sparse":
+        kinv_k = np.linalg.solve(k, k_cross)
         quad = np.sum(np.abs(k_cross) * (np.abs(sigma) @ np.abs(k_cross)), axis=0)
         solve = 1.0 + np.sum(np.abs(k_cross * kinv_k), axis=0)
         return EPS * (np.linalg.cond(k) * solve + 2 * len(k) * quad)
+    kinv_k = gg.chol_solve(model.anchor_set.factor(model.prior).chol, k_cross)
     scale = 1.0 + np.sum(np.abs(kinv_k) * (np.abs(sigma - k) @ np.abs(kinv_k)), axis=0)
-    kappa = np.linalg.cond(k) + np.linalg.cond(-2.0 * nat.big_theta)
-    return EPS * kappa * scale
+    return 2 * len(k) * EPS * scale
 
 
 class TestAnchorFactor:
@@ -345,10 +347,17 @@ class TestAnchorFactor:
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_loaded_and_augmented_models_predict_identically(self, mode, tmp_path):
         model, data = _artificial_model(mode)
-        w = gp_pca.adapt_new_task(model, data.new_tasks[0], FitOptions(rel_tol=1e-6))
+        opts = FitOptions(rel_tol=1e-8)  # the sparse projections move
+        adapted = [gp_pca.adapt_new_task(model, task, opts) for task in data.new_tasks]
+        w = adapted[0]
         path = tmp_path / "model.json"
         gp_pca.save_model(model, path)
         loaded = gp_pca.load_model(path)
+        assert "offset_factor" not in vars(loaded.subspace)  # built again, not persisted
+        for task, want in zip(data.new_tasks, adapted):
+            assert np.array_equal(gp_pca.adapt_new_task(loaded, task, opts), want)
+        for got, want in zip(loaded.subspace.offset_factor, model.subspace.offset_factor):
+            assert np.array_equal(got, want)
         augmented = gp_pca.with_extra_task(model, w)
         assert augmented.anchor_set is model.anchor_set
         x = data.new_eval[0].inputs
@@ -360,8 +369,6 @@ class TestAnchorFactor:
         want = gp_pca.predict_batch(model, w, x)
         got = gp_pca.predict_batch(augmented, model.num_tasks, x)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert np.array_equal(gp_pca.adapt_new_task(loaded, data.new_tasks[1], FitOptions(rel_tol=1e-6)),
-                              gp_pca.adapt_new_task(model, data.new_tasks[1], FitOptions(rel_tol=1e-6)))
 
     def test_factor_is_kept_per_kernel_and_read_only(self):
         anchor = InducingSet(np.linspace(0.0, 1.0, 5).reshape(-1, 1))
@@ -375,6 +382,86 @@ class TestAnchorFactor:
         for a in (factor.gram, factor.chol, factor.mean, factor.kinv_mean):
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+
+class TestOffsetFactor:
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_offset_factored_once_per_model(self, mode, monkeypatch):
+        model, data = _artificial_model(mode)
+        offset = model.subspace.u0[None, :]
+        calls = []
+
+        def counting(points, d):
+            if np.array_equal(points, offset):
+                calls.append(points)
+            return natural_to_dual(points, d)
+
+        natural_to_dual = epca._natural_to_dual
+        monkeypatch.setattr(epca, "_natural_to_dual", counting)
+        opts = FitOptions(rel_tol=1e-8)
+        adapted = [gp_pca.adapt_new_task(model, task, opts) for task in data.new_tasks]
+        augmented = gp_pca.with_extra_task(model, adapted[0])
+        assert augmented.subspace is model.subspace
+        for task in data.train_tasks:
+            gp_pca.adapt_new_task(augmented, task, opts)
+        assert len(calls) == 1
+        factor = model.subspace.offset_factor
+        assert all(not a.flags.writeable for a in factor)
+        for got, want in zip(factor, natural_to_dual(offset, model.anchor.shape[0])):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_adapted_weights_match_per_call_route(self, mode):
+        # The toy models' projections move in both modes; the artificial one's in sparse mode.
+        artificial, data = _artificial_model(mode)
+        tasks = _toy_tasks()
+        inducing = InducingSet(union_inputs(tasks)) if mode == "sparse" else None
+        toy = gp_pca.train(tasks, _prior(), 1, mode=mode, opts=TIGHT, inducing=inducing)
+        cases = [
+            (artificial, data.new_tasks, FitOptions(rel_tol=1e-8)),
+            (toy, tasks, FitOptions(rel_tol=1e-12, max_iters=40_000)),
+        ]
+        moved = 0
+        for model, fewshot, opts in cases:
+            for task in fewshot:
+                w = gp_pca.adapt_new_task(model, task, opts)
+                assert np.array_equal(w, oracles.adapt_per_call(model, task, opts))
+                moved += bool(np.any(w != 0.0))
+        assert moved >= len(tasks) + (len(data.new_tasks) if mode == "sparse" else 0)
+
+    def test_offset_off_the_cone_raises_and_keeps_nothing(self):
+        prior = _prior()
+        task = _toy_tasks()[0]
+        nat = moment_to_natural(exact_posterior(prior, task, task.inputs))
+        u0 = gg.pack_natural(gg.NaturalCoord(theta=nat.theta, big_theta=-nat.big_theta))
+        model = gp_pca.GpPcaModel(
+            prior=prior,
+            anchor=task.inputs,
+            subspace=epca.Subspace(u0=u0, basis=np.ones((1, u0.shape[0]))),
+            weights=np.zeros((1, 1)),
+            mode="exact",
+            latent_dim=1,
+        )
+        message = r"^reconstruction for point 0 violates negative definite Theta$"
+        point = gp_pca._task_point(model.prior, task, model.anchor_set, model.mode)
+        for _ in range(2):
+            with pytest.raises(ValidityError, match=message):
+                epca.project_point(point, model.subspace)
+            with pytest.raises(ValidityError, match=message):
+                gp_pca.adapt_new_task(model, task)
+            assert "offset_factor" not in vars(model.subspace)
+
+    def test_subspace_arrays_are_read_only_copies(self):
+        u0, basis = np.array([0.0, -0.5]), np.array([[0.0, 1.0]])
+        subspace = epca.Subspace(u0=u0, basis=basis)
+        u0[1], basis[0, 1] = -2.0, 3.0
+        assert subspace.u0[1] == -0.5 and subspace.basis[0, 1] == 1.0
+        for a in (subspace.u0, subspace.basis):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        for a in subspace.offset_factor:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 1.0
 
 
 @pytest.mark.parametrize("mode", ["exact", "sparse"])
