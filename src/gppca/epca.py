@@ -145,7 +145,9 @@ class Subspace:
     `offset_factor` is `_natural_to_dual` of the offset, computed when first
     read and kept, with read-only arrays; every projection reads it for its
     evaluations at w = 0. An offset off the cone raises `_InvalidBatch` on
-    each read and keeps nothing.
+    each read and keeps nothing. A pickled or deep-copied subspace is rebuilt
+    through the constructor, so its arrays are read-only again and it
+    factors its offset afresh.
     """
 
     u0: np.ndarray
@@ -161,6 +163,9 @@ class Subspace:
         for name, a in (("u0", u0), ("basis", basis)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        return type(self), (self.u0, self.basis)
 
     @cached_property
     def offset_factor(self) -> tuple:

@@ -13,12 +13,21 @@ pairing. Inverses appear only where the parameterization itself is an
 inverse matrix (Theta, Sigma); everything else goes through a Cholesky
 factorization with a bounded jitter-repair policy. `chol_pd` is the
 package's one Cholesky factorization with that policy, and `chol_solve` the
-package's one Cholesky solve: every system against a `chol_pd` factor is
+package's one Cholesky solve: every system against a Cholesky factor is
 solved through it. (The subspace fit in `epca` works on stacks of matrices
 with NumPy's batched routines instead.) `chol_solve` imports SciPy's LAPACK
 binding when it is first called, not with the module: `import scipy.linalg`
 costs every process that imports the package about 0.2 s, and commands that
 solve nothing, such as `gppca generate`, need none of it.
+
+A reconstructed point, whose Theta may lie just past the cone of negative
+definite matrices, is never repaired: `flat_natural_to_moment` factors
+-2 Theta strictly, once per call, and raises `DecompositionError` where the
+jitter repair of `natural_to_moment` would have factored a nearby matrix
+and returned moments of an indefinite one. Otherwise it gives
+`natural_to_moment(unpack_natural(flat, d))` bit for bit: it symmetrizes
+Theta once and solves for mu and Sigma against the one factor in one
+`chol_solve`.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ __all__ = [
     "NaturalCoord",
     "moment_to_natural",
     "natural_to_moment",
+    "flat_natural_to_moment",
     "chol_pd",
     "chol_solve",
     "pack_coords",
@@ -196,6 +206,28 @@ def natural_to_moment(c: NaturalCoord) -> MomentGaussian:
     mu = chol_solve(chol, c.theta)
     sigma = chol_solve(chol, np.eye(c.dim))
     return MomentGaussian(mu=mu, sigma=_sym(sigma))
+
+
+def flat_natural_to_moment(flat: np.ndarray, d: int) -> MomentGaussian:
+    """Moments of a flat natural point: `natural_to_moment(unpack_natural(flat, d))`, strictly.
+
+    Theta is symmetrized once and -2 Theta factored once, without jitter; a
+    matrix that does not factor as it is raises DecompositionError. mu and
+    Sigma come from one `chol_solve` against [theta | I], which gives each
+    column the bits of its own solve, so the moments equal the chain's bit
+    for bit wherever the chain needs no jitter.
+    """
+    theta, big_theta = unpack_coords(flat, d)
+    a = -2.0 * big_theta  # equals Sigma^-1, must be PD
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise DecompositionError("-2*big_theta", "strict factorization, no jitter") from None
+    rhs = np.empty((d, d + 1))
+    rhs[:, 0] = theta
+    rhs[:, 1:] = np.eye(d)
+    x = chol_solve(chol, rhs)
+    return MomentGaussian(mu=x[:, 0], sigma=_sym(x[:, 1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ which is what makes fitting over the anchor set equivalent to fitting over
 any enlarged input set; `joint_posterior_coords` in `tests/oracles.py`
 realizes it explicitly for the theorem tests.
 
+A prediction factors its reconstruction's -2 Theta once, strictly
+(`gaussian_geometry.flat_natural_to_moment`): weights whose reconstruction
+lies off the cone of valid posteriors, even just past its boundary, raise
+`ValidityError`, as they do in the fit and the projection.
+
 New tasks are placed on the subspace by computing their posterior
 coordinates from the few observations available and projecting onto the
 fitted subspace (the unique KL-minimizing projection).
@@ -34,10 +39,10 @@ from gppca.epca import FitOptions, FitResult, Subspace, ValidityError
 from gppca.gaussian_geometry import (
     DecompositionError,
     MomentGaussian,
+    flat_natural_to_moment,
     moment_to_natural,
-    natural_to_moment,
+    natural_to_moment,  # noqa: F401  (perfbench/spans.py wraps it at this attribute)
     pack_natural,
-    unpack_natural,
 )
 from gppca.kernels_gp import (
     GpPrior,
@@ -80,7 +85,9 @@ class GpPcaModel:
     factors the subspace offset once (`subspace.offset_factor`), and every
     later adaptation starts its projection from that factor. The factors and
     `fit_result` (training diagnostics) are not persisted; a loaded model
-    builds its factors again.
+    builds its factors again. A pickled or deep-copied model is rebuilt
+    through the constructor, with read-only anchor and subspace arrays, and
+    factors its anchor again.
     """
 
     prior: GpPrior
@@ -103,6 +110,12 @@ class GpPcaModel:
         object.__setattr__(self, "anchor_set", anchor_set)
         object.__setattr__(self, "weights", weights)
         anchor_set.factor(self.prior)
+
+    def __reduce__(self):
+        return type(self), (
+            self.prior, self.anchor_set, self.subspace, self.weights,
+            self.mode, self.latent_dim, self.fit_result,
+        )
 
     @property
     def num_tasks(self) -> int:
@@ -172,15 +185,23 @@ def train(
 
 
 def _reconstructed_moments(model: GpPcaModel, w: np.ndarray) -> MomentGaussian:
+    """Moments of the reconstruction at `w`, from one strict factorization of its -2 Theta.
+
+    A reconstruction off the cone raises ValidityError naming `w`, even
+    when it lies so close to the cone that a jittered factor would exist.
+    """
     flat = epca.reconstruct(w, model.subspace)
-    nat = unpack_natural(flat, model.anchor.shape[0])
     try:
-        return natural_to_moment(nat)
+        return flat_natural_to_moment(flat, len(model.anchor_set))
     except DecompositionError as exc:
         raise ValidityError(None, weights=w) from exc
 
 
 def _resolve_weights(model: GpPcaModel, task_or_weights) -> np.ndarray:
+    if np.asarray(task_or_weights).dtype == bool:
+        raise TypeError(
+            f"expected a task index or a weight vector, got the boolean {task_or_weights!r}"
+        )
     if isinstance(task_or_weights, (int, np.integer)):
         idx = int(task_or_weights)
         if not 0 <= idx < model.num_tasks:
@@ -197,8 +218,10 @@ def _resolve_weights(model: GpPcaModel, task_or_weights) -> np.ndarray:
 def predict_batch(model: GpPcaModel, task_or_weights, x_plus):
     """Means and variances at each test point for a task index or weight vector.
 
-    The predictive equations read the model's anchor factor; nothing over
-    the anchor is recomputed.
+    The reconstruction at the weights is factored once, strictly; one off
+    the cone raises ValidityError. The predictive equations read the
+    model's anchor factor; nothing over the anchor is recomputed. A boolean
+    is neither a task index nor a weight and raises TypeError.
     """
     w = _resolve_weights(model, task_or_weights)
     rho = _reconstructed_moments(model, w)

@@ -127,13 +127,24 @@ class GpPrior:
 
 
 def gram(cfg: KernelConfig, a, b) -> np.ndarray:
-    """Gram matrix k(A, B) of shape (len(A), len(B))."""
+    """Gram matrix k(A, B) of shape (len(A), len(B)).
+
+    Works in one array: the differences are squared, scaled and
+    exponentiated in place, and 1-D inputs skip the sum over their one
+    feature. The result is exp(-sum((a_i - b_j)^2) / (2 l^2)) bit for bit.
+    """
     pa = as_points(a)
     pb = as_points(b)
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
-    d2 = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
-    return np.exp(-d2 / (2.0 * cfg.lengthscale**2))
+    if pa.shape[1] == 1:
+        d2 = pa - pb.T
+        np.square(d2, out=d2)
+    else:
+        diff = pa[:, None, :] - pb[None, :, :]
+        d2 = np.sum(np.square(diff, out=diff), axis=2)
+    np.divide(d2, -2.0 * cfg.lengthscale**2, out=d2)  # x / (-c) is -x / c exactly
+    return np.exp(d2, out=d2)
 
 
 def coincident(a, b) -> np.ndarray:
@@ -177,12 +188,24 @@ class PriorFactor:
     first read and kept: sparse predictions read it, so a sparse model
     inverts K_mm once; an exact anchor (the union of the task inputs,
     hundreds of points) never computes it, since nothing there reads it.
+
+    The constructor stores read-only copies. A pickled or deep-copied factor
+    is rebuilt through it and computes `kinv` again when it is read.
     """
 
     gram: np.ndarray
     chol: np.ndarray
     mean: np.ndarray
     kinv_mean: np.ndarray
+
+    def __post_init__(self):
+        for name in ("gram", "chol", "mean", "kinv_mean"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        return type(self), (self.gram, self.chol, self.mean, self.kinv_mean)
 
     @cached_property
     def kinv(self) -> np.ndarray:
@@ -197,7 +220,9 @@ class InducingSet:
 
     `factor(prior)` computes the prior's `PriorFactor` over Z on its first
     call and returns the same one afterwards, one per kernel and prior mean.
-    `points` is a read-only copy, so the factors cannot go stale.
+    `points` is a read-only copy, so the factors cannot go stale. A pickled
+    or deep-copied set is rebuilt through the constructor, without the
+    factors, which it computes again when asked.
     """
 
     points: np.ndarray
@@ -214,6 +239,9 @@ class InducingSet:
             raise ValueError(f"inducing points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
 
+    def __reduce__(self):
+        return type(self), (self.points,)
+
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -225,8 +253,6 @@ class InducingSet:
             chol = chol_pd(k, "K(anchor, anchor)")
             mean = prior.mean_at(self.points)
             found = PriorFactor(gram=k, chol=chol, mean=mean, kinv_mean=chol_solve(chol, mean))
-            for a in (found.gram, found.chol, found.mean, found.kinv_mean):
-                a.setflags(write=False)
             self._factors[key] = found
         return found
 

@@ -16,9 +16,12 @@ functions under them) is the predictive, task-point and projection code as
 it was before each model cached its anchor factor and each subspace its
 offset factor: every call builds K over the anchor, factors it and
 recomputes the prior-mean centre, the variances come from a three-operand
-einsum, and the projection factors every iterate, w = 0 included, as
-u0 + w @ basis. The cached route must give the same means and adapted
-weights bit for bit, and the same variances to the float64 floor.
+einsum, the projection factors every iterate, w = 0 included, as
+u0 + w @ basis, and a reconstruction's moments come from the public chain
+`natural_to_moment(unpack_natural(reconstruct(w)))` (`reconstructed_moments`)
+instead of `gp_pca`'s one strict factorization. The cached route must give
+the same means and adapted weights bit for bit, and the same variances to
+the float64 floor.
 `variational_posterior`, `rho_prime_to_rho` and `rho_to_rho_prime` are the
 rescaled sparse chart written out in moments, for the tests only.
 
@@ -54,6 +57,7 @@ from gppca.gaussian_geometry import (
     pack_coords,
     pack_natural,
     unpack_coords,
+    unpack_natural,
     _check_symmetry,
     _sym,
 )
@@ -524,9 +528,17 @@ def sparse_predictive_batch_per_call(prior: GpPrior, sp: MomentGaussian, inducin
     return means, np.maximum(variances, 0.0)
 
 
+def reconstructed_moments(model, w) -> MomentGaussian:
+    """Moments of the reconstruction at weights `w` through the public chain
+    `natural_to_moment(unpack_natural(reconstruct(w)))`, which symmetrizes and
+    checks Theta at each step and factors -2 Theta with `chol_pd`'s jitter repair."""
+    nat = unpack_natural(epca.reconstruct(w, model.subspace), model.anchor.shape[0])
+    return natural_to_moment(nat)
+
+
 def predict_batch_per_call(model, task_or_weights, x_plus):
-    """`gp_pca.predict_batch` through the per-call predictive functions."""
-    rho = gp_pca._reconstructed_moments(model, gp_pca._resolve_weights(model, task_or_weights))
+    """`gp_pca.predict_batch` through the public chain and the per-call predictive functions."""
+    rho = reconstructed_moments(model, gp_pca._resolve_weights(model, task_or_weights))
     if model.mode == "exact":
         return predictive_batch_per_call(model.prior, rho, model.anchor, x_plus)
     return sparse_predictive_batch_per_call(model.prior, rho, InducingSet(model.anchor), x_plus)

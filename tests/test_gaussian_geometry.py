@@ -85,6 +85,54 @@ class TestNaturalToMoment:
             np.testing.assert_allclose(g2.sigma, g.sigma, rtol=1e-8, atol=1e-10)
 
 
+class TestFlatNaturalToMoment:
+    """`flat_natural_to_moment` is the chain `natural_to_moment(unpack_natural(...))`
+    to the bit, from one strict factorization."""
+
+    @staticmethod
+    def _flat(rng, d, cond_max, asymmetry=0.0):
+        a = spd_matrix(rng, d, cond_max)  # -2 Theta
+        big_theta = -0.5 * a + asymmetry * rng.normal(size=(d, d))
+        return np.concatenate([rng.normal(size=d) * 10.0, big_theta.reshape(-1)])
+
+    @pytest.mark.parametrize("d", [1, 12, 60])
+    @pytest.mark.parametrize("cond_max", [1e2, 1e12])
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-17])
+    def test_matches_the_chain_bit_for_bit(self, d, cond_max, asymmetry):
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            flat = self._flat(rng, d, cond_max, asymmetry)
+            got = gg.flat_natural_to_moment(flat, d)
+            want = natural_to_moment(gg.unpack_natural(flat, d))
+            assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma, want.sigma)
+
+    def test_refuses_what_jitter_would_repair(self):
+        # min eig(-2 Theta) = -1e-12: chol_pd's first jitter (1e-10 trace/d) factors it.
+        a = np.diag([1.0, 2.0, -1e-12])
+        flat = np.concatenate([np.ones(3), (-0.5 * a).reshape(-1)])
+        natural_to_moment(gg.unpack_natural(flat, 3))
+        with pytest.raises(DecompositionError, match=r"-2\*big_theta"):
+            gg.flat_natural_to_moment(flat, 3)
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_factors_once(self, valid, monkeypatch):
+        a = np.diag([1.0, 2.0, 1.0 if valid else -1e-12])
+        flat = np.concatenate([np.ones(3), (-0.5 * a).reshape(-1)])
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return cholesky(m)
+
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        try:
+            gg.flat_natural_to_moment(flat, 3)
+        except DecompositionError:
+            assert not valid
+        assert len(calls) == 1
+
+
 class TestExpectationMaps:
     def test_standard(self):
         c = moment_to_expectation(MomentGaussian([0.0], [[1.0]]))

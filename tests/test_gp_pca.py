@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,13 @@ class TestPredict:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=r"weights must be finite, got \[(nan|-?inf)\]"):
                 gp_pca.predict_batch(model, [bad], [[0.1]])
+
+    def test_booleans_are_refused(self):
+        # True would predict task 1 as an index, np.True_ at w = 1.0 as a weight.
+        model = gp_pca.train(_toy_tasks(), _prior(), 1, mode="exact", opts=TIGHT)
+        for bad in (True, False, np.True_, np.False_, [True], np.array([False])):
+            with pytest.raises(TypeError, match="boolean"):
+                gp_pca.predict_batch(model, bad, [[0.1]])
 
 
 class TestAdapt:
@@ -462,6 +472,131 @@ class TestOffsetFactor:
         for a in subspace.offset_factor:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 1.0
+
+
+def _cone_boundary_weights(model):
+    """The weights on the model's line (L = 1) where min eig(-2 Theta) reaches 0, each side of w = 0."""
+    d = len(model.anchor)
+    _, offset = gg.unpack_coords(model.subspace.u0, d)
+    _, direction = gg.unpack_coords(model.subspace.basis[0], d)
+    # -2 Theta(w) = A0 + w M is singular where w = -1/lambda, lambda an eigenvalue of A0^-1 M.
+    lam = np.linalg.eigvals(np.linalg.solve(-2.0 * offset, -2.0 * direction)).real
+    return -1.0 / lam[lam < 0].min(), -1.0 / lam[lam > 0].max()
+
+
+class TestStrictReconstruction:
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_predictions_equal_the_public_chain(self, mode):
+        model, data = _artificial_model(mode)
+        adapted = [gp_pca.adapt_new_task(model, task, FitOptions(rel_tol=1e-8)) for task in data.new_tasks]
+        predictive = gp_pca.predictive_batch if mode == "exact" else gp_pca.sparse_predictive_batch
+        dense = np.linspace(-0.1, 1.1, 1_200).reshape(-1, 1)
+        for w, ev in zip([*model.weights, *adapted], [*data.train_eval, *data.new_eval]):
+            rho = oracles.reconstructed_moments(model, w)
+            for x in (ev.inputs, dense):
+                got = gp_pca.predict_batch(model, w, x)
+                want = predictive(model.prior, rho, model.anchor_set, x)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_one_call_factors_its_reconstruction_once(self, mode, monkeypatch):
+        model, data = _artificial_model(mode)
+        gp_pca.predict_batch(model, 0, data.train_eval[0].inputs)  # the anchor's factors, once
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        for i, ev in enumerate(data.train_eval):
+            gp_pca.predict_batch(model, i, ev.inputs)
+        d = len(model.anchor)
+        assert calls == [(d, d)] * model.num_tasks
+
+    def test_reconstruction_just_past_the_cone_raises(self, monkeypatch):
+        # chol_pd's jitter repair used to factor these and predict means of order 1e7.
+        data = gen_artificial(
+            ArtificialConfig(num_tasks=5, samples_per_task=5, num_new_tasks=1, eval_points_per_task=10, seed=3)
+        )
+        inducing = grid_inducing(np.vstack([t.inputs for t in data.train_tasks]), 8)
+        prior = _prior(lengthscale=0.2, beta=25.0)
+        model = gp_pca.train(
+            data.train_tasks, prior, 1, mode="sparse", opts=FitOptions(max_iters=200), inducing=inducing
+        )
+        x = data.train_eval[0].inputs
+        for boundary in _cone_boundary_weights(model):
+            w = np.array([boundary * (1 + 1e-7)])
+            _, big_theta = gg.unpack_coords(epca.reconstruct(w, model.subspace), len(inducing))
+            assert -1e-7 < np.linalg.eigvalsh(-2.0 * big_theta).min() < 0.0
+            with pytest.raises(epca._InvalidBatch):  # the fit and projection refuse it too
+                epca._natural_to_dual(epca.reconstruct(w, model.subspace)[None, :], len(inducing))
+            with pytest.raises(ValidityError, match="reconstruction at weights"):
+                gp_pca.predict_batch(model, w, x)
+            inside = np.array([boundary * (1 - 1e-3)])
+            means, variances = gp_pca.predict_batch(model, inside, x)
+            assert np.isfinite(means).all() and np.isfinite(variances).all()
+
+
+class TestCopies:
+    """Pickled and deep-copied objects are rebuilt read-only, their kept factors computed afresh."""
+
+    COPIERS = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)), "deepcopy": copy.deepcopy}
+
+    @staticmethod
+    def _assert_read_only(*arrays):
+        for a in arrays:
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("how", COPIERS)
+    def test_subspace_rebuilds_its_offset_factor(self, how):
+        model, _ = _artificial_model("sparse")
+        subspace = model.subspace
+        want = subspace.offset_factor
+        got = self.COPIERS[how](subspace)
+        assert "offset_factor" not in vars(got)
+        self._assert_read_only(got.u0, got.basis, *got.offset_factor)
+        assert np.array_equal(got.u0, subspace.u0) and np.array_equal(got.basis, subspace.basis)
+        for a, b in zip(got.offset_factor, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("how", COPIERS)
+    def test_inducing_set_and_prior_factor(self, how):
+        anchor = InducingSet(np.linspace(0.0, 1.0, 6).reshape(-1, 1))
+        prior = _prior(mean=0.3)
+        factor = anchor.factor(prior)
+        factor.kinv
+        got_anchor = self.COPIERS[how](anchor)
+        assert got_anchor._factors == {}
+        self._assert_read_only(got_anchor.points)
+        got = self.COPIERS[how](factor)
+        assert "kinv" not in vars(got)
+        names = ("gram", "chol", "mean", "kinv_mean", "kinv")
+        self._assert_read_only(*(getattr(got, n) for n in names))
+        for n in names:
+            assert np.array_equal(getattr(got, n), getattr(factor, n))
+        assert np.array_equal(got_anchor.factor(prior).chol, factor.chol)
+
+    @pytest.mark.parametrize("how", COPIERS)
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_model_predicts_and_adapts_identically(self, mode, how):
+        model, data = _artificial_model(mode)
+        task, x = data.new_tasks[0], data.new_eval[0].inputs
+        opts = FitOptions(rel_tol=1e-8)
+        w = gp_pca.adapt_new_task(model, task, opts)
+        got = self.COPIERS[how](model)
+        assert got.anchor is got.anchor_set.points
+        assert "offset_factor" not in vars(got.subspace)
+        factor = got.anchor_set.factor(got.prior)
+        self._assert_read_only(got.anchor, got.subspace.u0, got.subspace.basis)
+        self._assert_read_only(factor.gram, factor.chol, factor.mean, factor.kinv_mean)
+        assert np.array_equal(gp_pca.adapt_new_task(got, task, opts), w)
+        self._assert_read_only(*got.subspace.offset_factor)
+        for i in range(model.num_tasks):
+            want = gp_pca.predict_batch(model, i, x)
+            mine = gp_pca.predict_batch(got, i, x)
+            assert np.array_equal(mine[0], want[0]) and np.array_equal(mine[1], want[1])
 
 
 @pytest.mark.parametrize("mode", ["exact", "sparse"])

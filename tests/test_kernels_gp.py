@@ -69,6 +69,20 @@ class TestGram:
         cfg = KernelConfig(lengthscale=0.7)
         np.testing.assert_allclose(gram(cfg, a, b), gram(cfg, b, a).T)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_the_broadcast_sum_formula_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.uniform(-1.0, 2.0, (40, dim))
+        b = rng.uniform(-1.0, 2.0, (30, dim))
+        b[:5] = a[:5]  # zero distances too
+        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+        for lengthscale in (0.05, 0.6, 7.0):
+            want = np.exp(-d2 / (2.0 * lengthscale**2))
+            for args in ((a, b), (a[:, 0], b[:, 0])) if dim == 1 else ((a, b),):
+                got = gram(KernelConfig(lengthscale=lengthscale), *args)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 10_000))
     def test_psd(self, n, seed):
