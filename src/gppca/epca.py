@@ -16,6 +16,10 @@ eta(data_i), giving
     dE/dW = R U~^T          (U~ = basis rows only)
     dE/dU = [1 | W]^T R     (offset row receives the plain column sum)
 
+Both are evaluated on a `_PointBatch`, which factors the data points once;
+the `objective` a fit returns is one more evaluation of its batch at the
+parameters it returns.
+
 Iterates must stay inside the cone of valid parameters (Theta negative
 definite). The joint fit runs a limited-memory quasi-Newton descent whose
 line search treats any invalid candidate as a barrier value, so accepted
@@ -59,8 +63,6 @@ __all__ = [
     "ValidityStallError",
     "ConvergenceError",
     "reconstruct",
-    "objective",
-    "gradients",
     "project_point",
     "fit",
 ]
@@ -309,32 +311,6 @@ class _PointBatch:
         d_w = residual @ basis.T
         w_aug = np.concatenate([np.ones((self.count, 1)), weights], axis=1)
         return d_w, w_aug.T @ residual
-
-
-def _evaluate_checked(batch: _PointBatch, weights, subspace: Subspace):
-    """(weights as (I, L), total KL, duals); a reconstruction off the cone raises ValidityError."""
-    weights = np.asarray(weights, dtype=float).reshape(batch.count, subspace.latent_dim)
-    try:
-        total, duals = batch.evaluate(weights, subspace.u0, subspace.basis)
-    except _InvalidBatch as exc:
-        raise ValidityError(exc.index) from None
-    return weights, total, duals
-
-
-def objective(weights: np.ndarray, subspace: Subspace, points) -> float:
-    """Summed KL between the data points and their reconstructions."""
-    return _evaluate_checked(_PointBatch(points), weights, subspace)[1]
-
-
-def gradients(weights: np.ndarray, subspace: Subspace, points) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the objective: (dW of shape (I, L), dU of shape (L+1, D)).
-
-    Row 0 of dU is the offset gradient, the plain column sum of the dual
-    residuals; rows 1..L correspond to the basis vectors.
-    """
-    batch = _PointBatch(points)
-    weights, _, duals = _evaluate_checked(batch, weights, subspace)
-    return batch.gradient(weights, subspace.basis, duals)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +597,10 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
     weights, _ = _project_batch(batch, Subspace(u0=u0, basis=basis), opts, weights)
     u0, basis, weights = _normalize(u0, basis, weights)
     subspace = Subspace(u0=u0, basis=basis)
-    _, final, _ = _evaluate_checked(batch, weights, subspace)
+    try:
+        final, _ = batch.evaluate(weights, subspace.u0, subspace.basis)
+    except _InvalidBatch as exc:
+        raise ValidityError(exc.index) from None
     return FitResult(
         subspace=subspace,
         weights=weights,

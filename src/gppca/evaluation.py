@@ -131,6 +131,15 @@ def config_hash(doc) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, each checked at construction.
+
+    A `lengthscale` or `beta` left as None takes the experiment's
+    `DEFAULT_HYPERPARAMS`. Construction builds the GP prior from
+    `lengthscale`, `beta` and `prior_mean` once and keeps it as the
+    attribute `prior`, which every cell reads; it is not a field, so
+    `to_dict`, `config_hash` and `summary.json` do not record it twice.
+    """
+
     experiment: str  # "artificial" | "vdp"
     n_sweep: tuple = (10,)
     repetitions: int = 5
@@ -153,6 +162,9 @@ class ExperimentConfig:
         for key, value in DEFAULT_HYPERPARAMS[self.experiment].items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
+        kernel = KernelConfig(kind="rbf", lengthscale=self.lengthscale)
+        prior = GpPrior(kernel=kernel, beta=self.beta, mean_fn=self.prior_mean)
+        object.__setattr__(self, "prior", prior)
         for m in self.methods:
             if m not in (METHOD_GP, METHOD_SUBSPACE):
                 raise ValueError(f"unknown method {m!r}")
@@ -248,11 +260,6 @@ def _split_hash(dataset) -> str:
 def _run_cell(cfg: ExperimentConfig, rep: int, n: int) -> dict:
     seed = _cell_seed(cfg.base_seed, rep)
     dataset = _make_dataset(cfg, n, seed)
-    prior = GpPrior(
-        kernel=KernelConfig(kind="rbf", lengthscale=cfg.lengthscale),
-        beta=cfg.beta,
-        mean_fn=cfg.prior_mean,
-    )
     # One ordered list: the first k tasks train the model, the rest are held out.
     k = len(dataset.train_tasks)
     tasks = [*dataset.train_tasks, *dataset.new_tasks]
@@ -266,10 +273,10 @@ def _run_cell(cfg: ExperimentConfig, rep: int, n: int) -> dict:
     for method in cfg.methods:
         if method == METHOD_GP:
             weights = None
-            means = [gp_predictive_batch(prior, t, ev.inputs)[0] for t, ev in zip(tasks, evals)]
+            means = [gp_predictive_batch(cfg.prior, t, ev.inputs)[0] for t, ev in zip(tasks, evals)]
         else:
             model = train_model(
-                dataset.train_tasks, prior, cfg.mode, cfg.latent_dim, cfg.inducing_count,
+                dataset.train_tasks, cfg.prior, cfg.mode, cfg.latent_dim, cfg.inducing_count,
                 cfg.fit_opts,
             )
             adapted = [gp_pca.adapt_new_task(model, t, cfg.adapt_opts) for t in tasks[k:]]

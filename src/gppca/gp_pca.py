@@ -76,7 +76,10 @@ class GpPcaModel:
     In exact mode `anchor` is the union of the training inputs; in sparse
     mode it is the inducing set and all coordinates live in the rescaled
     chart. `anchor` may be given as points or as an `InducingSet`; it is
-    stored as points, and `anchor_set` holds the `InducingSet`.
+    stored as points, and `anchor_set` holds the `InducingSet`. The subspace
+    alone fixes the latent dimension (`latent_dim` reads it) and the flat
+    dimension: construction rejects weights of another width, and a subspace
+    whose flat dimension is not d + d^2 for the anchor's d points.
 
     Constructing the model factors the prior over the anchor once
     (`anchor_set.factor(prior)`: K, its Cholesky factor, mu0 and K^-1 mu0),
@@ -93,9 +96,8 @@ class GpPcaModel:
     prior: GpPrior
     anchor: np.ndarray
     subspace: Subspace
-    weights: np.ndarray  # (tasks, latent_dim)
+    weights: np.ndarray  # (tasks, subspace.latent_dim)
     mode: str
-    latent_dim: int
     fit_result: Optional[FitResult] = None
     anchor_set: InducingSet = field(init=False, repr=False, compare=False)
 
@@ -104,8 +106,13 @@ class GpPcaModel:
         weights = np.asarray(self.weights, dtype=float)
         if self.mode not in ("exact", "sparse"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if weights.ndim != 2 or weights.shape[1] != self.latent_dim:
-            raise ValueError(f"weights shape {weights.shape} does not match latent dim")
+        latent, flat, d = self.subspace.latent_dim, self.subspace.flat_dim, len(anchor_set)
+        if weights.ndim != 2 or weights.shape[1] != latent:
+            raise ValueError(f"weights shape {weights.shape} does not match latent dim {latent}")
+        if flat != d + d * d:
+            raise ValueError(
+                f"subspace flat dim {flat} does not match {d} anchor points (flat dim {d + d * d})"
+            )
         object.__setattr__(self, "anchor", anchor_set.points)
         object.__setattr__(self, "anchor_set", anchor_set)
         object.__setattr__(self, "weights", weights)
@@ -114,8 +121,12 @@ class GpPcaModel:
     def __reduce__(self):
         return type(self), (
             self.prior, self.anchor_set, self.subspace, self.weights,
-            self.mode, self.latent_dim, self.fit_result,
+            self.mode, self.fit_result,
         )
+
+    @property
+    def latent_dim(self) -> int:
+        return self.subspace.latent_dim
 
     @property
     def num_tasks(self) -> int:
@@ -163,8 +174,9 @@ def train(
     """Fit the shared subspace through all task posteriors.
 
     Requires at least two tasks and latent_dim <= len(tasks) - 1. The
-    returned model's stored objective is exactly `epca.objective` of its
-    weights and subspace on the training coordinates.
+    returned model's stored objective is exactly the summed KL of its
+    weights and subspace on the training coordinates, as `epca.fit`
+    recomputes it for the parameters it returns.
     """
     tasks = list(tasks)
     if len(tasks) < 2:
@@ -179,7 +191,6 @@ def train(
         subspace=result.subspace,
         weights=result.weights,
         mode=mode,
-        latent_dim=latent_dim,
         fit_result=result,
     )
 
@@ -208,8 +219,6 @@ def _resolve_weights(model: GpPcaModel, task_or_weights) -> np.ndarray:
             raise IndexError(f"task index {idx} out of range [0, {model.num_tasks})")
         return model.weights[idx]
     w = np.asarray(task_or_weights, dtype=float).reshape(-1)
-    if w.shape[0] != model.latent_dim:
-        raise ValueError(f"weight length {w.shape[0]} != latent dim {model.latent_dim}")
     if not np.isfinite(w).all():
         raise ValueError(f"weights must be finite, got {w.tolist()}")
     return w
@@ -299,7 +308,6 @@ def model_from_dict(doc: dict) -> GpPcaModel:
         subspace=Subspace(u0=u0, basis=basis),
         weights=weights,
         mode=_require(doc, "mode"),
-        latent_dim=latent_dim,
     )
 
 

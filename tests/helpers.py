@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
+from gppca import epca
 from gppca import gaussian_geometry as gg
 from gppca.gaussian_geometry import MomentGaussian
 
@@ -60,3 +61,29 @@ def planted_subspace(rng: np.random.Generator, d: int, latent_dim: int, n_points
         nat = gg.unpack_natural(p, d)
         np.linalg.cholesky(-2.0 * nat.big_theta)
     return points, u0, basis, weights
+
+
+def _evaluate(batch: epca._PointBatch, weights, subspace: epca.Subspace):
+    """(weights as (I, L), total KL, duals); a reconstruction off the cone raises ValidityError."""
+    weights = np.asarray(weights, dtype=float).reshape(batch.count, subspace.latent_dim)
+    try:
+        total, duals = batch.evaluate(weights, subspace.u0, subspace.basis)
+    except epca._InvalidBatch as exc:
+        raise epca.ValidityError(exc.index) from None
+    return weights, total, duals
+
+
+def kl_objective(weights, subspace: epca.Subspace, points) -> float:
+    """The e-PCA loss: summed KL between the data points and their reconstructions."""
+    return _evaluate(epca._PointBatch(points), weights, subspace)[1]
+
+
+def kl_gradients(weights, subspace: epca.Subspace, points) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of `kl_objective`: (dW of shape (I, L), dU of shape (L+1, D)).
+
+    Row 0 of dU is the offset gradient, the plain column sum of the dual
+    residuals; rows 1..L correspond to the basis vectors.
+    """
+    batch = epca._PointBatch(points)
+    weights, _, duals = _evaluate(batch, weights, subspace)
+    return batch.gradient(weights, subspace.basis, duals)

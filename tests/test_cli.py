@@ -317,6 +317,23 @@ def test_user_csv_that_does_not_fit_the_model_is_a_data_error(
     assert err.startswith("data error: ") and str(data) in err
 
 
+def test_model_file_whose_anchor_does_not_match_its_subspace_is_a_data_error(
+    tmp_path, capsys, trained
+):
+    # One anchor point more than the subspace's coordinates describe (6 points, flat dim 42).
+    doc = json.loads(trained.read_text(encoding="utf-8"))
+    doc["anchor"].append([0.5])
+    model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(
+        ["predict", "--model", str(model), "--task", "0", "--grid", "0:1:3", "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot load model ")
+    assert "subspace flat dim 42 does not match 7 anchor points" in err
+    assert not out.exists()
+
+
 def test_generate_with_a_diverging_trajectory_is_a_configuration_error(tmp_path, capsys):
     # RK4 at the default step diverges for a large alpha, so the task holds NaN.
     config = _write_config(tmp_path / "config.json", {"data": {"alphas": [1000.0, 0.5]}})

@@ -15,7 +15,7 @@ from oracles import (
     pack_expectation,
     unpack_expectation,
 )
-from helpers import planted_subspace, random_gaussian
+from helpers import kl_gradients, kl_objective, planted_subspace, random_gaussian
 
 
 def _nat_point(mu, sigma):
@@ -51,20 +51,20 @@ class TestObjective:
         rng = np.random.default_rng(3)
         pts, u0, basis, weights = planted_subspace(rng, 3, 2, 6)
         s = Subspace(u0=u0, basis=basis)
-        assert epca.objective(weights, s, pts) == pytest.approx(0.0, abs=1e-10)
+        assert kl_objective(weights, s, pts) == pytest.approx(0.0, abs=1e-10)
 
     def test_single_point_offset_only(self):
         rng = np.random.default_rng(4)
         pts, u0, _, _ = planted_subspace(rng, 2, 0, 1)
         s = Subspace(u0=u0, basis=np.zeros((0, u0.shape[0])))
-        assert epca.objective(np.zeros((1, 0)), s, pts[:1]) == pytest.approx(0.0, abs=1e-12)
+        assert kl_objective(np.zeros((1, 0)), s, pts[:1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_univariate_gaussians_offset_midpoint(self):
         # E = KL[N(0,1)||N(.5,1)] + KL[N(1,1)||N(.5,1)] = 0.125 + 0.125
         pts = np.array([_nat_point([0.0], [[1.0]]), _nat_point([1.0], [[1.0]])])
         u0 = _nat_point([0.5], [[1.0]])
         s = Subspace(u0=u0, basis=np.zeros((0, 2)))
-        assert epca.objective(np.zeros((2, 0)), s, pts) == pytest.approx(0.25, abs=1e-12)
+        assert kl_objective(np.zeros((2, 0)), s, pts) == pytest.approx(0.25, abs=1e-12)
 
     def test_invalid_reconstruction_names_task(self):
         pts = np.array([_nat_point([0.0], [[1.0]]), _nat_point([0.5], [[1.0]])])
@@ -72,7 +72,7 @@ class TestObjective:
         bad[1] = 1.0  # positive Theta block
         s = Subspace(u0=bad, basis=np.zeros((0, 2)))
         with pytest.raises(ValidityError) as err:
-            epca.objective(np.zeros((2, 0)), s, pts)
+            kl_objective(np.zeros((2, 0)), s, pts)
         assert err.value.task_index == 0
 
 
@@ -81,7 +81,7 @@ class TestGradients:
         rng = np.random.default_rng(5)
         pts, u0, basis, weights = planted_subspace(rng, 2, 1, 4)
         s = Subspace(u0=u0, basis=basis)
-        d_w, d_u = epca.gradients(weights, s, pts)
+        d_w, d_u = kl_gradients(weights, s, pts)
         assert np.max(np.abs(d_w)) < 1e-8
         assert np.max(np.abs(d_u)) < 1e-8
 
@@ -93,11 +93,11 @@ class TestGradients:
         _, u0, basis, _ = planted_subspace(rng, d, latent, count)
         weights = 0.1 * rng.normal(size=(count, latent))
         s = Subspace(u0=u0, basis=basis)
-        d_w, d_u = epca.gradients(weights, s, pts)
+        d_w, d_u = kl_gradients(weights, s, pts)
         h = 1e-6
 
         def obj(w, u0_, basis_):
-            return epca.objective(w, Subspace(u0=u0_, basis=basis_), pts)
+            return kl_objective(w, Subspace(u0=u0_, basis=basis_), pts)
 
         for i in range(count):
             for l in range(latent):
@@ -137,8 +137,8 @@ class TestGradients:
         data2 = gg.pack_natural(
             moment_to_natural(expectation_to_moment(unpack_expectation(recon_dual + 2 * step, d)))
         )
-        g1, _ = epca.gradients(weights, s, data1[None, :])
-        g2, _ = epca.gradients(weights, s, data2[None, :])
+        g1, _ = kl_gradients(weights, s, data1[None, :])
+        g2, _ = kl_gradients(weights, s, data2[None, :])
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-9, atol=1e-12)
 
 
@@ -168,7 +168,7 @@ class TestProjectPoint:
         best, best_val = None, np.inf
         for v in grid:
             try:
-                val = epca.objective(np.array([[v]]), s, target[None, :])
+                val = kl_objective(np.array([[v]]), s, target[None, :])
             except ValidityError:
                 continue
             if val < best_val:
@@ -216,7 +216,7 @@ class TestProjectBatch:
         assert all(isinstance(e, ConvergenceError) and e.iters == 2 for e in errors)
         for p, w in zip(pts, weights):
             # moved downhill from the start, and not thrown away
-            assert epca.objective(w[None, :], s, p[None, :]) < epca.objective(
+            assert kl_objective(w[None, :], s, p[None, :]) < kl_objective(
                 start[:1], s, p[None, :]
             )
         with pytest.raises(ConvergenceError) as err:
@@ -343,7 +343,7 @@ class TestFit:
         rng = np.random.default_rng(20)
         pts, *_ = planted_subspace(rng, 2, 1, 4)
         res = epca.fit(pts, 1)
-        again = epca.objective(res.weights, res.subspace, pts)
+        again = kl_objective(res.weights, res.subspace, pts)
         assert again == res.objective  # bitwise: same code path, same inputs
 
 

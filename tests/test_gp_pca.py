@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -28,6 +29,7 @@ from oracles import (
     pack_expectation,
     unpack_expectation,
 )
+from helpers import kl_objective
 
 EPS = np.finfo(float).eps
 
@@ -85,7 +87,7 @@ class TestTrain:
         tasks = _toy_tasks()
         model = gp_pca.train(tasks, prior, 1, mode="exact", opts=TIGHT)
         coords, _ = gp_pca.task_coordinates(tasks, prior, "exact")
-        assert epca.objective(model.weights, model.subspace, coords) == model.fit_result.objective
+        assert kl_objective(model.weights, model.subspace, coords) == model.fit_result.objective
 
     def test_deterministic(self):
         prior = _prior()
@@ -125,7 +127,6 @@ class TestPredict:
             subspace=epca.Subspace(u0=u0, basis=np.zeros((0, u0.shape[0]))),
             weights=np.zeros((1, 0)),
             mode="exact",
-            latent_dim=0,
         )
         grid = np.linspace(-0.1, 1.1, 15).reshape(-1, 1)
         m_hat, v_hat = gp_pca.predict_batch(model, 0, grid)
@@ -173,7 +174,6 @@ class TestPredict:
             subspace=epca.Subspace(u0=u0, basis=direction[None, :]),
             weights=np.array([[1000.0]]),
             mode="exact",
-            latent_dim=1,
         )
         with pytest.raises(ValidityError, match=r"reconstruction at weights \[1000\.\] violates"):
             gp_pca.predict_batch(model, 0, [[0.5]])
@@ -183,7 +183,7 @@ class TestPredict:
     def test_bad_weight_length(self):
         prior = _prior()
         model = gp_pca.train(_toy_tasks(), prior, 1, mode="exact", opts=TIGHT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weight length 2 != latent dim 1"):
             gp_pca.predict_batch(model, np.zeros(2), [[0.1]])
         with pytest.raises(IndexError):
             gp_pca.predict_batch(model, 7, [[0.1]])
@@ -197,6 +197,43 @@ class TestPredict:
         for bad in (True, False, np.True_, np.False_, [True], np.array([False])):
             with pytest.raises(TypeError, match="boolean"):
                 gp_pca.predict_batch(model, bad, [[0.1]])
+
+
+class TestModelShape:
+    """The subspace alone fixes the model's latent and flat dimensions."""
+
+    @staticmethod
+    def _subspace(prior, task, latent_dim):
+        u0 = gg.pack_natural(moment_to_natural(exact_posterior(prior, task, task.inputs)))
+        return epca.Subspace(u0=u0, basis=np.zeros((latent_dim, u0.shape[0])))
+
+    def test_latent_dim_is_read_from_the_subspace(self):
+        prior, task = _prior(), _toy_tasks()[0]
+        model = gp_pca.GpPcaModel(
+            prior=prior, anchor=task.inputs, subspace=self._subspace(prior, task, 2),
+            weights=np.zeros((1, 2)), mode="exact",
+        )
+        assert model.latent_dim == 2
+        assert "latent_dim" not in {f.name for f in dataclasses.fields(model)}
+
+    def test_weights_of_another_width_are_rejected(self):
+        prior, task = _prior(), _toy_tasks()[0]
+        with pytest.raises(ValueError, match=r"weights shape \(1, 1\) does not match latent dim 2"):
+            gp_pca.GpPcaModel(
+                prior=prior, anchor=task.inputs, subspace=self._subspace(prior, task, 2),
+                weights=np.zeros((1, 1)), mode="exact",
+            )
+
+    def test_anchor_of_another_size_is_rejected(self):
+        prior, task = _prior(), _toy_tasks()[0]
+        extra = np.vstack([task.inputs, [[0.95]]])
+        with pytest.raises(
+            ValueError, match=r"subspace flat dim 6 does not match 3 anchor points \(flat dim 12\)"
+        ):
+            gp_pca.GpPcaModel(
+                prior=prior, anchor=extra, subspace=self._subspace(prior, task, 1),
+                weights=np.zeros((1, 1)), mode="exact",
+            )
 
 
 class TestAdapt:
@@ -450,7 +487,6 @@ class TestOffsetFactor:
             subspace=epca.Subspace(u0=u0, basis=np.ones((1, u0.shape[0]))),
             weights=np.zeros((1, 1)),
             mode="exact",
-            latent_dim=1,
         )
         message = r"^reconstruction for point 0 violates negative definite Theta$"
         point = gp_pca._task_point(model.prior, task, model.anchor_set, model.mode)
