@@ -366,7 +366,8 @@ def write_report_files(report: ExperimentReport, outdir) -> None:
             )
 
     if report.latents:
-        w_cols = sorted(k for k in report.latents[0] if k.startswith("w"))
+        w_cols = [k for k in report.latents[0] if k.startswith("w")]
+        w_cols.sort(key=lambda k: int(k[1:]))  # w2 before w10
         with open(outdir / "latents.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["repetition", "N", "task_id", "kind", "latent", *w_cols])

@@ -19,7 +19,11 @@ realizes it explicitly for the theorem tests.
 A prediction factors its reconstruction's -2 Theta once, strictly
 (`gaussian_geometry.flat_natural_to_moment`): weights whose reconstruction
 lies off the cone of valid posteriors, even just past its boundary, raise
-`ValidityError`, as they do in the fit and the projection.
+`ValidityError`, as they do in the fit and the projection. The moments come
+from that one factor: predictive means equal those of the public chain
+`natural_to_moment(unpack_natural(...))` bit for bit, and variances differ
+from the chain's by the rounding of Sigma, which is taken from the factor's
+triangular inverse.
 
 New tasks are placed on the subspace by computing their posterior
 coordinates from the few observations available and projecting onto the

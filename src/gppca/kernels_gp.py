@@ -307,10 +307,11 @@ def predictive_batch(prior: GpPrior, rho: MomentGaussian, anchor, x_plus):
     if rho.dim != len(anchor):
         raise ValueError(f"posterior dim {rho.dim} does not match anchor size {len(anchor)}")
     factor = anchor.factor(prior)
-    k_cross = gram(prior.kernel, anchor.points, test)  # (n, t)
+    # k(X, x+) bit for bit, (n, t), in the Fortran order dpotrs reads without a transposing copy.
+    k_cross = gram(prior.kernel, test, anchor.points).T
     w = chol_solve(factor.chol, k_cross)  # K^-1 k, (n, t)
     means = prior.mean_at(test) + w.T @ (rho.mu - factor.mean)
-    variances = 1.0 + np.sum(w * ((rho.sigma - factor.gram) @ w), axis=0)  # k(x,x) = 1 for RBF
+    variances = 1.0 + np.einsum("at,at->t", w, (rho.sigma - factor.gram) @ w)  # k(x,x) = 1 for RBF
     return means, _clamped_variance(variances)
 
 

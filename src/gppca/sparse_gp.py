@@ -96,7 +96,7 @@ def sparse_predictive_batch(prior: GpPrior, sp: MomentGaussian, inducing: Induci
     factor = inducing.factor(prior)
     k_m = gram(prior.kernel, inducing.points, test)  # (m, t)
     means = prior.mean_at(test) + k_m.T @ (sp.mu - factor.kinv_mean)
-    variances = 1.0 - np.sum(k_m * ((factor.kinv - sp.sigma) @ k_m), axis=0)  # k(x,x) = 1 for RBF
+    variances = 1.0 - np.einsum("at,at->t", k_m, (factor.kinv - sp.sigma) @ k_m)  # k(x,x) = 1 for RBF
     return means, _clamped_variance(variances)
 
 

@@ -8,6 +8,35 @@ from gppca import gaussian_geometry as gg
 from gppca.gaussian_geometry import MomentGaussian
 
 
+EPS = np.finfo(float).eps
+
+
+def inverse_floor(a: np.ndarray) -> np.ndarray:
+    """Entrywise bound on |Sigma - Sigma'| for two float64 inverses of the SPD matrix `a`
+    computed from its lower Cholesky factor C, by triangular solves against I or as
+    R^T R from a triangular inverse R = C^-1.
+
+    To first order, each route is within d EPS (G + G^T + |R|^T |R|) of
+    (C C^T)^-1, with G = |R|^T |R| |C| |R|: a triangular solve or inverse is
+    off by at most d EPS |R| |C| |R| (Higham 2002, chs. 8 and 14), and the
+    second solve or the product R^T R adds the transposed term or at most
+    d EPS |R|^T |R|. This is the componentwise form of EPS * cond(a) *
+    ||Sigma||, which is far looser for the ill-conditioned reconstructions of
+    a fitted model.
+    """
+    c = np.linalg.cholesky(a)
+    r = np.abs(np.linalg.inv(c))
+    g = r.T @ r @ np.abs(c) @ r
+    return 2 * len(a) * EPS * (g + g.T + r.T @ r)
+
+
+def transposed_inverse(a: np.ndarray) -> np.ndarray:
+    """R R^T for R = C^-1, C the lower Cholesky factor of `a`: Sigma = (C C^T)^-1 = R^T R
+    with its factors swapped, a wrong Sigma that the tests' rounding floors must reject."""
+    r = np.linalg.inv(np.linalg.cholesky(a))
+    return r @ r.T
+
+
 def spd_matrix(rng: np.random.Generator, d: int, cond_max: float = 100.0) -> np.ndarray:
     """Random symmetric PD matrix with bounded condition number."""
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))

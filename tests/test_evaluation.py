@@ -1,3 +1,4 @@
+import csv
 from collections import Counter
 
 import pytest
@@ -70,6 +71,21 @@ def test_the_prior_is_kept_as_an_attribute_not_a_recorded_field():
     kernel = KernelConfig(kind="rbf", lengthscale=0.3)
     assert cfg.prior == GpPrior(kernel=kernel, beta=10.0, mean_fn=0.5)
     assert "prior" not in cfg.to_dict()
+
+
+def test_latents_csv_orders_the_weight_columns_numerically(tmp_path):
+    # Written in reverse, so neither string order (w0, w1, w10, ...) nor insertion order passes.
+    weights = {f"w{j}": float(j) for j in reversed(range(12))}
+    row = {"repetition": 0, "n": 3, "task_id": 0, "kind": "train", "latent": 0.5, **weights}
+    report = evaluation.ExperimentReport(
+        config={}, config_hash="", cells=[], per_task=[], latents=[row], split_hashes={},
+        total_seconds=0.0,
+    )
+    evaluation.write_report_files(report, tmp_path)
+    with open(tmp_path / "latents.csv", newline="", encoding="utf-8") as fh:
+        header, values = csv.reader(fh)
+    assert header[5:] == [f"w{j}" for j in range(12)]
+    assert values[5:] == [repr(float(j)) for j in range(12)]
 
 
 @pytest.mark.xfail(

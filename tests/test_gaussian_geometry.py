@@ -16,7 +16,14 @@ from gppca.gaussian_geometry import (
     moment_to_natural,
     natural_to_moment,
 )
-from helpers import gaussians, gaussian_pairs, random_gaussian, spd_matrix
+from helpers import (
+    gaussians,
+    gaussian_pairs,
+    inverse_floor,
+    random_gaussian,
+    spd_matrix,
+    transposed_inverse,
+)
 from oracles import (
     ExpectationCoord,
     dual_potential,
@@ -87,7 +94,7 @@ class TestNaturalToMoment:
 
 class TestFlatNaturalToMoment:
     """`flat_natural_to_moment` is the chain `natural_to_moment(unpack_natural(...))`
-    to the bit, from one strict factorization."""
+    from one strict factorization: mu to the bit, Sigma to the rounding of an inverse."""
 
     @staticmethod
     def _flat(rng, d, cond_max, asymmetry=0.0):
@@ -99,12 +106,20 @@ class TestFlatNaturalToMoment:
     @pytest.mark.parametrize("cond_max", [1e2, 1e12])
     @pytest.mark.parametrize("asymmetry", [0.0, 1e-17])
     def test_matches_the_chain_bit_for_bit(self, d, cond_max, asymmetry):
+        # mu to the bit. Sigma equals its transpose to the bit and lies within
+        # `inverse_floor` of the chain's, a floor that R R^T in place of R^T R exceeds.
         rng = np.random.default_rng(d)
         for _ in range(10):
             flat = self._flat(rng, d, cond_max, asymmetry)
             got = gg.flat_natural_to_moment(flat, d)
             want = natural_to_moment(gg.unpack_natural(flat, d))
-            assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma, want.sigma)
+            a = -2.0 * gg.unpack_coords(flat, d)[1]
+            floor = inverse_floor(a)
+            assert np.array_equal(got.mu, want.mu)
+            assert np.array_equal(got.sigma, got.sigma.T)
+            assert np.all(np.abs(got.sigma - want.sigma) <= floor)
+            if d > 1:  # at d = 1 the swapped product is the same number
+                assert np.any(np.abs(transposed_inverse(a) - want.sigma) > floor)
 
     def test_refuses_what_jitter_would_repair(self):
         # min eig(-2 Theta) = -1e-12: chol_pd's first jitter (1e-10 trace/d) factors it.

@@ -29,7 +29,7 @@ from oracles import (
     pack_expectation,
     unpack_expectation,
 )
-from helpers import kl_objective
+from helpers import inverse_floor, kl_objective, transposed_inverse
 
 EPS = np.finfo(float).eps
 
@@ -191,6 +191,23 @@ class TestPredict:
             with pytest.raises(ValueError, match=r"weights must be finite, got \[(nan|-?inf)\]"):
                 gp_pca.predict_batch(model, [bad], [[0.1]])
 
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_calls_its_predictive_function_through_gp_pca(self, mode, monkeypatch):
+        # The benchmark's tracer times predictions by wrapping these two attributes of gp_pca.
+        model, data = _artificial_model(mode)
+        calls = {"predictive_batch": 0, "sparse_predictive_batch": 0}
+        for name in calls:
+
+            def counting(*args, name=name, original=getattr(gp_pca, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(gp_pca, name, counting)
+        for i, ev in enumerate(data.train_eval):
+            gp_pca.predict_batch(model, i, ev.inputs)
+        used = "predictive_batch" if mode == "exact" else "sparse_predictive_batch"
+        assert calls == {name: model.num_tasks if name == used else 0 for name in calls}
+
     def test_booleans_are_refused(self):
         # True would predict task 1 as an index, np.True_ at w = 1.0 as a weight.
         model = gp_pca.train(_toy_tasks(), _prior(), 1, mode="exact", opts=TIGHT)
@@ -284,11 +301,15 @@ def _artificial_model(mode):
 
 
 def _variance_floor(model, w, x):
-    """Bound per test point on |`predict_batch` - `predict_batch_per_call`| variances.
+    """Bound per test point on |`predict_batch` - a route from the chain's Sigma| variances.
 
-    Both routes predict from the same reconstructed posterior (Sigma).
-    Exact: both routes take w = K^-1 k from the same Cholesky factor of K
-    and differ only in the order of the sums of w^T (Sigma - K) w, bounded by
+    `predict_batch` takes Sigma from the triangular inverse of -2 Theta's
+    factor; `oracles.reconstructed_moments` takes it from the chain's solve
+    against I. The two differ entrywise by at most `inverse_floor`, which
+    moves v^T Sigma v by at most |v|^T `inverse_floor` |v|, with v = K^-1 k
+    (exact) or k_m (sparse). On top of that, a route may round differently.
+    Exact: both routes take w = K^-1 k from the same Cholesky factor of K and
+    differ only in the order of the sums of w^T (Sigma - K) w, bounded by
     2 n EPS (1 + |w|^T |Sigma - K| |w|). Sparse: the routes differ only in
     K^-1 k_m (K^-1 formed once against a solve per call), bounded by
     EPS * cond(K) * (1 + sum |k_m * K^-1 k_m|), and in the order of the sums
@@ -298,14 +319,27 @@ def _variance_floor(model, w, x):
     k_cross = gram(model.prior.kernel, model.anchor, x)
     nat = gg.unpack_natural(epca.reconstruct(w, model.subspace), model.anchor.shape[0])
     sigma = natural_to_moment(nat).sigma
+    sigma_floor = inverse_floor(-2.0 * nat.big_theta)
     if model.mode == "sparse":
         kinv_k = np.linalg.solve(k, k_cross)
         quad = np.sum(np.abs(k_cross) * (np.abs(sigma) @ np.abs(k_cross)), axis=0)
         solve = 1.0 + np.sum(np.abs(k_cross * kinv_k), axis=0)
-        return EPS * (np.linalg.cond(k) * solve + 2 * len(k) * quad)
+        inverse = np.sum(np.abs(k_cross) * (sigma_floor @ np.abs(k_cross)), axis=0)
+        return EPS * (np.linalg.cond(k) * solve + 2 * len(k) * quad) + inverse
     kinv_k = gg.chol_solve(model.anchor_set.factor(model.prior).chol, k_cross)
     scale = 1.0 + np.sum(np.abs(kinv_k) * (np.abs(sigma - k) @ np.abs(kinv_k)), axis=0)
-    return 2 * len(k) * EPS * scale
+    inverse = np.sum(np.abs(kinv_k) * (sigma_floor @ np.abs(kinv_k)), axis=0)
+    return 2 * len(k) * EPS * scale + inverse
+
+
+def _swapped_variances(model, w, x):
+    """Variances from the chain's moments at `w` with Sigma = R R^T (`transposed_inverse`),
+    a wrong Sigma that `_variance_floor` must reject."""
+    rho = oracles.reconstructed_moments(model, w)
+    _, big_theta = gg.unpack_coords(epca.reconstruct(w, model.subspace), len(model.anchor))
+    swapped = gg.MomentGaussian(rho.mu, transposed_inverse(-2.0 * big_theta))
+    predictive = gp_pca.predictive_batch if model.mode == "exact" else gp_pca.sparse_predictive_batch
+    return predictive(model.prior, swapped, model.anchor_set, x)[1]
 
 
 class TestAnchorFactor:
@@ -325,8 +359,10 @@ class TestAnchorFactor:
             for x in (ev.inputs, dense):
                 means, variances = gp_pca.predict_batch(model, w, x)
                 ref_means, ref_variances = oracles.predict_batch_per_call(model, w, x)
+                floor = _variance_floor(model, w, x)
                 assert np.array_equal(means, ref_means)
-                assert np.all(np.abs(variances - ref_variances) <= _variance_floor(model, w, x))
+                assert np.all(np.abs(variances - ref_variances) <= floor)
+                assert np.any(np.abs(_swapped_variances(model, w, x) - ref_variances) > floor)
 
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_anchor_factored_once_per_model(self, mode, monkeypatch):
@@ -532,7 +568,10 @@ class TestStrictReconstruction:
             for x in (ev.inputs, dense):
                 got = gp_pca.predict_batch(model, w, x)
                 want = predictive(model.prior, rho, model.anchor_set, x)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                floor = _variance_floor(model, w, x)
+                assert np.array_equal(got[0], want[0])
+                assert np.all(np.abs(got[1] - want[1]) <= floor)
+                assert np.any(np.abs(_swapped_variances(model, w, x) - want[1]) > floor)
 
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_one_call_factors_its_reconstruction_once(self, mode, monkeypatch):
@@ -550,6 +589,28 @@ class TestStrictReconstruction:
             gp_pca.predict_batch(model, i, ev.inputs)
         d = len(model.anchor)
         assert calls == [(d, d)] * model.num_tasks
+
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_one_call_checks_no_symmetry(self, mode, monkeypatch):
+        # The reconstruction's Sigma is symmetric by construction; nothing checks or copies it again.
+        model, data = _artificial_model(mode)
+        x = data.train_eval[0].inputs
+        gp_pca.predict_batch(model, 0, x)  # the anchor's factors, once
+        calls = {"_check_symmetry": 0, "cholesky": 0}
+        check_symmetry, cholesky = gg._check_symmetry, np.linalg.cholesky
+
+        def counting_check(a, what):
+            calls["_check_symmetry"] += 1
+            return check_symmetry(a, what)
+
+        def counting_cholesky(a):
+            calls["cholesky"] += 1
+            return cholesky(a)
+
+        monkeypatch.setattr(gg, "_check_symmetry", counting_check)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        gp_pca.predict_batch(model, 0, x)
+        assert calls == {"_check_symmetry": 0, "cholesky": 1}
 
     def test_reconstruction_just_past_the_cone_raises(self, monkeypatch):
         # chol_pd's jitter repair used to factor these and predict means of order 1e7.

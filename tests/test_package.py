@@ -27,20 +27,25 @@ def test_every_exported_name_resolves(module):
 
 
 def test_cli_import_leaves_optimizer_and_process_pool_unloaded():
-    # Only a fit needs SciPy's optimizer, only a Cholesky solve its LAPACK binding
-    # and only `evaluate --jobs N>1` a process pool; every command should start
-    # without importing any of them.
+    # Only a fit needs SciPy's optimizer, only a Cholesky solve or a prediction's
+    # triangular inverse its LAPACK binding and only `evaluate --jobs N>1` a process
+    # pool; every command should start without importing any of them. The second
+    # line shows that the probe sees the binding once a conversion imports it.
     src = Path(gppca.__file__).resolve().parents[1]
     probe = (
         "import sys, gppca.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg', 'concurrent.futures.process') "
-        "if m in sys.modules))"
+        "from gppca.gaussian_geometry import flat_natural_to_moment; "
+        "loaded = lambda: sorted(m for m in ('scipy.optimize', 'scipy.linalg', "
+        "'concurrent.futures.process') if m in sys.modules); "
+        "print(loaded()); "
+        "flat_natural_to_moment([0.0, -0.5], 1); "
+        "print(loaded())"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "[]"
+    assert out.split("\n")[:2] == ["[]", "['scipy.linalg']"]
 
 
 @pytest.mark.parametrize(
