@@ -299,7 +299,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str, columns: int) -> np.ndarray:
+    """The points of a `start:stop:count` grid, for a model whose inputs have `columns` columns."""
+    if columns != 1:
+        raise ConfigError(
+            f"--grid spans one input, but the model's inputs have {columns} columns; "
+            "give the points as a CSV with `gppca predict --inputs`"
+        )
     try:
         lo, hi, num = spec.split(":")
         return np.linspace(float(lo), float(hi), int(num)).reshape(-1, 1)
@@ -366,7 +372,7 @@ def cmd_predict(args) -> int:
     else:
         raise ConfigError("provide either --task or --weights")
     if args.grid:
-        points = _parse_grid(args.grid)
+        points = _parse_grid(args.grid, model.anchor.shape[1])
     elif args.inputs:
         points = _read_points_csv(args.inputs, with_y=False, columns=model.anchor.shape[1])
     else:
@@ -382,7 +388,7 @@ def _load_model_checked(path) -> gp_pca.GpPcaModel:
         return gp_pca.load_model(path)
     except FileNotFoundError:
         raise DataError(f"model file not found: {path}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"cannot load model {path}: {exc}")
 
 
@@ -445,21 +451,24 @@ def cmd_export_plot(args) -> int:
         summary_path = Path(args.report) / "summary.json"
         if not summary_path.exists():
             raise DataError(f"no summary.json in {args.report}")
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
+        try:
+            with open(summary_path, "r", encoding="utf-8") as fh:
+                rows = [
+                    [row["method"], row["n"], row["split"],
+                     repr(row["mean_rmse"]), repr(row["std_rmse"])]
+                    for row in json.load(fh)["summary"]
+                ]
+        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise DataError(f"{summary_path} is not a summary that `evaluate` writes: {exc!r}")
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "N", "split", "mean_rmse", "std_rmse"])
-            for row in summary["summary"]:
-                writer.writerow(
-                    [row["method"], row["n"], row["split"],
-                     repr(row["mean_rmse"]), repr(row["std_rmse"])]
-                )
+            writer.writerows(rows)
     elif args.kind == "curves":
         if not args.model:
             raise ConfigError("--kind curves needs --model FILE")
         model = _load_model_checked(args.model)
-        points = _parse_grid(args.grid or "0:1:101")
+        points = _parse_grid(args.grid or "0:1:101", model.anchor.shape[1])
         latents = None
         if args.data:
             latents = _load_manifest(Path(args.data)).get("latents_train")

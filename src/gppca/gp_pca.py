@@ -20,10 +20,15 @@ A prediction factors its reconstruction's -2 Theta once, strictly
 (`gaussian_geometry.flat_natural_to_moment`): weights whose reconstruction
 lies off the cone of valid posteriors, even just past its boundary, raise
 `ValidityError`, as they do in the fit and the projection. The moments come
-from that one factor: predictive means equal those of the public chain
-`natural_to_moment(unpack_natural(...))` bit for bit, and variances differ
-from the chain's by the rounding of Sigma, which is taken from the factor's
-triangular inverse.
+from that one factor: mu equals that of the public chain
+`natural_to_moment(unpack_natural(...))` bit for bit, so predictive means
+equal those predicted from the chain's moments bit for bit, and variances
+differ from theirs by the rounding of Sigma, which is taken from the
+factor's triangular inverse. The predictive equations then read the
+anchor's factor: exact means come from a vector solve against its Cholesky
+factor, and exact variances from its kept triangular inverse, so both
+differ from a per-call solve against k(X, x+) by rounding
+(`kernels_gp.predictive_batch`).
 
 New tasks are placed on the subspace by computing their posterior
 coordinates from the few observations available and projecting onto the
@@ -87,14 +92,14 @@ class GpPcaModel:
 
     Constructing the model factors the prior over the anchor once
     (`anchor_set.factor(prior)`: K, its Cholesky factor, mu0 and K^-1 mu0),
-    and every prediction and adaptation reads that factor; a sparse model's
-    first prediction adds K^-1 to it. Next to it, the first adaptation
-    factors the subspace offset once (`subspace.offset_factor`), and every
-    later adaptation starts its projection from that factor. The factors and
-    `fit_result` (training diagnostics) are not persisted; a loaded model
-    builds its factors again. A pickled or deep-copied model is rebuilt
-    through the constructor, with read-only anchor and subspace arrays, and
-    factors its anchor again.
+    and every prediction and adaptation reads that factor; a model's first
+    prediction adds K^-1 (sparse) or the Cholesky factor's inverse (exact)
+    to it. Next to it, the first adaptation factors the subspace offset once
+    (`subspace.offset_factor`), and every later adaptation starts its
+    projection from that factor. The factors and `fit_result` (training
+    diagnostics) are not persisted; a loaded model builds its factors again.
+    A pickled or deep-copied model is rebuilt through the constructor, with
+    read-only anchor and subspace arrays, and factors its anchor again.
     """
 
     prior: GpPrior

@@ -30,6 +30,35 @@ def inverse_floor(a: np.ndarray) -> np.ndarray:
     return 2 * len(a) * EPS * (g + g.T + r.T @ r)
 
 
+def solve_backward_error(chol: np.ndarray) -> np.ndarray:
+    """gamma_{3d+1} |L| |L^T| for the lower Cholesky factor L = `chol` of K = L L^T.
+
+    A solution x of K x = b computed by two triangular solves against L is the
+    exact solution of (K + dK) x = b for some |dK| within this bound (Higham
+    2002, Thm 10.4; gamma_n = n u / (1 - n u), with u = EPS / 2 the unit roundoff).
+    """
+    nu = (3 * len(chol) + 1) * EPS / 2
+    a = np.abs(chol)
+    return nu / (1.0 - nu) * (a @ a.T)
+
+
+def solve_mean_floor(chol: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Bound per column of `k` on |k^T a - w^T r| in float64, for a = K^-1 r and
+    w = K^-1 k, each taken by Cholesky solves against the lower factor L = `chol`
+    of K = L L^T.
+
+    By `solve_backward_error`, to first order k^T a and w^T r each lie within
+    gamma_{3d+1} |w|^T |L| |L^T| |a| of k^T K^-1 r. The two dot products add at
+    most d EPS |k|^T |a| and d EPS |w|^T |r|:
+
+        2 gamma_{3d+1} |w|^T |L| |L^T| |a| + d EPS (|k|^T |a| + |w|^T |r|)
+    """
+    w = np.abs(gg.chol_solve(chol, k))
+    a = np.abs(gg.chol_solve(chol, r))
+    moved = 2 * w.T @ (solve_backward_error(chol) @ a)
+    return moved + len(chol) * EPS * (np.abs(k).T @ a + w.T @ np.abs(r))
+
+
 def transposed_inverse(a: np.ndarray) -> np.ndarray:
     """R R^T for R = C^-1, C the lower Cholesky factor of `a`: Sigma = (C C^T)^-1 = R^T R
     with its factors swapped, a wrong Sigma that the tests' rounding floors must reject."""

@@ -5,7 +5,9 @@ import shutil
 import numpy as np
 import pytest
 
-from gppca import cli
+from gppca import cli, gp_pca
+from gppca.epca import FitOptions
+from gppca.kernels_gp import GpPrior, TaskData
 
 # One tiny artificial configuration shared by every command.
 CONFIG = {
@@ -331,6 +333,72 @@ def test_model_file_whose_anchor_does_not_match_its_subspace_is_a_data_error(
     err = capsys.readouterr().err
     assert err.startswith("data error: cannot load model ")
     assert "subspace flat dim 42 does not match 7 anchor points" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [("kernel", 5, "argument of type 'int' is not iterable"), ("u0", {}, "'dict'")],
+    ids=["kernel-number", "u0-object"],
+)
+def test_model_file_with_a_field_of_the_wrong_type_is_a_data_error(
+    tmp_path, capsys, trained, field, value, named
+):
+    doc = json.loads(trained.read_text(encoding="utf-8"))
+    doc[field] = value
+    model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(
+        ["predict", "--model", str(model), "--task", "0", "--grid", "0:1:3", "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot load model ") and named in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def two_input_model(tmp_path_factory):
+    """An exact model file whose inputs have two columns."""
+    rng = np.random.default_rng(0)
+    tasks = [TaskData(rng.uniform(size=(4, 2)), rng.normal(size=4), i) for i in range(3)]
+    model = gp_pca.train(tasks, GpPrior(), 1, mode="exact", opts=FitOptions(max_iters=50))
+    path = tmp_path_factory.mktemp("two_inputs") / "model.json"
+    gp_pca.save_model(model, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["predict", "--task", "0", "--grid", "0:1:3"],
+        ["export-plot", "--kind", "curves", "--grid", "0:1:3"],
+        ["export-plot", "--kind", "curves"],  # its default grid
+    ],
+    ids=["predict", "export-plot", "export-plot-default-grid"],
+)
+def test_grid_on_a_model_with_two_inputs_is_a_configuration_error(
+    tmp_path, capsys, two_input_model, args
+):
+    out = tmp_path / "out.csv"
+    assert cli.main([*args, "--model", str(two_input_model), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --grid spans one input")
+    assert "have 2 columns" in err and "--inputs" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("{not json", "JSONDecodeError"), ('{"rows": []}', "KeyError('summary')")],
+    ids=["not-json", "no-summary-key"],
+)
+def test_export_plot_rmse_on_a_malformed_summary_is_a_data_error(tmp_path, capsys, text, named):
+    report, out = tmp_path / "report", tmp_path / "rmse.csv"
+    report.mkdir()
+    (report / "summary.json").write_text(text, encoding="utf-8")
+    assert cli.main(["export-plot", "--kind", "rmse", "--report", str(report), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "summary.json" in err and named in err
     assert not out.exists()
 
 

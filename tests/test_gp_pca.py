@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from gppca import epca, gp_pca, kernels_gp, sparse_gp
 from gppca import gaussian_geometry as gg
@@ -29,7 +30,9 @@ from oracles import (
     pack_expectation,
     unpack_expectation,
 )
-from helpers import inverse_floor, kl_objective, transposed_inverse
+from helpers import (
+    inverse_floor, kl_objective, solve_backward_error, solve_mean_floor, transposed_inverse,
+)
 
 EPS = np.finfo(float).eps
 
@@ -308,12 +311,22 @@ def _variance_floor(model, w, x):
     against I. The two differ entrywise by at most `inverse_floor`, which
     moves v^T Sigma v by at most |v|^T `inverse_floor` |v|, with v = K^-1 k
     (exact) or k_m (sparse). On top of that, a route may round differently.
-    Exact: both routes take w = K^-1 k from the same Cholesky factor of K and
-    differ only in the order of the sums of w^T (Sigma - K) w, bounded by
-    2 n EPS (1 + |w|^T |Sigma - K| |w|). Sparse: the routes differ only in
-    K^-1 k_m (K^-1 formed once against a solve per call), bounded by
-    EPS * cond(K) * (1 + sum |k_m * K^-1 k_m|), and in the order of the sums
-    of k_m^T Sigma' k_m, bounded by 2 m EPS |k_m|^T |Sigma'| |k_m|.
+    Exact: the order of the sums of w^T (Sigma - K) w adds at most
+    2 n EPS (1 + |w|^T |Sigma - K| |w|), and the routes take w = K^-1 k apart:
+    `predict_batch` as L^-T (L^-1 k) from the triangular inverse of K's
+    Cholesky factor L, the per-call route by solves against L. Each w is,
+    to first order, the exact (K + dK)^-1 k, which moves the variance by
+    -2 w^T dK z, z = K^-1 (Sigma - K) w. A solve has |dK| <= gamma_{3n+1}
+    |L| |L^T| (`solve_backward_error`). The computed inverse X of L has a
+    residual F = X L - I within n u |X| |L| (Higham 2002, sec. 14.2; u = EPS / 2),
+    so X^T X is the exact inverse of L (I + F)^-1 (I + F)^-T L^T = K + dK with
+    |dK| <= |L| (|F| + |F|^T) |L^T| <= n u |L| (G + G^T) |L^T|, G = |X| |L|.
+    Its two products add at most
+    n EPS (|k|^T |X|^T |X (Sigma - K) w| + |X k|^T |X| |(Sigma - K) w|).
+    Sparse: the routes differ only in K^-1 k_m (K^-1 formed once against a
+    solve per call), bounded by EPS * cond(K) * (1 + sum |k_m * K^-1 k_m|),
+    and in the order of the sums of k_m^T Sigma' k_m, bounded by
+    2 m EPS |k_m|^T |Sigma'| |k_m|.
     """
     k = gram(model.prior.kernel, model.anchor, model.anchor)
     k_cross = gram(model.prior.kernel, model.anchor, x)
@@ -326,10 +339,21 @@ def _variance_floor(model, w, x):
         solve = 1.0 + np.sum(np.abs(k_cross * kinv_k), axis=0)
         inverse = np.sum(np.abs(k_cross) * (sigma_floor @ np.abs(k_cross)), axis=0)
         return EPS * (np.linalg.cond(k) * solve + 2 * len(k) * quad) + inverse
-    kinv_k = gg.chol_solve(model.anchor_set.factor(model.prior).chol, k_cross)
-    scale = 1.0 + np.sum(np.abs(kinv_k) * (np.abs(sigma - k) @ np.abs(kinv_k)), axis=0)
-    inverse = np.sum(np.abs(kinv_k) * (sigma_floor @ np.abs(kinv_k)), axis=0)
-    return 2 * len(k) * EPS * scale + inverse
+    chol = model.anchor_set.factor(model.prior).chol
+    kinv_k = gg.chol_solve(chol, k_cross)
+    abs_w = np.abs(kinv_k)
+    scale = 1.0 + np.sum(abs_w * (np.abs(sigma - k) @ abs_w), axis=0)
+    inverse = np.sum(abs_w * (sigma_floor @ abs_w), axis=0)
+    mw = (sigma - k) @ kinv_k
+    x_inv = np.linalg.inv(chol)
+    abs_l, abs_x = np.abs(chol), np.abs(x_inv)
+    g = abs_x @ abs_l
+    d_k = solve_backward_error(chol) + len(k) * EPS / 2 * (abs_l @ (g + g.T) @ abs_l.T)
+    moved = 2 * np.sum(abs_w * (d_k @ np.abs(gg.chol_solve(chol, mw))), axis=0)
+    products = np.sum(np.abs(k_cross) * (abs_x.T @ np.abs(x_inv @ mw)), axis=0) + np.sum(
+        np.abs(x_inv @ k_cross) * (abs_x @ np.abs(mw)), axis=0
+    )
+    return 2 * len(k) * EPS * scale + inverse + moved + len(k) * EPS * products
 
 
 def _swapped_variances(model, w, x):
@@ -348,6 +372,7 @@ class TestAnchorFactor:
         model, data = _artificial_model(mode)
         adapt_opts = FitOptions(rel_tol=1e-6, max_iters=20_000)
         adapted = [gp_pca.adapt_new_task(model, task, adapt_opts) for task in data.new_tasks]
+        factor = model.anchor_set.factor(model.prior)
         for task in [*data.train_tasks, *data.new_tasks]:
             point = gp_pca._task_point(model.prior, task, model.anchor_set, model.mode)
             assert np.array_equal(point, oracles.task_point_per_call(model, task))
@@ -360,9 +385,20 @@ class TestAnchorFactor:
                 means, variances = gp_pca.predict_batch(model, w, x)
                 ref_means, ref_variances = oracles.predict_batch_per_call(model, w, x)
                 floor = _variance_floor(model, w, x)
-                assert np.array_equal(means, ref_means)
                 assert np.all(np.abs(variances - ref_variances) <= floor)
                 assert np.any(np.abs(_swapped_variances(model, w, x) - ref_variances) > floor)
+                if mode == "sparse":
+                    assert np.array_equal(means, ref_means)
+                    continue
+                # Exact means take k^T K^-1 r from a vector solve, the per-call route
+                # (K^-1 k)^T r from a matrix solve; the prior mean is 0, so both add nothing.
+                # The chain's mu is bit for bit the one `predict_batch` reconstructs.
+                k = gram(model.prior.kernel, model.anchor, x)
+                r = oracles.reconstructed_moments(model, w).mu - factor.mean
+                mean_floor = solve_mean_floor(factor.chol, k, r)
+                assert np.all(np.abs(means - ref_means) <= mean_floor)
+                kinv_means = (factor.kinv @ k).T @ r
+                assert np.any(np.abs(kinv_means - ref_means) > mean_floor)
 
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_anchor_factored_once_per_model(self, mode, monkeypatch):
@@ -426,6 +462,40 @@ class TestAnchorFactor:
         np.testing.assert_allclose(
             kinv, np.linalg.inv(factor.gram), rtol=1e-6, atol=1e-6 * np.abs(kinv).max()
         )
+
+    def test_exact_prediction_solves_one_vector_and_inverts_the_factor_once(self, monkeypatch):
+        model, data = _artificial_model("exact")
+        factor = model.anchor_set.factor(model.prior)
+        solves, inversions = [], []
+
+        def counting_chol_solve(chol, b):
+            solves.append(np.shape(b))
+            return gg.chol_solve(chol, b)
+
+        def counting_dtrtri(c, *args, **kwargs):
+            if np.array_equal(c, factor.chol):
+                inversions.append(c)
+            return dtrtri(c, *args, **kwargs)
+
+        def no_kinv(_):
+            raise AssertionError("an exact prediction read PriorFactor.kinv")
+
+        dtrtri = lapack.dtrtri
+        monkeypatch.setattr(kernels_gp, "chol_solve", counting_chol_solve)
+        monkeypatch.setattr(lapack, "dtrtri", counting_dtrtri)
+        monkeypatch.setattr(kernels_gp.PriorFactor, "kinv", property(no_kinv))
+        gp_pca.predict_batch(model, 0, data.train_eval[0].inputs)
+        assert solves == [(len(model.anchor),)]  # the means' one vector solve
+        chol_inv = factor.chol_inv
+        for _ in range(3):
+            for i, ev in enumerate(data.train_eval):
+                gp_pca.predict_batch(model, i, ev.inputs)
+        assert len(inversions) == 1 and factor.chol_inv is chol_inv
+        assert not chol_inv.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            chol_inv[0, 0] = 1.0
+        assert np.array_equal(np.tril(chol_inv), chol_inv)
+        np.testing.assert_allclose(chol_inv @ factor.chol, np.eye(len(model.anchor)), atol=1e-8)
 
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_loaded_and_augmented_models_predict_identically(self, mode, tmp_path):
@@ -663,13 +733,13 @@ class TestCopies:
         anchor = InducingSet(np.linspace(0.0, 1.0, 6).reshape(-1, 1))
         prior = _prior(mean=0.3)
         factor = anchor.factor(prior)
-        factor.kinv
+        factor.kinv, factor.chol_inv
         got_anchor = self.COPIERS[how](anchor)
         assert got_anchor._factors == {}
         self._assert_read_only(got_anchor.points)
         got = self.COPIERS[how](factor)
-        assert "kinv" not in vars(got)
-        names = ("gram", "chol", "mean", "kinv_mean", "kinv")
+        assert "kinv" not in vars(got) and "chol_inv" not in vars(got)
+        names = ("gram", "chol", "mean", "kinv_mean", "kinv", "chol_inv")
         self._assert_read_only(*(getattr(got, n) for n in names))
         for n in names:
             assert np.array_equal(getattr(got, n), getattr(factor, n))

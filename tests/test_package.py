@@ -27,18 +27,23 @@ def test_every_exported_name_resolves(module):
 
 
 def test_cli_import_leaves_optimizer_and_process_pool_unloaded():
-    # Only a fit needs SciPy's optimizer, only a Cholesky solve or a prediction's
-    # triangular inverse its LAPACK binding and only `evaluate --jobs N>1` a process
-    # pool; every command should start without importing any of them. The second
-    # line shows that the probe sees the binding once a conversion imports it.
+    # Only a fit needs SciPy's optimizer, only a Cholesky solve or a triangular
+    # inverse its LAPACK binding and only `evaluate --jobs N>1` a process pool;
+    # every command should start without importing any of them. The second line
+    # shows that the probe sees the binding once one exact prediction, from a
+    # one-point model built without a fit, has imported it.
     src = Path(gppca.__file__).resolve().parents[1]
     probe = (
         "import sys, gppca.cli; "
-        "from gppca.gaussian_geometry import flat_natural_to_moment; "
+        "from gppca import gp_pca; "
+        "from gppca.epca import Subspace; "
+        "from gppca.kernels_gp import GpPrior; "
         "loaded = lambda: sorted(m for m in ('scipy.optimize', 'scipy.linalg', "
         "'concurrent.futures.process') if m in sys.modules); "
         "print(loaded()); "
-        "flat_natural_to_moment([0.0, -0.5], 1); "
+        "model = gp_pca.GpPcaModel(GpPrior(), [[0.0]], "
+        "Subspace(u0=[0.0, -0.5], basis=[[0.1, 0.0]]), [[0.0]], 'exact'); "
+        "gp_pca.predict_batch(model, 0, [[0.5]]); "
         "print(loaded())"
     )
     out = subprocess.run(
