@@ -20,6 +20,15 @@ Both are evaluated on a `_PointBatch`, which factors the data points once;
 the `objective` a fit returns is one more evaluation of its batch at the
 parameters it returns.
 
+An evaluation holds one array per full-size (n, D) output and no full-size
+temporaries: the reconstructions u0 + W U~ are built in place, and
+`_natural_to_dual` forms -2 Theta in place and writes mu and
+Sigma + mu mu^T into one preallocated array. Each rewrite performs the same
+floating-point operations on the same operands as the textbook formula, and
+LAPACK sees the same inputs, so every fit, projection and offset factor is
+the same to the bit as with the textbook formulas; one evaluation at
+N = 20, d = 60 holds about four such arrays, not six.
+
 Iterates must stay inside the cone of valid parameters (Theta negative
 definite). The joint fit runs a limited-memory quasi-Newton descent whose
 line search treats any invalid candidate as a barrier value, so accepted
@@ -190,7 +199,7 @@ class FitResult:
     subspace: Subspace
     weights: np.ndarray  # (I, L)
     objective: float
-    iterations: int
+    iterations: int  # accepted steps, len(history) - 1
     # True if L-BFGS-B met its tolerance (status 0), or if its line search failed
     # and the cone-aware continuation then took at least one step and converged
     # as `_Minimizer.run` defines it. False at the iteration cap, and when the
@@ -248,17 +257,30 @@ def _natural_to_dual(points: np.ndarray, d: int):
     Returns (precisions, log det Sigma, means, covariances, expectation
     coordinates); raises _InvalidBatch with the first point whose Theta is
     not negative definite.
+
+    Each output is built in one array, with no full-size temporaries on the
+    way: -2 Theta is formed as -(M + M^T) for the stored block M, negated in
+    place, and mu and Sigma + mu mu^T are written straight into one
+    preallocated (n, D) array. Both equal the textbook -2 * 1/2 (M + M^T)
+    and concatenate([mu, Sigma + mu mu^T]) bit for bit: halving and doubling
+    are exact barring subnormals, negation is exact, mu_i mu_j is one
+    product either way, and float addition commutes (signed zeros
+    included). The LAPACK calls see the same inputs, so every output is the
+    same to the bit, row by row as for the whole stack.
     """
     n = points.shape[0]
-    vec = points[:, :d]
     mat = points[:, d:].reshape(n, d, d)
-    mat = 0.5 * (mat + np.transpose(mat, (0, 2, 1)))
-    a = -2.0 * mat  # Sigma^-1 per point, must be PD
+    a = mat + np.transpose(mat, (0, 2, 1))
+    np.negative(a, out=a)  # Sigma^-1 per point, must be PD
     logdet = -_batched_logdet(_strict_cholesky(a))
-    mu = np.linalg.solve(a, vec[..., None])[..., 0]
     sigma = np.linalg.inv(a)
-    dual_mat = sigma + np.einsum("ni,nj->nij", mu, mu)
-    return a, logdet, mu, sigma, np.concatenate([mu, dual_mat.reshape(n, -1)], axis=1)
+    mu = np.linalg.solve(a, points[:, :d, None])[..., 0]
+    dual = np.empty((n, points.shape[1]))
+    dual[:, :d] = mu
+    dual_mat = dual[:, d:].reshape(n, d, d)  # a view: each row's d^2 block is contiguous
+    np.einsum("ni,nj->nij", mu, mu, out=dual_mat)
+    dual_mat += sigma
+    return a, logdet, mu, sigma, dual
 
 
 class _PointBatch:
@@ -293,7 +315,11 @@ class _PointBatch:
         Returns (total_kl, duals); raises _InvalidBatch, naming the first
         offending point, if a reconstruction leaves the cone.
         """
-        return self.evaluate_factored(_natural_to_dual(u0 + weights @ basis, self.dim))
+        recon = weights @ basis
+        recon += u0  # in place: one (n, D) array, equal to u0 + W U~ bit for bit
+        factored = _natural_to_dual(recon, self.dim)
+        del recon  # the KL reads the factored stack alone
+        return self.evaluate_factored(factored)
 
     def evaluate_factored(self, recon: tuple):
         """`evaluate` against reconstructions already passed through `_natural_to_dual`."""
@@ -386,7 +412,8 @@ class _Minimizer:
         return p, kl_cur, None, False
 
     def run(self, p0: np.ndarray, stop_grad_tol: float = 0.0):
-        """Returns (p, kl, history, iterations, converged, grad_norm).
+        """Returns (p, kl, history, converged, grad_norm); history holds the
+        objective at the start and after each accepted step.
 
         Converged means any of: gradient norm under `stop_grad_tol`,
         relative objective change under rel_tol, or no strictly decreasing
@@ -398,11 +425,10 @@ class _Minimizer:
         p = p0.copy()
         g = self.gradient(p, payload)
         history = [kl]
-        iteration = 0
-        for iteration in range(1, opts.max_iters + 1):
+        for _ in range(opts.max_iters):
             grad_norm = float(np.linalg.norm(g))
             if stop_grad_tol > 0.0 and grad_norm < stop_grad_tol:
-                return p, kl, history, iteration - 1, True, grad_norm
+                return p, kl, history, True, grad_norm
             direction = self._direction(g)
             p_new, kl_new, payload, accepted = self._line_search(p, kl, direction)
             if not accepted and self.s_list:
@@ -414,15 +440,15 @@ class _Minimizer:
                 )
             if not accepted:
                 # stationary at line-search resolution
-                return p, kl, history, iteration, True, float(np.linalg.norm(g))
+                return p, kl, history, True, float(np.linalg.norm(g))
             g_new = self.gradient(p_new, payload)
             self._push_pair(p_new - p, g_new - g)
             change = kl - kl_new
             p, kl, g = p_new, kl_new, g_new
             history.append(kl)
             if change <= opts.rel_tol * max(abs(kl), 1e-300):
-                return p, kl, history, iteration, True, float(np.linalg.norm(g))
-        return p, kl, history, opts.max_iters, False, float(np.linalg.norm(g))
+                return p, kl, history, True, float(np.linalg.norm(g))
+        return p, kl, history, False, float(np.linalg.norm(g))
 
 
 def _mean_point(batch: _PointBatch) -> np.ndarray:
@@ -585,12 +611,12 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
         # the descent that treats invalid candidates as rejected steps.
         remaining = replace(opts, max_iters=opts.max_iters - iterations)
         try:
-            params, _, tail, extra, converged, _ = _Minimizer(evaluate, gradient, remaining).run(params)
+            params, _, tail, converged, _ = _Minimizer(evaluate, gradient, remaining).run(params)
         except (_InvalidBatch, ValidityStallError):
             pass  # no valid step from there either: keep the point, unconverged
         else:
             history.extend(tail[1:])
-            iterations += extra
+            iterations += len(tail) - 1  # accepted steps; a failed try is not one
             converged = converged and len(tail) > 1  # a stall that never moved
     weights, u0, basis = unpack_params(params)
     # Each row's own projection; a row stopped early keeps its weights.
@@ -640,7 +666,7 @@ def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, sta
             return (duals[0] - point.dual[0]) @ basis.T
 
         try:
-            w, _, _, _, converged, grad_norm = _Minimizer(evaluate, gradient, opts).run(
+            w, _, _, converged, grad_norm = _Minimizer(evaluate, gradient, opts).run(
                 weights[i], stop_grad_tol=tol
             )
         except _InvalidBatch:

@@ -159,9 +159,12 @@ def task_coordinates(
     """Flattened natural coordinates of each task posterior, plus the anchor set.
 
     The anchor is the union of the task inputs (exact) or `inducing`
-    (sparse); all tasks share its factor.
+    (sparse); all tasks share its factor. Exact mode takes no inducing set:
+    passing one raises ValueError rather than leaving it unused.
     """
     if mode == "exact":
+        if inducing is not None:
+            raise ValueError("mode='exact' anchors on the union of the task inputs; pass inducing=None")
         anchor = InducingSet(union_inputs(tasks))
     elif mode == "sparse":
         if inducing is None:

@@ -565,7 +565,7 @@ def project_point_per_call(point, subspace: epca.Subspace, opts: Optional[FitOpt
     def gradient(w, duals):
         return (duals[0] - batch.dual[0]) @ subspace.basis.T
 
-    w, _, _, _, converged, grad_norm = epca._Minimizer(evaluate, gradient, opts).run(
+    w, _, _, converged, grad_norm = epca._Minimizer(evaluate, gradient, opts).run(
         np.zeros(subspace.latent_dim), stop_grad_tol=tol
     )
     if not converged:

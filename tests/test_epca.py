@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,113 @@ class TestGradients:
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-9, atol=1e-12)
 
 
+def _textbook_natural_to_dual(points, d):
+    """`epca._natural_to_dual` as first written: -2 * 1/2 (M + M^T) and a concatenation."""
+    n = points.shape[0]
+    mat = points[:, d:].reshape(n, d, d)
+    a = -2.0 * (0.5 * (mat + np.transpose(mat, (0, 2, 1))))
+    chol = np.linalg.cholesky(a)
+    logdet = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    mu = np.linalg.solve(a, points[:, :d, None])[..., 0]
+    sigma = np.linalg.inv(a)
+    dual_mat = sigma + np.einsum("ni,nj->nij", mu, mu)
+    return a, logdet, mu, sigma, np.concatenate([mu, dual_mat.reshape(n, -1)], axis=1)
+
+
+def _random_points(rng, n, d):
+    return np.array([gg.pack_natural(moment_to_natural(random_gaussian(rng, d, cond_max=10.0)))
+                     for _ in range(n)])
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
+
+
+class TestNaturalToDual:
+    """Each output of `_natural_to_dual` is built in one array, bit for bit as before."""
+
+    @pytest.mark.parametrize("d", [1, 12, 60])
+    def test_stack_equals_rows_bit_for_bit(self, d):
+        rng = np.random.default_rng(30 + d)
+        n = 5
+        stack = _random_points(rng, n, d) + 1e-3 * rng.normal(size=(n, d + d * d))
+        whole = epca._natural_to_dual(stack, d)
+        rows = [epca._natural_to_dual(stack[i : i + 1], d) for i in range(n)]
+        for k, got in enumerate(whole):
+            _assert_same_bits(got, np.concatenate([r[k] for r in rows]))
+        batch = epca._PointBatch(_random_points(rng, n, d))
+        total, duals = batch.evaluate_factored(whole)
+        by_row = [batch.row(i).evaluate_factored(r) for i, r in enumerate(rows)]
+        _assert_same_bits(duals, np.concatenate([dual for _, dual in by_row]))
+        assert total == np.sum([kl for kl, _ in by_row])
+
+    @pytest.mark.parametrize("d", [1, 12, 60])
+    def test_equals_the_textbook_formulas_bit_for_bit(self, d):
+        rng = np.random.default_rng(40 + d)
+        points = _random_points(rng, 3, d)
+        for got, want in zip(epca._natural_to_dual(points, d), _textbook_natural_to_dual(points, d)):
+            _assert_same_bits(got, want)
+
+    def test_signed_zeros_match_the_textbook_formulas(self):
+        # Diagonal precisions with off-diagonal M entries of +0.0 and -0.0 in every
+        # pairing, and a zero theta entry of each sign: -(M + M^T) carries the
+        # same signed zeros as -2 * 1/2 (M + M^T), and so does every later output.
+        d = 3
+        mat = -0.5 * np.diag([1.0, 2.0, 4.0])
+        mat[0, 1], mat[1, 0] = 0.0, -0.0
+        mat[0, 2], mat[2, 0] = -0.0, -0.0
+        mat[1, 2], mat[2, 1] = 0.0, 0.0
+        points = np.array([np.concatenate([[0.0, -0.0, 1.5], mat.ravel()]),
+                           np.concatenate([[-0.0, 0.0, -0.0], mat.T.ravel()])])
+        got = epca._natural_to_dual(points, d)
+        want = _textbook_natural_to_dual(points, d)
+        assert np.any(np.signbit(want[0]) & (want[0] == 0.0))  # the case is exercised
+        assert np.any(~np.signbit(want[0]) & (want[0] == 0.0))
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+
+    def test_evaluate_equals_the_textbook_reconstruction(self):
+        rng = np.random.default_rng(50)
+        d, n = 12, 6
+        batch = epca._PointBatch(_random_points(rng, n, d))
+        u0 = epca._mean_point(batch)
+        basis = rng.normal(size=(2, batch.flat_dim))
+        weights = 1e-3 * rng.normal(size=(n, 2))
+        total, duals = batch.evaluate(weights, u0, basis)
+        want_total, want_duals = batch.evaluate_factored(
+            _textbook_natural_to_dual(u0 + weights @ basis, d)
+        )
+        assert total == want_total
+        _assert_same_bits(duals, want_duals)
+
+    def test_evaluation_holds_about_four_full_size_arrays(self):
+        # One objective and gradient at N = 20, d = 60: the reconstruction, -2 Theta,
+        # Sigma and the dual stack, each an N x D float64 array (0.59 MB), plus
+        # small change. Built through full-size temporaries it took 5.9 of them.
+        rng = np.random.default_rng(60)
+        n, d = 20, 60
+        batch = epca._PointBatch(_random_points(rng, n, d))
+        u0 = epca._mean_point(batch)
+        basis = rng.normal(size=(2, batch.flat_dim))
+        basis /= np.linalg.norm(basis, axis=1)[:, None]
+        weights = 1e-3 * rng.normal(size=(n, 2))
+
+        def once():
+            _, duals = batch.evaluate(weights, u0, basis)
+            batch.gradient(weights, basis, duals)
+
+        once()  # any first-call allocations happen outside the trace
+        tracemalloc.start()
+        try:
+            once()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * n * batch.flat_dim * 8
+
+
 class TestProjectPoint:
     def test_recovers_planted_weights(self):
         rng = np.random.default_rng(9)
@@ -281,6 +390,7 @@ class TestFit:
             fixed.append(gg.pack_natural(nat))
         res = epca.fit(np.asarray(fixed), 2, FitOptions(rel_tol=1e-12))
         assert np.all(np.diff(res.history) <= 0)
+        assert res.iterations == len(res.history) - 1
 
     def test_rejects_bad_latent_dim(self):
         rng = np.random.default_rng(17)
@@ -323,6 +433,7 @@ class TestFit:
         ])
         res = epca.fit(pts, 1)
         assert res.iterations > 0
+        assert res.iterations == len(res.history) - 1  # L-BFGS-B's steps plus the continuation's
         assert res.converged
         # covers the hand-off from L-BFGS-B's iterates to the continuation's
         assert np.all(np.diff(res.history) <= 0)
@@ -337,6 +448,7 @@ class TestFit:
         points, _ = gp_pca.task_coordinates(data.train_tasks, prior, "sparse", inducing)
         res = epca.fit(points, 1)
         assert len(res.history) == 1  # no accepted step
+        assert res.iterations == 0  # the continuation's failed try is not a step
         assert not res.converged
 
     def test_final_objective_recomputable(self):

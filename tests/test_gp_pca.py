@@ -73,6 +73,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="inducing"):
             gp_pca.train(_toy_tasks(), prior, 1, mode="sparse")
 
+    def test_exact_mode_refuses_an_inducing_set(self):
+        # Exact mode anchors on the input union; an inducing set was once left unused.
+        prior, tasks = _prior(), _toy_tasks()
+        inducing = InducingSet(np.linspace(0.0, 1.0, 4).reshape(-1, 1))
+        with pytest.raises(ValueError, match="mode='exact'.*inducing=None"):
+            gp_pca.task_coordinates(tasks, prior, "exact", inducing)
+        with pytest.raises(ValueError, match="mode='exact'.*inducing=None"):
+            gp_pca.train(tasks, prior, 1, mode="exact", inducing=inducing)
+
     def test_exact_vs_sparse_full_union(self):
         # inducing = full union makes the sparse chart an isometric copy
         prior = _prior()
