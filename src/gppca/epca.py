@@ -36,17 +36,21 @@ iterates are always valid Gaussians and the objective over them is
 non-increasing (plain alternating gradient steps provably crawl on the scale
 degeneracy between W and the basis and cannot reach the tolerances this
 module is tested at). The barrier carries no gradient, so that line search
-can fail outright; the fit then continues with the backtracking descent
-described next. Single-point projections are convex in w and use a monotone
-backtracking descent: candidates that leave the cone or fail to decrease the
-objective are shrunk by `_BACKTRACK_FACTOR`, with quasi-Newton step proposals
-and `_LEARNING_RATE` as the scale of steepest-descent steps.
+can fail outright; the fit then continues with a limited-memory
+quasi-Newton descent (`_Minimizer`) whose backtracking line search
+(`_line_search`) shrinks candidates that leave the cone or fail to decrease
+the objective by `_BACKTRACK_FACTOR`.
 
 One routine, `_project_batch`, projects a batch of points onto a subspace:
 the fit's final polish passes the batch it already factored, and
-`project_point` (few-shot adaptation) is its one-point case. Each point stops
-on its own, once its weight gradient norm falls below rel_tol times the norm
-of its dual coordinates, and reports its own early stop.
+`project_point` (few-shot adaptation) is its one-point case. A projection is
+convex in w, and the reconstruction is linear in natural coordinates, so the
+w-Hessian of a point's KL is the Fisher metric pulled back to the basis
+(Amari 1998). Each point therefore takes damped Newton steps in that metric
+(`_fisher_step`), each backtracked by the same line search, and falls back to
+the steepest step -`_LEARNING_RATE` g where the metric does not factor. Each
+point stops on its own, once its weight gradient norm falls below rel_tol
+times the norm of its dual coordinates, and reports its own early stop.
 
 Each `Subspace` factors its offset u0 once, on first read
 (`Subspace.offset_factor`), and every projection evaluates w = 0 from that
@@ -152,13 +156,16 @@ class FitOptions:
 class Subspace:
     """Affine subspace in natural coordinates: offset u0 (D,) and basis rows (L, D).
 
-    `u0` and `basis` are read-only copies, so `offset_factor` cannot go stale.
-    `offset_factor` is `_natural_to_dual` of the offset, computed when first
-    read and kept, with read-only arrays; every projection reads it for its
-    evaluations at w = 0. An offset off the cone raises `_InvalidBatch` on
-    each read and keeps nothing. A pickled or deep-copied subspace is rebuilt
-    through the constructor, so its arrays are read-only again and it
-    factors its offset afresh.
+    `u0` and `basis` are read-only copies, so the kept values below cannot
+    go stale. `offset_factor` is `_natural_to_dual` of the offset, computed
+    when first read and kept, with read-only arrays; every projection reads
+    it for its evaluations at w = 0. An offset off the cone raises
+    `_InvalidBatch` on each read and keeps nothing. `basis_blocks` is (b, B)
+    for the basis rows (b_k, M_k), B_k = (M_k + M_k^T) / 2, which the
+    projection's Newton steps read (`_fisher`); it too is computed when
+    first read and kept read-only. A pickled or deep-copied subspace is
+    rebuilt through the constructor, so its arrays are read-only again and
+    it computes both afresh.
     """
 
     u0: np.ndarray
@@ -185,6 +192,14 @@ class Subspace:
             a.setflags(write=False)
         return factor
 
+    @cached_property
+    def basis_blocks(self) -> tuple:
+        d = dim_from_flat(self.flat_dim)
+        mat = self.basis[:, d:].reshape(-1, d, d)
+        sym = 0.5 * (mat + np.transpose(mat, (0, 2, 1)))
+        sym.setflags(write=False)
+        return self.basis[:, :d], sym
+
     @property
     def latent_dim(self) -> int:
         return self.basis.shape[0]
@@ -201,9 +216,10 @@ class FitResult:
     objective: float
     iterations: int  # accepted steps, len(history) - 1
     # True if L-BFGS-B met its tolerance (status 0), or if its line search failed
-    # and the cone-aware continuation then took at least one step and converged
-    # as `_Minimizer.run` defines it. False at the iteration cap, and when the
-    # continuation finds no valid or no decreasing step from where it started.
+    # and the cone-aware continuation (`_Minimizer`) then took at least one step
+    # and converged: relative change under rel_tol, or no decreasing valid step.
+    # False at the iteration cap, and when the continuation finds no valid or no
+    # decreasing step from where it started. The polish does not change it.
     converged: bool
     history: np.ndarray = field(repr=False)  # objective at each accepted evaluation
 
@@ -219,36 +235,49 @@ def reconstruct(w: np.ndarray, subspace: Subspace) -> np.ndarray:
 class _InvalidBatch(Exception):
     """A batch holds a point off the cone.
 
-    `index`, the first slice of `stack` that does not factor, is searched for
-    only when read: the fit's line searches discard it. Without a stack it is -1.
+    `index`, the first of the natural `points` whose -2 Theta does not
+    factor, is searched for only when read: the fit's line searches discard
+    it. Without points it is -1.
     """
 
-    def __init__(self, stack: Optional[np.ndarray] = None):
-        self.stack = stack
+    def __init__(self, points: Optional[np.ndarray] = None, dim: int = 0):
+        self.points = points
+        self.dim = dim
 
     @property
     def index(self) -> int:
-        if self.stack is None:
+        if self.points is None:
             return -1
-        for i, a in enumerate(self.stack):
-            try:
-                np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
+        for i in range(self.points.shape[0]):
+            if not _factors(self.points[i], self.dim):
                 return i
         return 0
 
 
-def _strict_cholesky(stack: np.ndarray) -> np.ndarray:
-    """Batched Cholesky without jitter; raises _InvalidBatch, which can name the offending slice."""
+def _factors(point: np.ndarray, d: int) -> bool:
+    """Whether one natural point's -2 Theta has a Cholesky factor.
+
+    Forms -2 Theta as `_natural_to_dual` does for a whole stack, so the
+    answer is the same as for that point's slice of the stack.
+    """
+    m = point[d:].reshape(d, d)
     try:
-        return np.linalg.cholesky(stack)
+        np.linalg.cholesky(-(m + m.T))
     except np.linalg.LinAlgError:
-        raise _InvalidBatch(stack) from None
+        return False
+    return True
 
 
 def _batched_logdet(chol: np.ndarray) -> np.ndarray:
     diag = np.diagonal(chol, axis1=-2, axis2=-1)
     return 2.0 * np.sum(np.log(diag), axis=-1)
+
+
+def _reconstructions(weights: np.ndarray, u0: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """u0 + W U~, built in place as one (n, D) array, equal to the textbook sum bit for bit."""
+    recon = weights @ basis
+    recon += u0
+    return recon
 
 
 def _natural_to_dual(points: np.ndarray, d: int):
@@ -272,7 +301,10 @@ def _natural_to_dual(points: np.ndarray, d: int):
     mat = points[:, d:].reshape(n, d, d)
     a = mat + np.transpose(mat, (0, 2, 1))
     np.negative(a, out=a)  # Sigma^-1 per point, must be PD
-    logdet = -_batched_logdet(_strict_cholesky(a))
+    try:
+        logdet = -_batched_logdet(np.linalg.cholesky(a))  # no jitter
+    except np.linalg.LinAlgError:
+        raise _InvalidBatch(points, d) from None
     sigma = np.linalg.inv(a)
     mu = np.linalg.solve(a, points[:, :d, None])[..., 0]
     dual = np.empty((n, points.shape[1]))
@@ -296,6 +328,7 @@ class _PointBatch:
         self.count, self.flat_dim = points.shape
         self.dim = dim_from_flat(self.flat_dim)
         self.primal = points
+        self.failed: Optional[int] = None  # see `evaluate`
         try:
             _, self.logdet, self.mu, self.sigma, self.dual = _natural_to_dual(points, self.dim)
         except _InvalidBatch as exc:
@@ -304,7 +337,7 @@ class _PointBatch:
     def row(self, i: int) -> "_PointBatch":
         """The one-point batch of point i, sliced from this batch without factoring it again."""
         row = object.__new__(_PointBatch)
-        row.__dict__.update(vars(self), count=1)
+        row.__dict__.update(vars(self), count=1, failed=None)
         for name in ("primal", "logdet", "mu", "sigma", "dual"):
             setattr(row, name, getattr(self, name)[i : i + 1])
         return row
@@ -314,10 +347,23 @@ class _PointBatch:
 
         Returns (total_kl, duals); raises _InvalidBatch, naming the first
         offending point, if a reconstruction leaves the cone.
+
+        After an evaluation raises, the batch remembers the first row that
+        failed (`failed`), and the next evaluation factors that row alone
+        before the whole stack: a line search backing off the cone's edge
+        tends to propose the same offending row again. Either way the same
+        candidates raise, so no result changes. An evaluation that succeeds
+        forgets the row.
         """
-        recon = weights @ basis
-        recon += u0  # in place: one (n, D) array, equal to u0 + W U~ bit for bit
-        factored = _natural_to_dual(recon, self.dim)
+        recon = _reconstructions(weights, u0, basis)
+        if self.failed is not None and not _factors(recon[self.failed], self.dim):
+            raise _InvalidBatch(recon, self.dim)
+        try:
+            factored = _natural_to_dual(recon, self.dim)
+        except _InvalidBatch as exc:
+            self.failed = exc.index
+            raise
+        self.failed = None
         del recon  # the KL reads the factored stack alone
         return self.evaluate_factored(factored)
 
@@ -340,7 +386,35 @@ class _PointBatch:
 
 
 # ---------------------------------------------------------------------------
-# Monotone quasi-Newton descent with validity backtracking.
+# Monotone descent with validity backtracking.
+
+
+def _line_search(evaluate: Callable, p: np.ndarray, kl_cur: float, direction: np.ndarray):
+    """The first of p + t direction, t = 1, 1/2, 1/4, ... (`_MAX_BACKTRACKS`
+    candidates), that stays on the cone and strictly lowers the objective.
+
+    `evaluate(p)` returns (objective, payload) or raises _InvalidBatch.
+    Returns (p, objective, payload, accepted), unmoved if no candidate is
+    accepted; raises ValidityStallError if every candidate leaves the cone.
+    """
+    t = 1.0
+    saw_valid = False
+    for _ in range(_MAX_BACKTRACKS):
+        candidate = p + t * direction
+        try:
+            kl_new, payload = evaluate(candidate)
+        except _InvalidBatch:
+            t *= _BACKTRACK_FACTOR
+            continue
+        saw_valid = True
+        if kl_new < kl_cur and np.isfinite(kl_new):
+            return candidate, kl_new, payload, True
+        t *= _BACKTRACK_FACTOR
+    if not saw_valid:
+        raise ValidityStallError(
+            f"no valid step found after {_MAX_BACKTRACKS} backtracks"
+        )
+    return p, kl_cur, None, False
 
 
 class _Minimizer:
@@ -349,9 +423,9 @@ class _Minimizer:
     `evaluate(p)` returns (objective, payload) or raises _InvalidBatch;
     `gradient(p, payload)` returns the flat gradient. Every accepted step
     strictly decreases the objective; candidates that leave the valid cone
-    or fail to decrease are backtracked by `_BACKTRACK_FACTOR` up to
-    _MAX_BACKTRACKS times. A stall with an active quasi-Newton memory resets
-    to a steepest step once before declaring stationarity.
+    or fail to decrease are backtracked by `_line_search`. A stall with an
+    active quasi-Newton memory resets to a steepest step once before
+    declaring stationarity.
     """
 
     def __init__(self, evaluate: Callable, gradient: Callable, opts: FitOptions):
@@ -391,34 +465,14 @@ class _Minimizer:
                 self.s_list.pop(0)
                 self.y_list.pop(0)
 
-    def _line_search(self, p, kl_cur, direction):
-        t = 1.0
-        saw_valid = False
-        for _ in range(_MAX_BACKTRACKS):
-            candidate = p + t * direction
-            try:
-                kl_new, payload = self.evaluate(candidate)
-            except _InvalidBatch:
-                t *= _BACKTRACK_FACTOR
-                continue
-            saw_valid = True
-            if kl_new < kl_cur and np.isfinite(kl_new):
-                return candidate, kl_new, payload, True
-            t *= _BACKTRACK_FACTOR
-        if not saw_valid:
-            raise ValidityStallError(
-                f"no valid step found after {_MAX_BACKTRACKS} backtracks"
-            )
-        return p, kl_cur, None, False
+    def run(self, p0: np.ndarray):
+        """Returns (p, history, converged); history holds the objective at the
+        start and after each accepted step.
 
-    def run(self, p0: np.ndarray, stop_grad_tol: float = 0.0):
-        """Returns (p, kl, history, converged, grad_norm); history holds the
-        objective at the start and after each accepted step.
-
-        Converged means any of: gradient norm under `stop_grad_tol`,
-        relative objective change under rel_tol, or no strictly decreasing
-        valid step at line-search resolution (a stall, i.e. numeric
-        stationarity). Only exhausting max_iters counts as non-convergence.
+        Converged means either of: relative objective change under rel_tol,
+        or no strictly decreasing valid step at line-search resolution (a
+        stall, i.e. numeric stationarity). Only exhausting max_iters counts
+        as non-convergence.
         """
         opts = self.opts
         kl, payload = self.evaluate(p0)
@@ -426,29 +480,26 @@ class _Minimizer:
         g = self.gradient(p, payload)
         history = [kl]
         for _ in range(opts.max_iters):
-            grad_norm = float(np.linalg.norm(g))
-            if stop_grad_tol > 0.0 and grad_norm < stop_grad_tol:
-                return p, kl, history, True, grad_norm
             direction = self._direction(g)
-            p_new, kl_new, payload, accepted = self._line_search(p, kl, direction)
+            p_new, kl_new, payload, accepted = _line_search(self.evaluate, p, kl, direction)
             if not accepted and self.s_list:
                 # quasi-Newton direction exhausted; retry once from steepest
                 self.s_list.clear()
                 self.y_list.clear()
-                p_new, kl_new, payload, accepted = self._line_search(
-                    p, kl, -_LEARNING_RATE * g
+                p_new, kl_new, payload, accepted = _line_search(
+                    self.evaluate, p, kl, -_LEARNING_RATE * g
                 )
             if not accepted:
                 # stationary at line-search resolution
-                return p, kl, history, True, float(np.linalg.norm(g))
+                return p, history, True
             g_new = self.gradient(p_new, payload)
             self._push_pair(p_new - p, g_new - g)
             change = kl - kl_new
             p, kl, g = p_new, kl_new, g_new
             history.append(kl)
             if change <= opts.rel_tol * max(abs(kl), 1e-300):
-                return p, kl, history, True, float(np.linalg.norm(g))
-        return p, kl, history, False, float(np.linalg.norm(g))
+                return p, history, True
+        return p, history, False
 
 
 def _mean_point(batch: _PointBatch) -> np.ndarray:
@@ -611,7 +662,7 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
         # the descent that treats invalid candidates as rejected steps.
         remaining = replace(opts, max_iters=opts.max_iters - iterations)
         try:
-            params, _, tail, converged, _ = _Minimizer(evaluate, gradient, remaining).run(params)
+            params, tail, converged = _Minimizer(evaluate, gradient, remaining).run(params)
         except (_InvalidBatch, ValidityStallError):
             pass  # no valid step from there either: keep the point, unconverged
         else:
@@ -637,20 +688,56 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
     )
 
 
+def _fisher(recon: tuple, b: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """The Fisher metric at one reconstruction, pulled back to the basis.
+
+    `recon` is `_natural_to_dual` of one point, whose mu and Sigma it reads;
+    the basis rows are (b_k, M_k), with sym[k] = B_k = (M_k + M_k^T) / 2
+    (`Subspace.basis_blocks`):
+
+        H_kl = (b_k + 2 B_k mu)^T Sigma (b_l + 2 B_l mu) + 2 tr(B_k Sigma B_l Sigma)
+
+    The reconstruction is linear in natural coordinates, so H is the
+    w-Hessian of KL(point || u0 + w U~) for any point.
+    """
+    mu, sigma = recon[2][0], recon[3][0]
+    v = b + 2.0 * (sym @ mu)
+    p = sym @ sigma
+    return (v @ sigma) @ v.T + 2.0 * np.einsum("kij,lji->kl", p, p)
+
+
+def _fisher_step(g: np.ndarray, recon: tuple, b: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """The Newton step -H^-1 g with H = `_fisher(recon, b, sym)`, or the
+    steepest step -`_LEARNING_RATE` g if H does not factor (a zero basis row
+    makes it singular)."""
+    # LAPACK directly: NumPy's wrappers cost more than an L x L solve. Deferred,
+    # as in `gaussian_geometry.chol_solve`: importing the package loads no SciPy.
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    chol, info = dpotrf(_fisher(recon, b, sym), lower=1)
+    if info != 0:
+        return -_LEARNING_RATE * g
+    return -dpotrs(chol, g, lower=1)[0]
+
+
 def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, start: np.ndarray):
     """Project every point of `batch` onto `subspace`, each from its row of `start`.
 
-    Each point runs its own `_Minimizer` descent over its weights, stopping
-    once the weight gradient norm falls below rel_tol times the norm of that
-    point's dual coordinates (or as `_Minimizer.run` stops otherwise). An
-    evaluation at w = 0 reads `subspace.offset_factor` instead of factoring
-    the offset again.
+    Each point descends its own KL over w by damped Newton steps in the
+    Fisher metric (`_fisher_step`; Amari 1998), each scaled back by
+    `_line_search` until it stays on the cone and lowers the KL. A point
+    stops once its weight gradient norm falls below rel_tol times the norm
+    of its dual coordinates, once an accepted step lowers its KL by at most
+    rel_tol relative, or when no step is accepted (stationarity at
+    line-search resolution). An evaluation at w = 0 reads
+    `subspace.offset_factor` instead of factoring the offset again, and
+    every factorization serves both the KL and the next Fisher matrix.
     Returns (weights (I, L), errors): errors[i] is None, or the error that
     stopped point i early. A ConvergenceError (the iteration cap) leaves the
     row at its last iterate; a ValidityStallError (no valid step) or a
     ValidityError (a start off the cone) leaves it at its start.
     """
-    basis = subspace.basis
+    basis, d = subspace.basis, batch.dim
     weights = np.array(start, dtype=float)
     errors: list[Optional[Exception]] = [None] * batch.count
     for i in range(batch.count):
@@ -659,24 +746,39 @@ def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, sta
 
         def evaluate(w):
             if not w.any():  # the offset itself
-                return point.evaluate_factored(subspace.offset_factor)
-            return point.evaluate(w[None, :], subspace.u0, basis)
+                recon = subspace.offset_factor
+            else:
+                recon = _natural_to_dual(_reconstructions(w[None, :], subspace.u0, basis), d)
+            return point.evaluate_factored(recon)[0], recon
 
-        def gradient(w, duals):
-            return (duals[0] - point.dual[0]) @ basis.T
+        def gradient(recon):
+            return (recon[4][0] - point.dual[0]) @ basis.T
 
         try:
-            w, _, _, converged, grad_norm = _Minimizer(evaluate, gradient, opts).run(
-                weights[i], stop_grad_tol=tol
-            )
+            w = weights[i]
+            kl, recon = evaluate(w)
+            g = gradient(recon)
+            for _ in range(opts.max_iters):
+                if float(np.linalg.norm(g)) < tol:
+                    break
+                w_new, kl_new, recon_new, accepted = _line_search(
+                    evaluate, w, kl, _fisher_step(g, recon, *subspace.basis_blocks)
+                )
+                if not accepted:
+                    break  # stationary at line-search resolution
+                change = kl - kl_new
+                w, kl, recon = w_new, kl_new, recon_new
+                g = gradient(recon)
+                if change <= opts.rel_tol * max(abs(kl), 1e-300):
+                    break
+            else:
+                errors[i] = ConvergenceError(float(np.linalg.norm(g)), tol, opts.max_iters)
         except _InvalidBatch:
             errors[i] = ValidityError(i)
         except ValidityStallError as exc:
             errors[i] = exc
         else:
             weights[i] = w
-            if not converged:
-                errors[i] = ConvergenceError(grad_norm, tol, opts.max_iters)
     return weights, errors
 
 
@@ -685,14 +787,15 @@ def project_point(point, subspace: Subspace, opts: Optional[FitOptions] = None) 
 
     The one-point case of `_project_batch`, started at w = 0: the offset
     itself, whose factor the subspace keeps, so only the first projection
-    onto a subspace factors it. It descends the point's KL over w alone
-    until the weight-space gradient norm falls below rel_tol times the norm
-    of the point's dual coordinates, the per-step relative KL change falls
-    below rel_tol, or no strictly decreasing valid step exists (stationarity
-    at numeric resolution); the problem is convex in w so all three witness
-    the unique projection. Raises ConvergenceError with the final gradient
-    norm if the iteration cap is hit first, and ValidityStallError if no
-    valid step exists.
+    onto a subspace factors it. It takes damped Newton steps in the Fisher
+    metric on the point's KL over w alone until the weight-space gradient
+    norm falls below rel_tol times the norm of the point's dual coordinates,
+    an accepted step lowers the KL by at most rel_tol relative, or no
+    strictly decreasing valid step exists (stationarity at numeric
+    resolution); the problem is convex in w so all three witness the unique
+    projection. Raises ConvergenceError with the final gradient norm if the
+    iteration cap is hit first, and ValidityStallError if no valid step
+    exists.
     """
     opts = opts or FitOptions()
     point = np.asarray(point, dtype=float).reshape(-1)

@@ -22,6 +22,9 @@ u0 + w @ basis, and a reconstruction's moments come from the public chain
 instead of `gp_pca`'s one strict factorization. The cached route must give
 the same means and adapted weights bit for bit, and the same variances to
 the float64 floor.
+`kl_along_line` and `line_minimum` locate a projection's target on a line
+with dense moments and a bracketing golden-section search, independently of
+the package's Newton steps.
 `variational_posterior`, `rho_prime_to_rho` and `rho_to_rho_prime` are the
 rescaled sparse chart written out in moments, for the tests only.
 
@@ -52,6 +55,7 @@ from gppca.gaussian_geometry import (
     MomentGaussian,
     NaturalCoord,
     chol_pd,
+    dim_from_flat,
     moment_to_natural,
     natural_to_moment,
     pack_coords,
@@ -554,28 +558,118 @@ def task_point_per_call(model, task: TaskData) -> np.ndarray:
 
 
 def project_point_per_call(point, subspace: epca.Subspace, opts: Optional[FitOptions] = None) -> np.ndarray:
-    """`epca.project_point` factoring every iterate, w = 0 included, as u0 + w @ basis."""
+    """`epca.project_point` factoring every iterate, w = 0 included, as u0 + w @ basis.
+
+    Damped Newton steps -H^-1 g with `epca._fisher_step`, each halved until
+    it stays on the cone and lowers the KL, with the stops and errors that
+    `epca._project_batch` documents.
+    """
     opts = opts or FitOptions()
     batch = epca._PointBatch(np.asarray(point, dtype=float).reshape(1, -1))
+    d, basis = batch.dim, subspace.basis
+    mat = basis[:, d:].reshape(-1, d, d)
+    b, sym = basis[:, :d], 0.5 * (mat + np.transpose(mat, (0, 2, 1)))  # Subspace.basis_blocks
     tol = opts.rel_tol * max(float(np.linalg.norm(batch.dual[0])), 1e-300)
 
     def evaluate(w):
-        return batch.evaluate(w[None, :], subspace.u0, subspace.basis)
+        recon = epca._natural_to_dual(subspace.u0 + w[None, :] @ basis, d)
+        return batch.evaluate_factored(recon)[0], recon
 
-    def gradient(w, duals):
-        return (duals[0] - batch.dual[0]) @ subspace.basis.T
-
-    w, _, _, converged, grad_norm = epca._Minimizer(evaluate, gradient, opts).run(
-        np.zeros(subspace.latent_dim), stop_grad_tol=tol
-    )
-    if not converged:
-        raise epca.ConvergenceError(grad_norm, tol, opts.max_iters)
-    return w
+    w = np.zeros(subspace.latent_dim)
+    kl, recon = evaluate(w)
+    for _ in range(opts.max_iters):
+        g = (recon[4][0] - batch.dual[0]) @ basis.T
+        if np.linalg.norm(g) < tol:
+            return w
+        step = epca._fisher_step(g, recon, b, sym)
+        saw_valid = False
+        for k in range(epca._MAX_BACKTRACKS):
+            candidate = w + epca._BACKTRACK_FACTOR**k * step
+            try:
+                kl_new, recon_new = evaluate(candidate)
+            except epca._InvalidBatch:
+                continue
+            saw_valid = True
+            if kl_new < kl and np.isfinite(kl_new):
+                break
+        else:
+            if not saw_valid:
+                raise epca.ValidityStallError("no valid step")
+            return w
+        change = kl - kl_new
+        w, kl, recon = candidate, kl_new, recon_new
+        if change <= opts.rel_tol * max(abs(kl), 1e-300):
+            return w
+    g = (recon[4][0] - batch.dual[0]) @ basis.T
+    raise epca.ConvergenceError(float(np.linalg.norm(g)), tol, opts.max_iters)
 
 
 def adapt_per_call(model, fewshot: TaskData, opts: Optional[FitOptions] = None) -> np.ndarray:
     """`gp_pca.adapt_new_task` with the task point and the projection by the per-call functions."""
     return project_point_per_call(task_point_per_call(model, fewshot), model.subspace, opts)
+
+
+def kl_along_line(point, subspace: epca.Subspace):
+    """w -> KL(point || u0 + w u1) for a subspace of latent dimension 1, +inf off the cone.
+
+    Moments come from dense inverses of -2 Theta, and the KL from
+    `kl_divergence`, not from the package's factored evaluation.
+    """
+    if subspace.latent_dim != 1:
+        raise ValueError("a line needs latent dimension 1")
+    d = dim_from_flat(subspace.flat_dim)
+
+    def moments(flat):
+        nat = unpack_natural(flat, d)
+        prec = -2.0 * nat.big_theta
+        np.linalg.cholesky(prec)  # off the cone: LinAlgError
+        sigma = np.linalg.inv(prec)
+        return MomentGaussian(sigma @ nat.theta, 0.5 * (sigma + sigma.T))
+
+    data = moments(np.asarray(point, dtype=float))
+
+    def f(w: float) -> float:
+        try:
+            return kl_divergence(data, moments(subspace.u0 + w * subspace.basis[0]))
+        except np.linalg.LinAlgError:
+            return math.inf
+
+    return f
+
+
+def line_minimum(f, start: float, step: float = 1.0, xtol: float = 1e-12) -> tuple[float, float]:
+    """(w*, f(w*)) for a convex f: R -> R or +inf, by bracketing and golden sections.
+
+    From `start`, steps grow by the golden ratio downhill until f rises (or
+    leaves its domain, +inf), which brackets the minimum; golden-section
+    search then shrinks the bracket to xtol * max(1, |w|).
+    """
+    grow = (1.0 + math.sqrt(5.0)) / 2.0
+    a, fa = start, f(start)
+    b, fb = start + step, f(start + step)
+    if fb > fa:  # downhill is the other way
+        a, b, fb = b, a, fa
+    c, fc = b + grow * (b - a), f(b + grow * (b - a))
+    while fc <= fb:
+        a, b, fb = b, c, fc
+        c = b + grow * (b - a)
+        fc = f(c)
+    lo, hi = min(a, c), max(a, c)
+    shrink = 1.0 / grow
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(500):
+        if hi - lo <= xtol * max(1.0, abs(x1)):
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = f(x2)
+    return min((f1, x1), (f2, x2), (fb, b))[::-1]
 
 
 def _vdp_rhs(state: np.ndarray, alpha: float) -> np.ndarray:

@@ -294,6 +294,47 @@ class TestProjectPoint:
         np.testing.assert_allclose(w, w_true, atol=1e-6)
 
 
+class TestFisherStep:
+    """The projection's Newton step: the Fisher metric pulled back to the basis."""
+
+    @staticmethod
+    def _setup(basis_rows):
+        rng = np.random.default_rng(23)
+        d = 3
+        _, u0, _, _ = planted_subspace(rng, d, 0, 1)
+        basis = np.array(basis_rows(rng, d))
+        point = _nat_point(rng.normal(size=d), np.eye(d) + 0.2 * np.diag(rng.uniform(size=d)))
+        return d, Subspace(u0=u0, basis=basis), epca._PointBatch(point[None, :])
+
+    def test_fisher_matrix_is_the_kl_hessian(self):
+        # Matrix blocks that are not symmetric: only their symmetric part acts on x.
+        d, s, batch = self._setup(lambda rng, d: 0.1 * rng.normal(size=(2, d + d * d)))
+
+        def gradient(w):
+            recon = epca._natural_to_dual(epca.reconstruct(w, s)[None, :], d)
+            return (recon[4][0] - batch.dual[0]) @ s.basis.T, recon
+
+        w = np.array([0.3, -0.2])
+        h = epca._fisher(gradient(w)[1], *s.basis_blocks)
+        step = 1e-6
+        by_differences = np.array([
+            (gradient(w + step * e)[0] - gradient(w - step * e)[0]) / (2 * step) for e in np.eye(2)
+        ])
+        np.testing.assert_allclose(h, by_differences, rtol=1e-6, atol=1e-9 * np.abs(h).max())
+
+    def test_zero_basis_row_falls_back_to_the_steepest_step(self):
+        d, s, batch = self._setup(
+            lambda rng, d: [0.1 * rng.normal(size=d + d * d), np.zeros(d + d * d)]
+        )
+        g = (s.offset_factor[4][0] - batch.dual[0]) @ s.basis.T
+        step = epca._fisher_step(g, s.offset_factor, *s.basis_blocks)
+        assert np.array_equal(step, -epca._LEARNING_RATE * g)
+        w = epca.project_point(batch.primal[0], s, FitOptions(rel_tol=1e-10))
+        assert w[0] != 0.0 and w[1] == 0.0  # the zero row's gradient is exactly 0
+        line = Subspace(u0=s.u0, basis=s.basis[:1])
+        np.testing.assert_allclose(w[0], epca.project_point(batch.primal[0], line), rtol=1e-4)
+
+
 class TestProjectBatch:
     """The fit's polish and `project_point` share one batch projection routine."""
 
@@ -412,11 +453,10 @@ class TestFit:
         res = epca.fit(pts, 1, FitOptions(rel_tol=1e-12))
         np.testing.assert_allclose(np.linalg.norm(res.subspace.basis, axis=1), 1.0, rtol=1e-12)
 
-    def test_resumes_after_failed_line_search(self):
-        # Extended coordinates of three toy tasks over their input union plus two
-        # test inputs, built as oracles.fit_joint_direct builds them. L-BFGS-B's
-        # first trial step leaves the cone and its line search fails at
-        # iteration 0; the fit must resume from there, not report the start.
+    @staticmethod
+    def _continuation_points():
+        """Extended coordinates of three toy tasks over their input union plus two
+        test inputs, built as oracles.fit_joint_direct builds them."""
         prior = GpPrior(kernel=KernelConfig(lengthscale=0.4), beta=20.0)
         tasks = [
             TaskData([[0.1], [0.4]], [0.8, 0.3], 0),
@@ -425,18 +465,52 @@ class TestFit:
         ]
         anchor = union_inputs(tasks)
         test = np.array([[0.25], [0.55]])
-        pts = np.array([
+        return np.array([
             gg.pack_natural(moment_to_natural(
                 joint_moments_bruteforce(prior, exact_posterior(prior, t, anchor), anchor, test)
             ))
             for t in tasks
         ])
-        res = epca.fit(pts, 1)
+
+    def test_resumes_after_failed_line_search(self):
+        # L-BFGS-B's first trial step leaves the cone and its line search fails at
+        # iteration 0; the fit must resume from there, not report the start.
+        res = epca.fit(self._continuation_points(), 1)
         assert res.iterations > 0
         assert res.iterations == len(res.history) - 1  # L-BFGS-B's steps plus the continuation's
         assert res.converged
         # covers the hand-off from L-BFGS-B's iterates to the continuation's
         assert np.all(np.diff(res.history) <= 0)
+
+    def test_remembered_failed_row_changes_no_fit(self, monkeypatch):
+        # After an evaluation raises, the batch factors the row that failed first;
+        # forgetting that row before every evaluation must give the same fit, bit for
+        # bit, through more full-stack factorizations.
+        pts = self._continuation_points()
+        factorizations = []
+        natural_to_dual = epca._natural_to_dual
+
+        def counting(points, d):
+            factorizations.append(points.shape[0])
+            return natural_to_dual(points, d)
+
+        monkeypatch.setattr(epca, "_natural_to_dual", counting)
+        with_row = epca.fit(pts, 1)
+        remembered = len(factorizations)
+        evaluate = epca._PointBatch.evaluate
+
+        def forgetting(batch, *args):
+            batch.failed = None
+            return evaluate(batch, *args)
+
+        monkeypatch.setattr(epca._PointBatch, "evaluate", forgetting)
+        factorizations.clear()
+        without = epca.fit(pts, 1)
+        assert len(factorizations) > remembered
+        for name in ("weights", "objective", "iterations", "converged", "history"):
+            assert np.array_equal(getattr(with_row, name), getattr(without, name)), name
+        assert np.array_equal(with_row.subspace.u0, without.subspace.u0)
+        assert np.array_equal(with_row.subspace.basis, without.subspace.basis)
 
     def test_stall_that_never_moved_is_not_converged(self):
         # The default artificial sparse cell N = 3, repetition 3 of base seed 0:

@@ -591,6 +591,54 @@ class TestOffsetFactor:
                 moved += bool(np.any(w != 0.0))
         assert moved >= len(tasks) + (len(data.new_tasks) if mode == "sparse" else 0)
 
+    def test_adaptation_lands_at_the_line_minimum(self):
+        # The sparse toy model (cond(-2 Theta) about 2e3) moves every projection;
+        # each must end within rel_tol max(1, KL) plus the float64 floor of the minimum.
+        tasks = _toy_tasks()
+        model = gp_pca.train(
+            tasks, _prior(), 1, mode="sparse", opts=TIGHT, inducing=InducingSet(union_inputs(tasks))
+        )
+        opts = FitOptions()
+        d = len(model.anchor)
+
+        def cond(flat):
+            return np.linalg.cond(-2.0 * gg.unpack_natural(flat, d).big_theta)
+
+        for task in tasks:
+            w = gp_pca.adapt_new_task(model, task, opts)
+            assert w[0] != 0.0
+            point = gp_pca._task_point(model.prior, task, model.anchor_set, model.mode)
+            kl = oracles.kl_along_line(point, model.subspace)
+            w_star, kl_star = oracles.line_minimum(kl, 0.0)
+            kappa = max(cond(point), *(cond(epca.reconstruct([v], model.subspace)) for v in (w[0], w_star)))
+            gap = kl(w[0]) - kl_star
+            assert gap <= (opts.rel_tol + EPS * kappa) * max(1.0, kl(w[0]))
+
+    def test_adaptation_at_the_offset_evaluates_once(self, monkeypatch):
+        # The artificial exact model's adaptations stop at w = 0, where the gradient
+        # is already below the tolerance: one evaluation, from the kept offset factor.
+        model, data = _artificial_model("exact")
+        model.subspace.offset_factor
+        evaluations, factorizations = [], []
+        evaluate_factored, natural_to_dual = epca._PointBatch.evaluate_factored, epca._natural_to_dual
+
+        def counting_evaluate(batch, recon):
+            evaluations.append(recon)
+            return evaluate_factored(batch, recon)
+
+        def counting_factor(points, d):
+            factorizations.append(points)
+            return natural_to_dual(points, d)
+
+        monkeypatch.setattr(epca._PointBatch, "evaluate_factored", counting_evaluate)
+        monkeypatch.setattr(epca, "_natural_to_dual", counting_factor)
+        for task in data.new_tasks:
+            evaluations.clear()
+            factorizations.clear()
+            assert np.array_equal(gp_pca.adapt_new_task(model, task, FitOptions()), [0.0])
+            assert len(evaluations) == 1 and evaluations[0] is model.subspace.offset_factor
+            assert len(factorizations) == 1  # the task point's own, and no candidate's
+
     def test_offset_off_the_cone_raises_and_keeps_nothing(self):
         prior = _prior()
         task = _toy_tasks()[0]
