@@ -26,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,7 +52,8 @@ class DataError(Exception):
 
 # ---------------------------------------------------------------------------
 # Configuration schema. Leaves are the value's type; every key may be absent,
-# none may be null. Dicts nest. [float] is a list of numbers.
+# none may be null. Dicts nest. A float is a finite number; [float] is a list of
+# them.
 
 _FIT_SCHEMA = {
     "max_iters": int,
@@ -101,7 +103,16 @@ _SCHEMA = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a JSON value is a number that converts to a finite float.
+
+    JSON 1e400 parses to inf, and an integer can lie beyond float range.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _validate(doc, schema, path="") -> None:
@@ -119,9 +130,11 @@ def _validate(doc, schema, path="") -> None:
             raise ConfigError(f"key {where!r} must not be null; omit it to use the default")
         if spec == [float]:
             if not (isinstance(value, list) and all(map(_is_number, value))):
-                raise ConfigError(f"key {where!r} must be a list of numbers, got {value!r}")
+                raise ConfigError(f"key {where!r} must be a list of numbers, all finite, got {value!r}")
             continue
-        if spec is float and _is_number(value):
+        if spec is float:
+            if not _is_number(value):
+                raise ConfigError(f"key {where!r} must be a finite number, got {value!r}")
             continue
         if spec is int and isinstance(value, bool):
             raise ConfigError(f"key {where!r} must be an integer")

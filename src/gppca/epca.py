@@ -30,16 +30,15 @@ the same to the bit as with the textbook formulas; one evaluation at
 N = 20, d = 60 holds about four such arrays, not six.
 
 Iterates must stay inside the cone of valid parameters (Theta negative
-definite). The joint fit runs a limited-memory quasi-Newton descent whose
-line search treats any invalid candidate as a barrier value, so accepted
-iterates are always valid Gaussians and the objective over them is
-non-increasing (plain alternating gradient steps provably crawl on the scale
-degeneracy between W and the basis and cannot reach the tolerances this
-module is tested at). The barrier carries no gradient, so that line search
-can fail outright; the fit then continues with a limited-memory
-quasi-Newton descent (`_Minimizer`) whose backtracking line search
-(`_line_search`) shrinks candidates that leave the cone or fail to decrease
-the objective by `_BACKTRACK_FACTOR`.
+definite). The joint fit runs L-BFGS-B, whose line search sees any invalid
+candidate as the barrier value `_BARRIER`, so accepted iterates are always
+valid Gaussians and the objective over them is non-increasing (plain
+alternating gradient steps provably crawl on the scale degeneracy between W
+and the basis and cannot reach the tolerances this module is tested at). The
+barrier carries no gradient, so that line search can fail outright. The fit
+then takes one steepest step whose backtracking line search (`_line_search`)
+shrinks candidates that leave the cone or fail to decrease the objective by
+`_BACKTRACK_FACTOR`, and restarts L-BFGS-B from where it lands.
 
 One routine, `_project_batch`, projects a batch of points onto a subspace:
 the fit's final polish passes the batch it already factored, and
@@ -60,7 +59,7 @@ factors the offset once, not once per task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -215,11 +214,12 @@ class FitResult:
     weights: np.ndarray  # (I, L)
     objective: float
     iterations: int  # accepted steps, len(history) - 1
-    # True if L-BFGS-B met its tolerance (status 0), or if its line search failed
-    # and the cone-aware continuation (`_Minimizer`) then took at least one step
-    # and converged: relative change under rel_tol, or no decreasing valid step.
-    # False at the iteration cap, and when the continuation finds no valid or no
-    # decreasing step from where it started. The polish does not change it.
+    # True if the first L-BFGS-B run met its tolerance (status 0), or if a restart
+    # step was taken and the fit then stopped at a stationary point: no decreasing
+    # valid steepest step, or one that lowered a restarted run's ftol stop by at
+    # most rel_tol relative. False at the iteration cap, when no valid step exists,
+    # and when the first restart step finds no decrease. The polish does not
+    # change it.
     converged: bool
     history: np.ndarray = field(repr=False)  # objective at each accepted evaluation
 
@@ -417,91 +417,6 @@ def _line_search(evaluate: Callable, p: np.ndarray, kl_cur: float, direction: np
     return p, kl_cur, None, False
 
 
-class _Minimizer:
-    """Limited-memory quasi-Newton descent over one flat parameter vector.
-
-    `evaluate(p)` returns (objective, payload) or raises _InvalidBatch;
-    `gradient(p, payload)` returns the flat gradient. Every accepted step
-    strictly decreases the objective; candidates that leave the valid cone
-    or fail to decrease are backtracked by `_line_search`. A stall with an
-    active quasi-Newton memory resets to a steepest step once before
-    declaring stationarity.
-    """
-
-    def __init__(self, evaluate: Callable, gradient: Callable, opts: FitOptions):
-        self.evaluate = evaluate
-        self.gradient = gradient
-        self.opts = opts
-        self.s_list: list[np.ndarray] = []
-        self.y_list: list[np.ndarray] = []
-
-    def _direction(self, g: np.ndarray) -> np.ndarray:
-        if not self.s_list:
-            return -_LEARNING_RATE * g
-        q = g.copy()
-        alphas = []
-        rhos = [1.0 / float(y @ s) for s, y in zip(self.s_list, self.y_list)]
-        for s, y, rho in zip(reversed(self.s_list), reversed(self.y_list), reversed(rhos)):
-            a = rho * float(s @ q)
-            alphas.append(a)
-            q -= a * y
-        s_last, y_last = self.s_list[-1], self.y_list[-1]
-        q *= float(s_last @ y_last) / float(y_last @ y_last)
-        for s, y, rho, a in zip(self.s_list, self.y_list, rhos, reversed(alphas)):
-            q += s * (a - rho * float(y @ q))
-        descent = -q
-        if float(descent @ g) >= 0.0:  # model lost descent property
-            self.s_list.clear()
-            self.y_list.clear()
-            return -_LEARNING_RATE * g
-        return descent
-
-    def _push_pair(self, s: np.ndarray, y: np.ndarray) -> None:
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)) and sy > 0:
-            self.s_list.append(s)
-            self.y_list.append(y)
-            if len(self.s_list) > _LBFGS_MEMORY:
-                self.s_list.pop(0)
-                self.y_list.pop(0)
-
-    def run(self, p0: np.ndarray):
-        """Returns (p, history, converged); history holds the objective at the
-        start and after each accepted step.
-
-        Converged means either of: relative objective change under rel_tol,
-        or no strictly decreasing valid step at line-search resolution (a
-        stall, i.e. numeric stationarity). Only exhausting max_iters counts
-        as non-convergence.
-        """
-        opts = self.opts
-        kl, payload = self.evaluate(p0)
-        p = p0.copy()
-        g = self.gradient(p, payload)
-        history = [kl]
-        for _ in range(opts.max_iters):
-            direction = self._direction(g)
-            p_new, kl_new, payload, accepted = _line_search(self.evaluate, p, kl, direction)
-            if not accepted and self.s_list:
-                # quasi-Newton direction exhausted; retry once from steepest
-                self.s_list.clear()
-                self.y_list.clear()
-                p_new, kl_new, payload, accepted = _line_search(
-                    self.evaluate, p, kl, -_LEARNING_RATE * g
-                )
-            if not accepted:
-                # stationary at line-search resolution
-                return p, history, True
-            g_new = self.gradient(p_new, payload)
-            self._push_pair(p_new - p, g_new - g)
-            change = kl - kl_new
-            p, kl, g = p_new, kl_new, g_new
-            history.append(kl)
-            if change <= opts.rel_tol * max(abs(kl), 1e-300):
-                return p, history, True
-        return p, history, False
-
-
 def _mean_point(batch: _PointBatch) -> np.ndarray:
     """Natural point whose expectation coordinates are the mean of the data's.
 
@@ -576,17 +491,21 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
     the relative objective change falls below opts.rel_tol or opts.max_iters
     is reached, then polishes each weight row by projecting its point onto
     the final basis (`_project_batch`). L-BFGS-B's line search fails when
-    its trial steps leave the cone; the descent then resumes from its last
-    iterate with the cone-aware `_Minimizer` for the remaining iterations. The objective over
+    its trial steps leave the cone. The fit then takes one steepest step
+    from L-BFGS-B's last iterate, backtracked by `_line_search` until it
+    stays on the cone and lowers the objective, counts it as an iteration,
+    and restarts L-BFGS-B from there with the iterations left. A restarted
+    run's ftol stop may follow a first step that changed the objective only
+    by rounding, so it too is checked by one such step. The objective over
     accepted steps never increases. The returned `objective` is recomputed
     exactly for the returned (normalized) parameters.
 
-    `converged` is True when L-BFGS-B met its tolerance, or when its line
-    search failed and the continuation then took at least one step and
-    converged (relative change under rel_tol, or no further decreasing valid
-    step at line-search resolution). It is False when the iteration cap is
-    hit, and when the continuation finds no valid or no decreasing step from
-    L-BFGS-B's last iterate; the fit then keeps that iterate.
+    `converged` is True when the first L-BFGS-B run met its tolerance, when
+    a restart step was taken and a later one finds no decreasing valid step
+    at line-search resolution, or when a step after a restarted run's ftol
+    stop lowers the objective by at most rel_tol relative. It is False when
+    the iteration cap is hit, when no valid step exists (the fit keeps the
+    point it reached), and when the first restart step finds no decrease.
     """
     # Imported here, not at module level: SciPy's optimizer costs every
     # process that imports the package about 0.3 s, and only fitting uses it.
@@ -632,43 +551,58 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
             return _BARRIER, np.zeros_like(p)
         return total, gradient(p, duals)
 
-    p0 = np.concatenate([w_init.reshape(-1), u0_init, basis_init.reshape(-1)])
-    history = [start]  # _initial_subspace evaluated p0 already
+    params = np.concatenate([w_init.reshape(-1), u0_init, basis_init.reshape(-1)])
+    history = [start]  # _initial_subspace evaluated the start already
 
     def record(intermediate_result):  # scipy passes the objective of each iterate
         history.append(intermediate_result.fun)
 
-    # Quasi-Newton descent; its sufficient-decrease line search never accepts
-    # an iterate at the barrier, so every recorded iterate is a valid subspace.
-    result = minimize(
-        value_and_grad,
-        p0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={
-            "maxiter": opts.max_iters,
-            "ftol": opts.rel_tol,
-            "gtol": 1e-14,
-            "maxcor": _LBFGS_MEMORY,
-        },
-    )
-    iterations = int(result.nit)
-    params = result.x
-    converged = result.status == 0
-    if result.status == 2 and iterations < opts.max_iters:
-        # The line search failed: it cannot bracket across the barrier, whose
-        # zero gradient tells it nothing. Resume from its last iterate with
-        # the descent that treats invalid candidates as rejected steps.
-        remaining = replace(opts, max_iters=opts.max_iters - iterations)
+    iterations, restarted = 0, False
+    while True:
+        # Quasi-Newton descent; its sufficient-decrease line search never accepts
+        # an iterate at the barrier, so every recorded iterate is a valid subspace.
+        result = minimize(
+            value_and_grad,
+            params,
+            jac=True,
+            method="L-BFGS-B",
+            callback=record,
+            options={
+                "maxiter": opts.max_iters - iterations,
+                "ftol": opts.rel_tol,
+                "gtol": 1e-14,
+                "maxcor": _LBFGS_MEMORY,
+            },
+        )
+        iterations += int(result.nit)
+        params = result.x
+        converged = result.status == 0
+        if not (result.status == 2 or (restarted and converged)):
+            break
+        # A failed line search (it cannot bracket across the barrier, whose zero
+        # gradient tells it nothing), or a restarted run's ftol stop, which may
+        # follow a first step of mere rounding: take one steepest step that
+        # treats invalid candidates as rejected, and restart from there.
         try:
-            params, tail, converged = _Minimizer(evaluate, gradient, remaining).run(params)
+            kl, duals = evaluate(params)
+            stepped, kl_new, _, accepted = _line_search(
+                evaluate, params, kl, -_LEARNING_RATE * gradient(params, duals)
+            )
         except (_InvalidBatch, ValidityStallError):
-            pass  # no valid step from there either: keep the point, unconverged
-        else:
-            history.extend(tail[1:])
-            iterations += len(tail) - 1  # accepted steps; a failed try is not one
-            converged = converged and len(tail) > 1  # a stall that never moved
+            converged = False  # no valid step: keep the point reached
+            break
+        if not accepted:
+            converged = restarted  # stationary, unless nothing ever moved
+            break
+        iterations += 1
+        history.append(kl_new)
+        params = stepped
+        if converged and kl - kl_new <= opts.rel_tol * max(abs(kl_new), 1e-300):  # ftol stop holds
+            break
+        if iterations >= opts.max_iters:
+            converged = False
+            break
+        restarted = True
     weights, u0, basis = unpack_params(params)
     # Each row's own projection; a row stopped early keeps its weights.
     weights, _ = _project_batch(batch, Subspace(u0=u0, basis=basis), opts, weights)

@@ -38,6 +38,7 @@ fitted subspace (the unique KL-minimizing projection).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -277,6 +278,20 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _number(value, name: str) -> float:
+    """A model field that must be a finite JSON number; a boolean or a string is not one.
+
+    JSON 1e400 parses to inf, and an integer can lie beyond float range.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"model field {name!r} must be a finite number, got {value!r}")
+
+
 def model_to_dict(model: GpPcaModel, config_hash: str = "") -> dict:
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -304,12 +319,14 @@ def model_from_dict(doc: dict) -> GpPcaModel:
     prior = GpPrior(
         kernel=KernelConfig(
             kind=_require(kernel_doc, "kind"),
-            lengthscale=float(_require(kernel_doc, "lengthscale")),
+            lengthscale=_number(_require(kernel_doc, "lengthscale"), "kernel.lengthscale"),
         ),
-        beta=float(_require(doc, "beta")),
-        mean_fn=float(_require(doc, "prior_mean_constant")),
+        beta=_number(_require(doc, "beta"), "beta"),
+        mean_fn=_number(_require(doc, "prior_mean_constant"), "prior_mean_constant"),
     )
-    latent_dim = int(_require(doc, "latent_dim"))
+    latent_dim = _require(doc, "latent_dim")
+    if isinstance(latent_dim, bool) or not isinstance(latent_dim, int) or latent_dim < 0:
+        raise ValueError(f"model field 'latent_dim' must be a non-negative integer, got {latent_dim!r}")
     anchor = np.asarray(_require(doc, "anchor"), dtype=float)
     u0 = np.asarray(_require(doc, "u0"), dtype=float)
     basis = np.asarray(_require(doc, "basis"), dtype=float).reshape(latent_dim, u0.shape[0])

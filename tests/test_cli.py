@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 
 import numpy as np
@@ -149,6 +150,9 @@ def test_seed_option_is_rejected(tmp_path, capsys, section, key):
         ({"data": {**CONFIG["data"], "noise_variance": -1}}, ("'data'", "noise_variance")),
         ({"model": {**CONFIG["model"], "latent_dim": 5}}, ("latent_dim", "5 training tasks")),
         ({"beta": None}, ("'beta'", "null")),
+        ({"beta": math.inf}, ("'beta'", "finite", "inf")),  # JSON 1e400 parses to inf
+        ({"experiment": "vdp", "data": {"dt": math.inf}}, ("'data.dt'", "finite", "inf")),
+        ({"experiment": "vdp", "data": {"substep": math.nan}}, ("'data.substep'", "finite")),
         ({"kernel": {"lengthscale": None}}, ("'kernel.lengthscale'", "null")),
         ({"evaluate": {**CONFIG["evaluate"], "n_sweep": None}}, ("'evaluate.n_sweep'", "null")),
         (
@@ -188,7 +192,8 @@ def test_seed_option_is_rejected(tmp_path, capsys, section, key):
     ],
     ids=[
         "kernel-kind", "lengthscale", "beta", "mode", "method",
-        "data-value", "latent_dim", "beta-null", "lengthscale-null",
+        "data-value", "latent_dim", "beta-null", "beta-infinite", "dt-infinite", "substep-nan",
+        "lengthscale-null",
         "n_sweep-null", "repetitions-null", "inducing_count-null",
         "inducing_count-zero", "repetitions-zero", "n_sweep-empty", "methods-empty",
         "n_sweep-float", "n_sweep-string", "n_sweep-zero", "n_sweep-bool", "base_seed-negative",
@@ -338,8 +343,24 @@ def test_model_file_whose_anchor_does_not_match_its_subspace_is_a_data_error(
 
 @pytest.mark.parametrize(
     "field, value, named",
-    [("kernel", 5, "argument of type 'int' is not iterable"), ("u0", {}, "'dict'")],
-    ids=["kernel-number", "u0-object"],
+    [
+        ("kernel", 5, "argument of type 'int' is not iterable"),
+        ("u0", {}, "'dict'"),
+        ("latent_dim", -1, "'latent_dim' must be a non-negative integer, got -1"),
+        ("latent_dim", 1.7, "'latent_dim' must be a non-negative integer, got 1.7"),
+        ("latent_dim", "1", "'latent_dim' must be a non-negative integer, got '1'"),
+        ("latent_dim", True, "'latent_dim' must be a non-negative integer, got True"),
+        ("beta", "20", "'beta' must be a finite number, got '20'"),
+        ("beta", False, "'beta' must be a finite number, got False"),
+        ("beta", math.inf, "'beta' must be a finite number, got inf"),  # JSON 1e400 parses to inf
+        ("prior_mean_constant", "0", "'prior_mean_constant' must be a finite number, got '0'"),
+        ("kernel", {"kind": "rbf", "lengthscale": "0.2"}, "'kernel.lengthscale' must be a finite"),
+    ],
+    ids=[
+        "kernel-number", "u0-object", "latent_dim-negative", "latent_dim-fraction",
+        "latent_dim-string", "latent_dim-bool", "beta-string", "beta-bool", "beta-infinite",
+        "prior_mean_constant-string", "lengthscale-string",
+    ],
 )
 def test_model_file_with_a_field_of_the_wrong_type_is_a_data_error(
     tmp_path, capsys, trained, field, value, named
@@ -474,8 +495,11 @@ def test_generate_rejects_a_value_the_generator_rejects(tmp_path, capsys, doc, n
         ({"experiment": "vdp", "data": {"alphas": [0.5, "b"]}}, "alphas"),
         ({"experiment": "vdp", "data": {"initial_state": ["a", 0]}}, "initial_state"),
         ({"experiment": "vdp", "data": {"initial_state": [True, 0]}}, "initial_state"),
+        ({"experiment": "artificial", "data": {"num_tasks": 2, "z_values": [0.5, -math.inf]}},
+         "z_values"),
     ],
-    ids=["z_values-string", "alphas-string", "initial_state-string", "initial_state-bool"],
+    ids=["z_values-string", "alphas-string", "initial_state-string", "initial_state-bool",
+         "z_values-infinite"],
 )
 def test_generate_rejects_a_data_list_that_is_not_numbers(tmp_path, capsys, doc, key):
     config = _write_config(tmp_path / "config.json", doc)

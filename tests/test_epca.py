@@ -477,10 +477,27 @@ class TestFit:
         # iteration 0; the fit must resume from there, not report the start.
         res = epca.fit(self._continuation_points(), 1)
         assert res.iterations > 0
-        assert res.iterations == len(res.history) - 1  # L-BFGS-B's steps plus the continuation's
+        assert res.iterations == len(res.history) - 1  # every run's steps plus the restart steps
         assert res.converged
-        # covers the hand-off from L-BFGS-B's iterates to the continuation's
+        # covers the hand-offs between the L-BFGS-B runs and the steepest restart steps
         assert np.all(np.diff(res.history) <= 0)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    def test_restarts_keep_to_the_iteration_budget(self, max_iters):
+        # The first run stops at iteration 0, so the steepest step after it is the
+        # first iteration, and each restarted run gets only what is left.
+        res = epca.fit(self._continuation_points(), 1, FitOptions(max_iters=max_iters))
+        assert res.iterations <= max_iters
+        assert res.iterations == len(res.history) - 1
+        assert not res.converged
+
+    def test_restarts_reach_the_anchor_set_optimum(self):
+        # 1.2622911 is the anchor-set fit's optimum on these tasks. Trusting a
+        # restarted run's ftol stop, which can follow a first step of mere rounding
+        # next to the cone's edge, would end the fit near 2.88.
+        res = epca.fit(self._continuation_points(), 1)
+        assert res.converged
+        assert res.objective == pytest.approx(1.2622911, rel=1e-3)
 
     def test_remembered_failed_row_changes_no_fit(self, monkeypatch):
         # After an evaluation raises, the batch factors the row that failed first;
@@ -514,15 +531,15 @@ class TestFit:
 
     def test_stall_that_never_moved_is_not_converged(self):
         # The default artificial sparse cell N = 3, repetition 3 of base seed 0:
-        # L-BFGS-B's line search fails at iteration 0, and the continuation finds
-        # no decreasing step from there. Nothing moved, so nothing converged.
+        # L-BFGS-B's line search fails at iteration 0, and the steepest restart step
+        # finds no decrease from there. Nothing moved, so nothing converged.
         data = gen_artificial(ArtificialConfig(samples_per_task=3, seed=evaluation._cell_seed(0, 3)))
         inducing = grid_inducing(np.vstack([t.inputs for t in data.train_tasks]), 12)
         prior = GpPrior(kernel=KernelConfig(lengthscale=0.2), beta=25.0)
         points, _ = gp_pca.task_coordinates(data.train_tasks, prior, "sparse", inducing)
         res = epca.fit(points, 1)
         assert len(res.history) == 1  # no accepted step
-        assert res.iterations == 0  # the continuation's failed try is not a step
+        assert res.iterations == 0  # the rejected restart step is not a step
         assert not res.converged
 
     def test_final_objective_recomputable(self):
