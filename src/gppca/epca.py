@@ -54,11 +54,16 @@ times the norm of its dual coordinates, and reports its own early stop.
 Each `Subspace` factors its offset u0 once, on first read
 (`Subspace.offset_factor`), and every projection evaluates w = 0 from that
 factor: `project_point` starts there, so adapting many tasks to one model
-factors the offset once, not once per task.
+factors the offset once, not once per task. A projection reads its start's
+factor for the gradient and computes the KL there only when it tries a
+step, since only the line search reads it: a point whose gradient at the
+start already meets the tolerance computes no KL at all.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -145,10 +150,10 @@ class FitOptions:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -665,7 +670,9 @@ def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, sta
     rel_tol relative, or when no step is accepted (stationarity at
     line-search resolution). An evaluation at w = 0 reads
     `subspace.offset_factor` instead of factoring the offset again, and
-    every factorization serves both the KL and the next Fisher matrix.
+    every factorization serves both the KL and the next Fisher matrix. The
+    KL at a point's start is computed only when it tries a step, from the
+    start's factor, since only the line search reads it.
     Returns (weights (I, L), errors): errors[i] is None, or the error that
     stopped point i early. A ConvergenceError (the iteration cap) leaves the
     row at its last iterate; a ValidityStallError (no valid step) or a
@@ -675,14 +682,16 @@ def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, sta
     weights = np.array(start, dtype=float)
     errors: list[Optional[Exception]] = [None] * batch.count
     for i in range(batch.count):
-        point = batch.row(i)
+        point = batch.row(i) if batch.count > 1 else batch  # a one-point batch is its own row
         tol = opts.rel_tol * max(float(np.linalg.norm(point.dual[0])), 1e-300)
 
-        def evaluate(w):
+        def factor(w):
             if not w.any():  # the offset itself
-                recon = subspace.offset_factor
-            else:
-                recon = _natural_to_dual(_reconstructions(w[None, :], subspace.u0, basis), d)
+                return subspace.offset_factor
+            return _natural_to_dual(_reconstructions(w[None, :], subspace.u0, basis), d)
+
+        def evaluate(w):
+            recon = factor(w)
             return point.evaluate_factored(recon)[0], recon
 
         def gradient(recon):
@@ -690,11 +699,14 @@ def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, sta
 
         try:
             w = weights[i]
-            kl, recon = evaluate(w)
+            recon = factor(w)
             g = gradient(recon)
+            kl = None  # read only by a line search
             for _ in range(opts.max_iters):
                 if float(np.linalg.norm(g)) < tol:
                     break
+                if kl is None:
+                    kl = point.evaluate_factored(recon)[0]
                 w_new, kl_new, recon_new, accepted = _line_search(
                     evaluate, w, kl, _fisher_step(g, recon, *subspace.basis_blocks)
                 )
@@ -721,15 +733,15 @@ def project_point(point, subspace: Subspace, opts: Optional[FitOptions] = None) 
 
     The one-point case of `_project_batch`, started at w = 0: the offset
     itself, whose factor the subspace keeps, so only the first projection
-    onto a subspace factors it. It takes damped Newton steps in the Fisher
-    metric on the point's KL over w alone until the weight-space gradient
-    norm falls below rel_tol times the norm of the point's dual coordinates,
-    an accepted step lowers the KL by at most rel_tol relative, or no
-    strictly decreasing valid step exists (stationarity at numeric
-    resolution); the problem is convex in w so all three witness the unique
-    projection. Raises ConvergenceError with the final gradient norm if the
-    iteration cap is hit first, and ValidityStallError if no valid step
-    exists.
+    onto a subspace factors it, and whose KL is computed only if a step is
+    tried. It takes damped Newton steps in the Fisher metric on the point's
+    KL over w alone until the weight-space gradient norm falls below rel_tol
+    times the norm of the point's dual coordinates, an accepted step lowers
+    the KL by at most rel_tol relative, or no strictly decreasing valid step
+    exists (stationarity at numeric resolution); the problem is convex in w
+    so all three witness the unique projection. Raises ConvergenceError with
+    the final gradient norm if the iteration cap is hit first, and
+    ValidityStallError if no valid step exists.
     """
     opts = opts or FitOptions()
     point = np.asarray(point, dtype=float).reshape(-1)

@@ -199,6 +199,14 @@ class NaturalCoord:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "big_theta", big_theta)
 
+    @classmethod
+    def _trusted(cls, theta: np.ndarray, big_theta: np.ndarray) -> "NaturalCoord":
+        """The coordinates of a float vector and a matrix equal to its transpose bit for bit, as given."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "theta", theta)
+        object.__setattr__(c, "big_theta", big_theta)
+        return c
+
     @property
     def dim(self) -> int:
         return self.theta.shape[0]

@@ -89,7 +89,8 @@ class GpPcaModel:
     stored as points, and `anchor_set` holds the `InducingSet`. The subspace
     alone fixes the latent dimension (`latent_dim` reads it) and the flat
     dimension: construction rejects weights of another width, and a subspace
-    whose flat dimension is not d + d^2 for the anchor's d points.
+    whose flat dimension is not d + d^2 for the anchor's d points. It also
+    rejects a non-finite entry of the weights, u0 or basis, naming the field.
 
     Constructing the model factors the prior over the anchor once
     (`anchor_set.factor(prior)`: K, its Cholesky factor, mu0 and K^-1 mu0),
@@ -123,6 +124,13 @@ class GpPcaModel:
             raise ValueError(
                 f"subspace flat dim {flat} does not match {d} anchor points (flat dim {d + d * d})"
             )
+        for name, a in (("weights", weights), ("u0", self.subspace.u0), ("basis", self.subspace.basis)):
+            finite = np.isfinite(a)
+            if not finite.all():
+                index = np.unravel_index(np.argmin(finite), a.shape)  # the first non-finite entry
+                raise ValueError(
+                    f"model field {name!r} must be finite, got {a[index]} at {[int(i) for i in index]}"
+                )
         object.__setattr__(self, "anchor", anchor_set.points)
         object.__setattr__(self, "anchor_set", anchor_set)
         object.__setattr__(self, "weights", weights)
@@ -146,8 +154,7 @@ class GpPcaModel:
 def _task_point(prior: GpPrior, task: TaskData, anchor: InducingSet, mode: str) -> np.ndarray:
     """Flattened natural coordinates of one task's posterior over `anchor`."""
     if mode == "sparse":
-        nat, _ = variational_coords(prior, task, anchor)
-        return pack_natural(nat)
+        return variational_coords(prior, task, anchor)[1]
     return pack_natural(moment_to_natural(exact_posterior(prior, task, anchor)))
 
 
@@ -343,7 +350,7 @@ def model_from_dict(doc: dict) -> GpPcaModel:
 def save_model(model: GpPcaModel, path, config_hash: str = "") -> None:
     doc = model_to_dict(model, config_hash)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -82,8 +82,8 @@ class KernelConfig:
     def __post_init__(self):
         if self.kind != "rbf":
             raise ValueError(f"unsupported kernel kind {self.kind!r}; expected 'rbf'")
-        if not self.lengthscale > 0:
-            raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
+        if not (math.isfinite(self.lengthscale) and self.lengthscale > 0):
+            raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ class GpPrior:
     mean_fn: float = 0.0
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not (isinstance(self.mean_fn, numbers.Real) and math.isfinite(self.mean_fn)):
             raise ValueError(f"mean_fn must be a finite number, got {self.mean_fn!r}")
         object.__setattr__(self, "mean_fn", float(self.mean_fn))

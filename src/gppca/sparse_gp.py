@@ -20,8 +20,12 @@ posterior (mu', Sigma') is a `MomentGaussian`.
 
 `variational_coords` builds the natural coordinates of the rescaled
 posterior directly from A (Theta' = -1/2 beta A exactly), so neither Sigma'
-nor A is ever inverted; it agrees with the generic conversion chain and
-exists purely for numerical hygiene on ill-conditioned inducing grids.
+nor A is ever inverted or factored; it agrees with the generic conversion
+chain and exists purely for numerical hygiene on ill-conditioned inducing
+grids. Whether A is positive definite is checked where the point is used:
+`epca` factors every point it fits or projects strictly, -(M + M^T) =
+beta A for the stored block M, and raises `ValidityError` for one off the
+cone.
 
 `sparse_predictive_batch` predicts from the rescaled posterior with
 
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gppca.gaussian_geometry import MomentGaussian, NaturalCoord, chol_pd, _sym
+from gppca.gaussian_geometry import MomentGaussian, NaturalCoord, _sym
 from gppca.kernels_gp import (
     GpPrior,
     InducingSet,
@@ -58,22 +62,27 @@ __all__ = [
 def variational_coords(
     prior: GpPrior, task: TaskData, inducing: InducingSet
 ) -> tuple[NaturalCoord, np.ndarray]:
-    """Natural coordinates of the rescaled posterior, and the Cholesky factor of A.
+    """Natural coordinates of the rescaled posterior, as a `NaturalCoord` and as its flat point.
 
     Built directly from the system matrix: Theta' = -1/2 beta A and
-    theta' = beta (K_mn (y - mu0) + A K_mm^-1 mu0(Z)) are exact products.
-    A is factored only to check that it is positive definite (a
-    `DecompositionError` otherwise). K_mm and K_mm^-1 mu0(Z) come from the
-    inducing set's factor.
+    theta' = beta (K_mn (y - mu0) + A K_mm^-1 mu0(Z)) are exact products,
+    written into one flat point, `pack_natural` of the coordinates bit for
+    bit; the `NaturalCoord`'s arrays are views of it. K_mm and
+    K_mm^-1 mu0(Z) come from the inducing set's factor. Nothing is factored
+    here: the point is checked where it is used, by `epca`'s strict
+    factorization of -(M + M^T) = beta A for its stored block M, which
+    raises `ValidityError` (with `data=True`) for a point off the cone.
     """
     factor = inducing.factor(prior)
+    d = len(inducing)
     k_mn = gram(prior.kernel, inducing.points, task.inputs)
     data_term = k_mn @ (task.outputs - prior.mean_at(task.inputs))
     a = _sym(factor.gram / prior.beta + k_mn @ k_mn.T)
-    chol_a = chol_pd(a, "A_mm")
-    theta = prior.beta * (data_term + a @ factor.kinv_mean)
-    big_theta = -0.5 * prior.beta * a
-    return NaturalCoord(theta=theta, big_theta=big_theta), chol_a
+    flat = np.empty(d + d * d)
+    flat[:d] = prior.beta * (data_term + a @ factor.kinv_mean)
+    big_theta = flat[d:].reshape(d, d)  # a view: the flat point's row-major block
+    np.multiply(-0.5 * prior.beta, a, out=big_theta)  # equal to its transpose bit for bit, as `a` is
+    return NaturalCoord._trusted(flat[:d], big_theta), flat
 
 
 def sparse_predictive_batch(prior: GpPrior, sp: MomentGaussian, inducing: InducingSet, x_plus):

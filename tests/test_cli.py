@@ -355,11 +355,13 @@ def test_model_file_whose_anchor_does_not_match_its_subspace_is_a_data_error(
         ("beta", math.inf, "'beta' must be a finite number, got inf"),  # JSON 1e400 parses to inf
         ("prior_mean_constant", "0", "'prior_mean_constant' must be a finite number, got '0'"),
         ("kernel", {"kind": "rbf", "lengthscale": "0.2"}, "'kernel.lengthscale' must be a finite"),
+        ("weights", [[math.nan]], "'weights' must be finite, got nan at [0, 0]"),  # a NaN token
+        ("weights", [[math.inf]], "'weights' must be finite, got inf at [0, 0]"),
     ],
     ids=[
         "kernel-number", "u0-object", "latent_dim-negative", "latent_dim-fraction",
         "latent_dim-string", "latent_dim-bool", "beta-string", "beta-bool", "beta-infinite",
-        "prior_mean_constant-string", "lengthscale-string",
+        "prior_mean_constant-string", "lengthscale-string", "weights-nan", "weights-infinite",
     ],
 )
 def test_model_file_with_a_field_of_the_wrong_type_is_a_data_error(

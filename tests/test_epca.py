@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -569,3 +570,13 @@ class TestInvalidInput:
         s = Subspace(u0=_nat_point([0.0], [[1.0]]), basis=[[0.1, 0.0]])
         with pytest.raises(ValidityError, match="input point 0 is not a valid Gaussian"):
             epca.project_point(self._not_gaussian(), s)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_fit_options_reject_non_finite_values(value):
+    with pytest.raises(ValueError, match=f"^rel_tol must be positive and finite, got {value}$"):
+        FitOptions(rel_tol=value)
+    # A float iteration cap, finite or not, used to fail later in range().
+    for cap in (value, 2.5):
+        with pytest.raises(ValueError, match=f"^max_iters must be a positive integer, got {cap}$"):
+            FitOptions(max_iters=cap)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from gppca import epca, gp_pca, kernels_gp, sparse_gp
+from gppca import epca, evaluation, gp_pca, kernels_gp, sparse_gp
 from gppca import gaussian_geometry as gg
 from gppca.datasets import ArtificialConfig, gen_artificial
 from gppca.epca import FitOptions, ValidityError
@@ -264,6 +264,32 @@ class TestModelShape:
                 weights=np.zeros((1, 1)), mode="exact",
             )
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["weights", "u0", "basis"])
+    def test_non_finite_entries_are_rejected(self, name, value):
+        prior, task = _prior(), _toy_tasks()[0]
+        subspace = self._subspace(prior, task, 1)
+        fields = {"weights": np.zeros((2, 1)), "u0": subspace.u0.copy(), "basis": subspace.basis.copy()}
+        fields[name][-1, ...] = value
+        with pytest.raises(ValueError, match=rf"^model field '{name}' must be finite, got {value} at \["):
+            gp_pca.GpPcaModel(
+                prior=prior, anchor=task.inputs, subspace=epca.Subspace(fields["u0"], fields["basis"]),
+                weights=fields["weights"], mode="exact",
+            )
+
+    def test_adapted_task_with_a_non_finite_weight_is_rejected(self, tmp_path):
+        prior, task = _prior(), _toy_tasks()[0]
+        model = gp_pca.GpPcaModel(
+            prior=prior, anchor=task.inputs, subspace=self._subspace(prior, task, 1),
+            weights=np.zeros((1, 1)), mode="exact",
+        )
+        with pytest.raises(ValueError, match=r"^model field 'weights' must be finite, got nan at \[1, 0\]$"):
+            gp_pca.with_extra_task(model, [np.nan])
+        # A file is strict JSON: a value that got past the constructor is not written as NaN.
+        model.weights[0, 0] = np.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            gp_pca.save_model(model, tmp_path / "model.json")
+
 
 class TestAdapt:
     def test_full_data_recovers_trained_weight(self):
@@ -295,6 +321,50 @@ class TestAdapt:
         )
         w = gp_pca.adapt_new_task(model, tasks[2], FitOptions(rel_tol=1e-12, max_iters=40_000))
         assert np.max(np.abs(w - model.weights[2])) < 1e-3
+
+    def test_sparse_point_off_the_cone_is_refused_as_input(self):
+        # At beta = 1e12, A = K_mm / beta + K_mn K_mn^T is singular to working precision.
+        # The point is factored strictly where the projection first reads it.
+        z = InducingSet(np.linspace(0.0, 1.0, 8).reshape(-1, 1))
+        d = len(z)
+        model = gp_pca.GpPcaModel(
+            prior=_prior(lengthscale=0.5, beta=1e12),
+            anchor=z,
+            subspace=epca.Subspace(
+                u0=gg.pack_coords(np.zeros(d), -0.5 * np.eye(d)), basis=np.eye(1, d + d * d)
+            ),
+            weights=np.zeros((1, 1)),
+            mode="sparse",
+        )
+        with pytest.raises(ValidityError, match="^input point 0 is not a valid Gaussian") as err:
+            gp_pca.adapt_new_task(model, TaskData([[0.3]], [1.0]))
+        assert err.value.data
+
+    def test_sparse_task_point_is_the_per_call_point_unfactored(self, monkeypatch):
+        # The flat point is built directly, without a NaturalCoord round trip, and
+        # nothing is factored: epca checks the point when it fits or projects it.
+        model, data = _artificial_model("sparse")
+        toy = _toy_tasks()
+        cases = [(model.prior, model.anchor_set, data.new_tasks),
+                 (_prior(), InducingSet(union_inputs(toy)), toy)]
+        cholesky, factorizations = np.linalg.cholesky, []
+
+        def counting(a):
+            factorizations.append(a)
+            return cholesky(a)
+
+        for prior, anchor, tasks in cases:
+            anchor.factor(prior)
+            for task in tasks:
+                monkeypatch.setattr(np.linalg, "cholesky", counting)
+                point = gp_pca._task_point(prior, task, anchor, "sparse")
+                nat, flat = sparse_gp.variational_coords(prior, task, anchor)
+                monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+                assert not factorizations
+                want = gg.pack_natural(oracles.variational_coords_per_call(prior, task, anchor))
+                assert np.array_equal(point, want) and np.array_equal(flat, want)
+                assert np.shares_memory(nat.theta, flat) and np.shares_memory(nat.big_theta, flat)
+                assert np.array_equal(gg.pack_natural(nat), want)
 
 
 def _artificial_model(mode):
@@ -614,10 +684,16 @@ class TestOffsetFactor:
             gap = kl(w[0]) - kl_star
             assert gap <= (opts.rel_tol + EPS * kappa) * max(1.0, kl(w[0]))
 
-    def test_adaptation_at_the_offset_evaluates_once(self, monkeypatch):
-        # The artificial exact model's adaptations stop at w = 0, where the gradient
-        # is already below the tolerance: one evaluation, from the kept offset factor.
-        model, data = _artificial_model("exact")
+    @pytest.mark.parametrize(
+        "mode, opts", [("exact", FitOptions()), ("sparse", evaluation.ADAPT_OPTIONS)],
+        ids=["exact", "sparse"],
+    )
+    def test_adaptation_at_the_offset_computes_no_kl(self, mode, opts, monkeypatch):
+        # The artificial models' adaptations stop at w = 0, where the gradient read
+        # from the kept offset factor is already below the tolerance: no KL is
+        # computed, since only a line search reads it. The sparse model moves at
+        # rel_tol = 1e-8, so it runs at the evaluation protocol's options.
+        model, data = _artificial_model(mode)
         model.subspace.offset_factor
         evaluations, factorizations = [], []
         evaluate_factored, natural_to_dual = epca._PointBatch.evaluate_factored, epca._natural_to_dual
@@ -635,8 +711,8 @@ class TestOffsetFactor:
         for task in data.new_tasks:
             evaluations.clear()
             factorizations.clear()
-            assert np.array_equal(gp_pca.adapt_new_task(model, task, FitOptions()), [0.0])
-            assert len(evaluations) == 1 and evaluations[0] is model.subspace.offset_factor
+            assert np.array_equal(gp_pca.adapt_new_task(model, task, opts), [0.0])
+            assert not evaluations
             assert len(factorizations) == 1  # the task point's own, and no candidate's
 
     def test_offset_off_the_cone_raises_and_keeps_nothing(self):

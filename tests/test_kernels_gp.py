@@ -50,6 +50,13 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             KernelConfig(lengthscale=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_hyperparameters_are_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^lengthscale must be positive and finite, got {value}$"):
+            KernelConfig(lengthscale=value)
+        with pytest.raises(ValueError, match=f"^beta must be positive and finite, got {value}$"):
+            GpPrior(beta=value)
+
 
 class TestGram:
     def test_singleton(self):
