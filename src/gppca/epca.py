@@ -45,19 +45,32 @@ the fit's final polish passes the batch it already factored, and
 `project_point` (few-shot adaptation) is its one-point case. A projection is
 convex in w, and the reconstruction is linear in natural coordinates, so the
 w-Hessian of a point's KL is the Fisher metric pulled back to the basis
-(Amari 1998). Each point therefore takes damped Newton steps in that metric
-(`_fisher_step`), each backtracked by the same line search, and falls back to
-the steepest step -`_LEARNING_RATE` g where the metric does not factor. Each
-point stops on its own, once its weight gradient norm falls below rel_tol
-times the norm of its dual coordinates, and reports its own early stop.
+(Amari 1998).
 
-Each `Subspace` factors its offset u0 once, on first read
-(`Subspace.offset_factor`), and every projection evaluates w = 0 from that
-factor: `project_point` starts there, so adapting many tasks to one model
-factors the offset once, not once per task. A projection reads its start's
-factor for the gradient and computes the KL there only when it tries a
-step, since only the line search reads it: a point whose gradient at the
-start already meets the tolerance computes no KL at all.
+On a line (latent dimension 1) the projection is moment matching along u1
+(Collins, Dasgupta & Schapire 2001; Amari 2016): w solves
+g(w) = u1 . eta(u0 + w u1) = u1 . eta(point) = t. The subspace keeps the
+line's precision pencil in its eigenbasis (`Subspace.line_pencil`), where
+g and its derivative H, the Fisher information, cost O(d) per weight with
+nothing factored, and the exact interval of weights on the cone is known.
+Each row then takes safeguarded scalar Newton steps on g(w) = t inside that
+interval (`_project_line`), all rows of a batch together, and stops once
+its Newton decrement (g - t)^2 / 2H, the KL above the line minimum to
+second order, is at most 1e-3 rel_tol nats. Its landing reconstruction is
+factored once, strictly. A point needs only t: `project_point` takes it
+from one Cholesky factor of the point's -2 Theta, and the polish from the
+duals its batch already holds.
+
+For two or more basis rows each point takes damped Newton steps in the
+Fisher metric (`_fisher_step`), each backtracked by the same line search as
+the fit's restart step, and falls back to the steepest step
+-`_LEARNING_RATE` g where the metric does not factor. Each point stops on
+its own, once its weight gradient norm falls below rel_tol times the norm of
+its dual coordinates, and reports its own early stop. Such a subspace
+factors its offset u0 once, on first read (`Subspace.offset_factor`), and
+every projection evaluates w = 0 from that factor. A projection reads its
+start's factor for the gradient and computes the KL there only when it
+tries a step, since only the line search reads it.
 """
 
 from __future__ import annotations
@@ -89,6 +102,7 @@ _BACKTRACK_FACTOR = 0.5  # step shrink per rejected line-search candidate
 _LEARNING_RATE = 0.1  # scale of a steepest-descent step
 _LBFGS_MEMORY = 20
 _BARRIER = 1e15  # line-search value reported for reconstructions outside the cone
+_EPS = float(np.finfo(float).eps)
 
 
 class ValidityError(RuntimeError):
@@ -161,15 +175,21 @@ class Subspace:
     """Affine subspace in natural coordinates: offset u0 (D,) and basis rows (L, D).
 
     `u0` and `basis` are read-only copies, so the kept values below cannot
-    go stale. `offset_factor` is `_natural_to_dual` of the offset, computed
-    when first read and kept, with read-only arrays; every projection reads
-    it for its evaluations at w = 0. An offset off the cone raises
-    `_InvalidBatch` on each read and keeps nothing. `basis_blocks` is (b, B)
-    for the basis rows (b_k, M_k), B_k = (M_k + M_k^T) / 2, which the
-    projection's Newton steps read (`_fisher`); it too is computed when
-    first read and kept read-only. A pickled or deep-copied subspace is
-    rebuilt through the constructor, so its arrays are read-only again and
-    it computes both afresh.
+    go stale. Each is computed when first read and kept; an offset off the
+    cone raises `_InvalidBatch` on each read and keeps nothing.
+
+    - `line_pencil` (latent dimension 1): the line's `_LinePencil`, the
+      offset's Cholesky factor and the eigenpairs, cone interval and slopes
+      that every projection onto the line reads.
+    - `offset_factor`: `_natural_to_dual` of the offset, with read-only
+      arrays; projections onto two or more basis rows read it for their
+      evaluations at w = 0.
+    - `basis_blocks`: (b, B) for the basis rows (b_k, M_k),
+      B_k = (M_k + M_k^T) / 2, read-only, which those projections' Newton
+      steps read (`_fisher`).
+
+    A pickled or deep-copied subspace is rebuilt through the constructor, so
+    its arrays are read-only again and it computes each afresh.
     """
 
     u0: np.ndarray
@@ -188,6 +208,12 @@ class Subspace:
 
     def __reduce__(self):
         return type(self), (self.u0, self.basis)
+
+    @cached_property
+    def line_pencil(self) -> "_LinePencil":
+        if self.latent_dim != 1:
+            raise ValueError(f"a line pencil needs latent dimension 1, not {self.latent_dim}")
+        return _LinePencil(self.u0, self.basis[0], dim_from_flat(self.flat_dim))
 
     @cached_property
     def offset_factor(self) -> tuple:
@@ -659,25 +685,211 @@ def _fisher_step(g: np.ndarray, recon: tuple, b: np.ndarray, sym: np.ndarray) ->
     return -dpotrs(chol, g, lower=1)[0]
 
 
+class _LinePencil:
+    """The line u0 + w u1 in the eigenbasis of its precision pencil.
+
+    With A0 = C C^T, the strict Cholesky factor of the offset's -2 Theta
+    (`chol`), and A1 = -2 Theta of u1, C^-1 A1 C^-T = V diag(lam) V^T
+    (`lam`, `vecs`), so along the line
+
+        -2 Theta(w) = A0 + w A1 = C V diag(s) V^T C^T,   s = 1 + w lam.
+
+    That is positive definite exactly where every s_i > 0: on the open
+    interval `cone`, whose ends are -1 / max(lam) and -1 / min(lam), or
+    infinite where no eigenvalue has that sign. With a = V^T C^-1 theta0
+    and b = V^T C^-1 theta1, the mean is C^-T V q with q = (a + w b) / s,
+    and the slope of the log-partition along the line, g(w) = u1 . eta(w),
+    and its derivative, the Fisher information H(w), are
+
+        g(w) = sum_i q_i (b_i - q_i lam_i / 2) - 1/2 sum_i lam_i / s_i
+        H(w) = sum_i (b_i - q_i lam_i)^2 / s_i + 1/2 sum_i (lam_i / s_i)^2
+
+    where b_i - q_i lam_i = e_i / s_i with e = b - a lam. `slopes` computes
+    both for a list of weights in O(d) each, factoring nothing, and
+    `at_zero` keeps (g(0), H(0)). `target` gives t = u1 . eta(point) of a
+    data point from its mean and the lower triangle of its covariance.
+    """
+
+    def __init__(self, u0: np.ndarray, u1: np.ndarray, d: int):
+        # Deferred, as in `_fisher_step`: importing the package loads no SciPy.
+        from scipy.linalg import solve_triangular
+
+        m0, m1 = u0[d:].reshape(d, d), u1[d:].reshape(d, d)
+        try:
+            chol = np.linalg.cholesky(-(m0 + m0.T))  # as `_natural_to_dual` forms it
+        except np.linalg.LinAlgError:
+            raise _InvalidBatch(u0[None, :], d) from None
+        half = solve_triangular(chol, -(m1 + m1.T), lower=True)  # C^-1 A1
+        reduced = solve_triangular(chol, half.T, lower=True)  # C^-1 A1 C^-T
+        lam, vecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
+        a = vecs.T @ solve_triangular(chol, u0[:d], lower=True)
+        b = vecs.T @ solve_triangular(chol, u1[:d], lower=True)
+        self.u0, self.u1, self.dim, self._m0, self._m1 = u0, u1, d, m0, m1
+        for array in (chol, lam, vecs, a, b):
+            array.setflags(write=False)
+        self.chol, self.lam, self.vecs, self.a, self.b = chol, lam, vecs, a, b
+        self.cone = (
+            -1.0 / float(lam[-1]) if lam[-1] > 0 else -math.inf,
+            -1.0 / float(lam[0]) if lam[0] < 0 else math.inf,
+        )
+        # s = 1 + w lam rounds to a positive number on this slightly narrower interval.
+        self.bracket = tuple(end * (1.0 - 64 * _EPS) for end in self.cone)
+        # slopes(): with u = 1 / s and q = (a + w b) u, g and H expand into sums over
+        # (u, u^2, u^3) whose coefficients are polynomials in w: one product per stack.
+        coef = np.zeros((3, d, 4))
+        coef[0, :, 0], coef[1, :, 0] = a * b - 0.5 * lam, -0.5 * lam * a * a  # g, w^0
+        coef[0, :, 1], coef[1, :, 1] = b * b, -lam * a * b  # g, w^1
+        coef[1, :, 2] = -0.5 * lam * b * b  # g, w^2
+        coef[1, :, 3], coef[2, :, 3] = 0.5 * lam * lam, (b - a * lam) ** 2  # H
+        self._coef = coef.reshape(3 * d, 4)
+        self.at_zero = self.slopes([0.0])[0]
+        # target(): tr(B1 Sigma) = <W, tril(Sigma)>, B1 = (M1 + M1^T) / 2.
+        self._theta1, self._sym1 = u1[:d], 0.5 * (m1 + m1.T)
+        self._tril_weights = np.tril(2.0 * self._sym1, -1) + np.diag(np.diag(self._sym1))
+
+    def slopes(self, w: list) -> list:
+        """[(g(w_k), H(w_k)), ...] for the weights w_k of the list w."""
+        col = np.array(w)[:, None]
+        u = 1.0 / (col * self.lam + 1.0)
+        uu = u * u
+        sums = (np.concatenate((u, uu, uu * u), axis=1) @ self._coef).tolist()
+        return [(s0 + v * (s1 + v * s2), h) for v, (s0, s1, s2, h) in zip(w, sums)]
+
+    def target(self, mu: np.ndarray, sigma_lower: np.ndarray) -> float:
+        """t = u1 . eta = theta1 . mu + tr(B1 (Sigma + mu mu^T)) of a Gaussian (mu, Sigma)."""
+        return float(np.vdot(self._tril_weights, sigma_lower) + mu @ (self._theta1 + self._sym1 @ mu))
+
+    def off_cone(self, w: list) -> list:
+        """Indices k of the weights w_k whose reconstruction u0 + w_k u1 does not factor.
+
+        One batched factorization of -2 Theta, formed from the stored blocks
+        as `_natural_to_dual` and a prediction form it from the
+        reconstruction, so all three agree on every weight.
+        """
+        m = np.array(w)[:, None, None] * self._m1 + self._m0
+        try:
+            np.linalg.cholesky(-(m + np.transpose(m, (0, 2, 1))))
+        except np.linalg.LinAlgError:
+            return [k for k, v in enumerate(w) if not _factors(self.u0 + v * self.u1, self.dim)]
+        return []
+
+    def back_off(self, w: float) -> float:
+        """The first of w (1 - 2^-k), k = 40, 39, ..., 1, whose reconstruction factors, else 0.
+
+        The offset w = 0 factors (`chol`), so the result is always on the cone.
+        """
+        for k in range(40, 0, -1):
+            candidate = w * (1.0 - 2.0**-k)
+            if _factors(self.u0 + candidate * self.u1, self.dim):
+                return candidate
+        return 0.0
+
+
+def _point_moments(point: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu and the lower triangle of Sigma of one natural point, from one strict Cholesky factor.
+
+    A point whose -2 Theta does not factor raises ValidityError as input point 0.
+    """
+    # LAPACK directly, deferred as in `_fisher_step`: dpotri inverts from the
+    # factor, where NumPy would take two LU factorizations for inv and solve.
+    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+
+    m = point[d:].reshape(d, d)
+    chol, info = dpotrf(-(m + m.T), lower=1)  # the upper triangle comes back zeroed
+    if info != 0:
+        raise ValidityError(0, data=True)
+    return dpotrs(chol, point[:d], lower=1)[0], dpotri(chol, lower=1)[0]
+
+
+def _project_line(pencil: _LinePencil, targets: list, opts: FitOptions, start: list):
+    """Solve g(w) = t for each target t on the line of `pencil`, each row from its `start`.
+
+    Every row takes Newton steps w - (g - t) / H inside a bracket that
+    starts as the cone interval: g is increasing, so the sign of g - t tells
+    which side of w the root lies on, and a step that leaves the bracket is
+    replaced by bisection toward its end. Each iteration evaluates the
+    slopes of all moving rows in one call. A row stops once
+    (g - t)^2 / 2H <= 1e-3 rel_tol nats, or when its step no longer changes
+    w (the bracket is one float wide). A start at w = 0 reads the pencil's
+    kept slopes, so its first step costs nothing; a start off the bracket is
+    replaced by 0. Each row that moved off 0 has its reconstruction factored
+    once, strictly (one batched factorization); one that rounding puts just
+    off the cone is backed off toward 0 (`_LinePencil.back_off`), so no row
+    ends off the cone.
+    Returns (weights (n, 1), errors), errors[i] None or the ConvergenceError
+    of a row still moving after `max_iters` steps, left at its last iterate.
+    """
+    n = len(targets)
+    lo0, hi0 = pencil.bracket
+    w = [v if lo0 < v < hi0 else 0.0 for v in start]
+    lo, hi = [lo0] * n, [hi0] * n
+    slopes = pencil.slopes(w) if any(w) else [pencil.at_zero] * n
+    tol = 2e-3 * opts.rel_tol  # (g - t)^2 <= tol H
+    errors: list[Optional[Exception]] = [None] * n
+    active, steps = list(range(n)), 0
+    while active:
+        moving = []
+        for i, (g, h) in zip(active, slopes):
+            r = g - targets[i]
+            if r * r <= tol * h:
+                continue
+            if steps == opts.max_iters:
+                errors[i] = ConvergenceError(abs(r), math.sqrt(tol * h), steps)
+                continue
+            wi = w[i]
+            if r > 0:  # the root lies below wi
+                hi[i] = wi
+            else:
+                lo[i] = wi
+            step = wi - r / h
+            if not lo[i] < step < hi[i]:
+                step = 0.5 * (wi + (lo[i] if r > 0 else hi[i]))
+            if step != wi:
+                w[i] = step
+                moving.append(i)
+        active = moving
+        if active:
+            steps += 1
+            slopes = pencil.slopes([w[i] for i in active])
+    moved = [i for i in range(n) if w[i] != 0.0]
+    if moved:
+        for k in pencil.off_cone([w[i] for i in moved]):
+            w[moved[k]] = pencil.back_off(w[moved[k]])
+    return np.array(w).reshape(n, 1), errors
+
+
 def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, start: np.ndarray):
     """Project every point of `batch` onto `subspace`, each from its row of `start`.
 
-    Each point descends its own KL over w by damped Newton steps in the
-    Fisher metric (`_fisher_step`; Amari 1998), each scaled back by
-    `_line_search` until it stays on the cone and lowers the KL. A point
-    stops once its weight gradient norm falls below rel_tol times the norm
-    of its dual coordinates, once an accepted step lowers its KL by at most
-    rel_tol relative, or when no step is accepted (stationarity at
-    line-search resolution). An evaluation at w = 0 reads
+    On a line (latent dimension 1) every row solves g(w) = t by
+    `_project_line`, with t = u1 . eta read from the batch's duals, and
+    stops on its Newton decrement. An offset off the cone leaves the pencil
+    unbuilt, and every row at its start with a ValidityError.
+
+    With two or more basis rows each point descends its own KL over w by
+    damped Newton steps in the Fisher metric (`_fisher_step`; Amari 1998),
+    each scaled back by `_line_search` until it stays on the cone and lowers
+    the KL. A point stops once its weight gradient norm falls below rel_tol
+    times the norm of its dual coordinates, once an accepted step lowers its
+    KL by at most rel_tol relative, or when no step is accepted
+    (stationarity at line-search resolution). An evaluation at w = 0 reads
     `subspace.offset_factor` instead of factoring the offset again, and
     every factorization serves both the KL and the next Fisher matrix. The
     KL at a point's start is computed only when it tries a step, from the
     start's factor, since only the line search reads it.
+
     Returns (weights (I, L), errors): errors[i] is None, or the error that
     stopped point i early. A ConvergenceError (the iteration cap) leaves the
     row at its last iterate; a ValidityStallError (no valid step) or a
     ValidityError (a start off the cone) leaves it at its start.
     """
+    if subspace.latent_dim == 1:
+        try:
+            pencil = subspace.line_pencil
+        except _InvalidBatch:
+            return np.array(start, dtype=float), [ValidityError(i) for i in range(batch.count)]
+        targets = (batch.dual @ subspace.basis[0]).tolist()
+        return _project_line(pencil, targets, opts, np.asarray(start, dtype=float)[:, 0].tolist())
     basis, d = subspace.basis, batch.dim
     weights = np.array(start, dtype=float)
     errors: list[Optional[Exception]] = [None] * batch.count
@@ -729,27 +941,48 @@ def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, sta
 
 
 def project_point(point, subspace: Subspace, opts: Optional[FitOptions] = None) -> np.ndarray:
-    """Weights of the KL-minimizing projection of one coordinate point.
+    """Weights of the KL-minimizing projection of one coordinate point, started at w = 0.
 
-    The one-point case of `_project_batch`, started at w = 0: the offset
-    itself, whose factor the subspace keeps, so only the first projection
-    onto a subspace factors it, and whose KL is computed only if a step is
-    tried. It takes damped Newton steps in the Fisher metric on the point's
-    KL over w alone until the weight-space gradient norm falls below rel_tol
-    times the norm of the point's dual coordinates, an accepted step lowers
-    the KL by at most rel_tol relative, or no strictly decreasing valid step
-    exists (stationarity at numeric resolution); the problem is convex in w
-    so all three witness the unique projection. Raises ConvergenceError with
-    the final gradient norm if the iteration cap is hit first, and
-    ValidityStallError if no valid step exists.
+    The problem is convex in w, so the projection is unique. On a line
+    (latent dimension 1) it is `_project_line`'s moment-matching solve: the
+    point is factored once, strictly, for t = u1 . eta(point), and the
+    solve starts from the slopes the subspace's `line_pencil` keeps at the
+    offset, so only the first projection onto a subspace factors the
+    offset. It stops once the Newton decrement is at most 1e-3 rel_tol nats,
+    which computes no KL, and its result is a weight whose reconstruction
+    factors.
+
+    With two or more basis rows it is the one-point case of
+    `_project_batch`, started at the offset, whose factor the subspace
+    keeps: damped Newton steps in the Fisher metric on the point's KL until
+    the weight-space gradient norm falls below rel_tol times the norm of the
+    point's dual coordinates, an accepted step lowers the KL by at most
+    rel_tol relative, or no strictly decreasing valid step exists
+    (stationarity at numeric resolution). Raises ValidityStallError if no
+    valid step exists.
+
+    Either way it raises ConvergenceError if the iteration cap is hit first,
+    and ValidityError for a point off the cone (as an input point) or an
+    offset off the cone (as the reconstruction of point 0).
     """
     opts = opts or FitOptions()
     point = np.asarray(point, dtype=float).reshape(-1)
     if point.shape[0] != subspace.flat_dim:
         raise ValueError(f"point length {point.shape[0]} != subspace dim {subspace.flat_dim}")
-    weights, errors = _project_batch(
-        _PointBatch(point[None, :]), subspace, opts, np.zeros((1, subspace.latent_dim))
-    )
+    if subspace.latent_dim == 1:
+        mu, sigma_lower = _point_moments(point, dim_from_flat(subspace.flat_dim))
+        try:
+            pencil = subspace.line_pencil
+        except _InvalidBatch:
+            raise ValidityError(0) from None
+        target = pencil.target(mu, sigma_lower)
+        if not math.isfinite(target):
+            raise ValidityError(0, data=True)
+        weights, errors = _project_line(pencil, [target], opts, [0.0])
+    else:
+        weights, errors = _project_batch(
+            _PointBatch(point[None, :]), subspace, opts, np.zeros((1, subspace.latent_dim))
+        )
     if errors[0] is not None:
         raise errors[0]
     return weights[0]

@@ -32,7 +32,14 @@ differ from a per-call solve against k(X, x+) by rounding
 
 New tasks are placed on the subspace by computing their posterior
 coordinates from the few observations available and projecting onto the
-fitted subspace (the unique KL-minimizing projection).
+fitted subspace (the unique KL-minimizing projection). On a line (latent
+dimension 1, the default) that projection is moment matching along the
+basis row: `epca.project_point` factors the task point once for its
+expectation along the row, and solves for the weight with scalar Newton
+steps in the eigenbasis of the line's precision pencil, which the subspace
+keeps, until the Newton decrement is at most 1e-3 rel_tol nats; it lands at
+the line minimum and computes no KL. `adapt_new_task` calls it through the
+`epca` module attribute.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from gppca.kernels_gp import (
     GpPrior,
     KernelConfig,
     TaskData,
+    _require_finite,
     as_anchor,
     exact_posterior,
     predictive_batch,
@@ -90,15 +98,17 @@ class GpPcaModel:
     alone fixes the latent dimension (`latent_dim` reads it) and the flat
     dimension: construction rejects weights of another width, and a subspace
     whose flat dimension is not d + d^2 for the anchor's d points. It also
-    rejects a non-finite entry of the weights, u0 or basis, naming the field.
+    rejects a non-finite entry of the anchor, weights, u0 or basis, naming
+    the field.
 
     Constructing the model factors the prior over the anchor once
     (`anchor_set.factor(prior)`: K, its Cholesky factor, mu0 and K^-1 mu0),
     and every prediction and adaptation reads that factor; a model's first
     prediction adds K^-1 (sparse) or the Cholesky factor's inverse (exact)
     to it. Next to it, the first adaptation factors the subspace offset once
-    (`subspace.offset_factor`), and every later adaptation starts its
-    projection from that factor. The factors and `fit_result` (training
+    (`subspace.line_pencil`, or `subspace.offset_factor` for two or more
+    basis rows), and every later adaptation starts its projection from that
+    factor. The factors and `fit_result` (training
     diagnostics) are not persisted; a loaded model builds its factors again.
     A pickled or deep-copied model is rebuilt through the constructor, with
     read-only anchor and subspace arrays, and factors its anchor again.
@@ -113,6 +123,8 @@ class GpPcaModel:
     anchor_set: InducingSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.anchor, InducingSet):  # a set's points are finite already
+            _require_finite("model field 'anchor'", np.asarray(self.anchor, dtype=float))
         anchor_set = as_anchor(self.anchor)
         weights = np.asarray(self.weights, dtype=float)
         if self.mode not in ("exact", "sparse"):
@@ -125,12 +137,7 @@ class GpPcaModel:
                 f"subspace flat dim {flat} does not match {d} anchor points (flat dim {d + d * d})"
             )
         for name, a in (("weights", weights), ("u0", self.subspace.u0), ("basis", self.subspace.basis)):
-            finite = np.isfinite(a)
-            if not finite.all():
-                index = np.unravel_index(np.argmin(finite), a.shape)  # the first non-finite entry
-                raise ValueError(
-                    f"model field {name!r} must be finite, got {a[index]} at {[int(i) for i in index]}"
-                )
+            _require_finite(f"model field {name!r}", a)
         object.__setattr__(self, "anchor", anchor_set.points)
         object.__setattr__(self, "anchor_set", anchor_set)
         object.__setattr__(self, "weights", weights)
@@ -267,7 +274,8 @@ def adapt_new_task(
     Computes the new task's posterior coordinates over the model's anchor
     (fixed by the model, not re-derived from the few-shot inputs) under the
     model's prior, reading the model's anchor factor, and projects them onto
-    the fitted subspace.
+    the fitted subspace with `epca.project_point`, read from the module at
+    each call.
     """
     if len(fewshot) == 0:
         raise ValueError("few-shot task must contain at least one observation")

@@ -243,7 +243,7 @@ class PriorFactor:
 
 @dataclass(frozen=True)
 class InducingSet:
-    """Anchor inputs Z, pairwise distinct under `COINCIDENT_TOL` (1e-12).
+    """Anchor inputs Z: finite, and pairwise distinct under `COINCIDENT_TOL` (1e-12).
 
     `factor(prior)` computes the prior's `PriorFactor` over Z on its first
     call and returns the same one afterwards, one per kernel and prior mean.
@@ -260,6 +260,7 @@ class InducingSet:
         pts.setflags(write=False)
         if pts.shape[0] < 1:
             raise ValueError("inducing set must contain at least one point")
+        _require_finite("inducing points", pts)
         pairs = np.argwhere(np.triu(coincident(pts, pts), 1))
         if pairs.size:
             i, j = pairs[0]
@@ -282,6 +283,14 @@ class InducingSet:
             found = PriorFactor(gram=k, chol=chol, mean=mean, kinv_mean=chol_solve(chol, mean))
             self._factors[key] = found
         return found
+
+
+def _require_finite(name: str, a: np.ndarray) -> None:
+    """Raise ValueError naming `name` and the first non-finite entry of `a`, if there is one."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), a.shape)
+        raise ValueError(f"{name} must be finite, got {a[index]} at {[int(i) for i in index]}")
 
 
 def as_anchor(anchor) -> InducingSet:

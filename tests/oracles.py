@@ -11,20 +11,20 @@ matrices compared. The KL-extension test takes the second way: its random
 inputs can fall close together, cond(Sigma**) then reaches 1e10, and no
 fixed absolute tolerance holds for every draw.
 
-The per-call route (`predict_batch_per_call`, `adapt_per_call` and the
-functions under them) is the predictive, task-point and projection code as
-it was before each model cached its anchor factor and each subspace its
-offset factor: every call builds K over the anchor, factors it and
-recomputes the prior-mean centre, the variances come from a three-operand
-einsum, the projection factors every iterate, w = 0 included, as
-u0 + w @ basis, and a reconstruction's moments come from the public chain
-`natural_to_moment(unpack_natural(reconstruct(w)))` (`reconstructed_moments`)
-instead of `gp_pca`'s one strict factorization. The cached route must give
-the same means and adapted weights bit for bit, and the same variances to
-the float64 floor.
-`kl_along_line` and `line_minimum` locate a projection's target on a line
-with dense moments and a bracketing golden-section search, independently of
-the package's Newton steps.
+The per-call route (`predict_batch_per_call`, `task_point_per_call` and
+the functions under them) is the predictive and task-point code as it was
+before each model cached its anchor factor: every call builds K over the
+anchor, factors it and recomputes the prior-mean centre, the variances come
+from a three-operand einsum, and a reconstruction's moments come from the
+public chain `natural_to_moment(unpack_natural(reconstruct(w)))`
+(`reconstructed_moments`) instead of `gp_pca`'s one strict factorization.
+The cached route must give the same means bit for bit, and the same
+variances to the float64 floor.
+`line_interval`, `kl_along_line` and `line_minimum` locate a projection's
+target on a line: the exact cone interval from SciPy's generalized
+eigenvalues, the KL from dense moments per call, and a bounded scalar
+search over that interval, independently of the package's pencil and its
+Newton steps.
 `variational_posterior`, `rho_prime_to_rho` and `rho_to_rho_prime` are the
 rescaled sparse chart written out in moments, for the tests only.
 
@@ -46,7 +46,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, eigh, solve_triangular
+from scipy.optimize import minimize_scalar
 
 from gppca import epca, gp_pca
 from gppca.datasets import _STREAM_VDP_EVAL_INIT, _STREAM_VDP_INIT, MultiTaskDataset, VdpConfig, _rng
@@ -109,7 +110,9 @@ __all__ = [
     "sparse_predictive_batch_per_call",
     "predict_batch_per_call",
     "task_point_per_call",
-    "adapt_per_call",
+    "line_interval",
+    "kl_along_line",
+    "line_minimum",
     "integrate_vdp_scalar",
     "vdp_tasks_scalar",
 ]
@@ -557,56 +560,20 @@ def task_point_per_call(model, task: TaskData) -> np.ndarray:
     return pack_natural(nat)
 
 
-def project_point_per_call(point, subspace: epca.Subspace, opts: Optional[FitOptions] = None) -> np.ndarray:
-    """`epca.project_point` factoring every iterate, w = 0 included, as u0 + w @ basis.
+def line_interval(subspace: epca.Subspace) -> tuple[float, float]:
+    """Open interval of w on which u0 + w u1 is a valid Gaussian (latent dimension 1).
 
-    Damped Newton steps -H^-1 g with `epca._fisher_step`, each halved until
-    it stays on the cone and lowers the KL, with the stops and errors that
-    `epca._project_batch` documents.
+    -2 Theta(w) = A0 + w A1 is positive definite exactly when 1 + w lam > 0
+    for every generalized eigenvalue lam of (A1, A0), computed here by
+    SciPy's `eigh`, not by the package's pencil.
     """
-    opts = opts or FitOptions()
-    batch = epca._PointBatch(np.asarray(point, dtype=float).reshape(1, -1))
-    d, basis = batch.dim, subspace.basis
-    mat = basis[:, d:].reshape(-1, d, d)
-    b, sym = basis[:, :d], 0.5 * (mat + np.transpose(mat, (0, 2, 1)))  # Subspace.basis_blocks
-    tol = opts.rel_tol * max(float(np.linalg.norm(batch.dual[0])), 1e-300)
-
-    def evaluate(w):
-        recon = epca._natural_to_dual(subspace.u0 + w[None, :] @ basis, d)
-        return batch.evaluate_factored(recon)[0], recon
-
-    w = np.zeros(subspace.latent_dim)
-    kl, recon = evaluate(w)
-    for _ in range(opts.max_iters):
-        g = (recon[4][0] - batch.dual[0]) @ basis.T
-        if np.linalg.norm(g) < tol:
-            return w
-        step = epca._fisher_step(g, recon, b, sym)
-        saw_valid = False
-        for k in range(epca._MAX_BACKTRACKS):
-            candidate = w + epca._BACKTRACK_FACTOR**k * step
-            try:
-                kl_new, recon_new = evaluate(candidate)
-            except epca._InvalidBatch:
-                continue
-            saw_valid = True
-            if kl_new < kl and np.isfinite(kl_new):
-                break
-        else:
-            if not saw_valid:
-                raise epca.ValidityStallError("no valid step")
-            return w
-        change = kl - kl_new
-        w, kl, recon = candidate, kl_new, recon_new
-        if change <= opts.rel_tol * max(abs(kl), 1e-300):
-            return w
-    g = (recon[4][0] - batch.dual[0]) @ basis.T
-    raise epca.ConvergenceError(float(np.linalg.norm(g)), tol, opts.max_iters)
-
-
-def adapt_per_call(model, fewshot: TaskData, opts: Optional[FitOptions] = None) -> np.ndarray:
-    """`gp_pca.adapt_new_task` with the task point and the projection by the per-call functions."""
-    return project_point_per_call(task_point_per_call(model, fewshot), model.subspace, opts)
+    if subspace.latent_dim != 1:
+        raise ValueError("a line needs latent dimension 1")
+    d = dim_from_flat(subspace.flat_dim)
+    a0 = -2.0 * unpack_natural(subspace.u0, d).big_theta
+    a1 = -2.0 * unpack_natural(subspace.basis[0], d).big_theta
+    lam = eigh(a1, a0, eigvals_only=True)
+    return (-1.0 / lam[-1] if lam[-1] > 0 else -math.inf, -1.0 / lam[0] if lam[0] < 0 else math.inf)
 
 
 def kl_along_line(point, subspace: epca.Subspace):
@@ -637,39 +604,34 @@ def kl_along_line(point, subspace: epca.Subspace):
     return f
 
 
-def line_minimum(f, start: float, step: float = 1.0, xtol: float = 1e-12) -> tuple[float, float]:
-    """(w*, f(w*)) for a convex f: R -> R or +inf, by bracketing and golden sections.
+def line_minimum(point, subspace: epca.Subspace, start: float = 0.0) -> tuple[float, float]:
+    """(w*, KL*) minimizing KL(point || u0 + w u1) by a bounded scalar search.
 
-    From `start`, steps grow by the golden ratio downhill until f rises (or
-    leaves its domain, +inf), which brackets the minimum; golden-section
-    search then shrinks the bracket to xtol * max(1, |w|).
+    The search runs over the exact cone interval (`line_interval`), with an
+    infinite side closed where the convex KL has risen above its value at 0
+    and at `start`, and evaluates the KL per call (`kl_along_line`). Like
+    the benchmark's adaptation check, it never reports a minimum above a
+    point it has seen.
     """
-    grow = (1.0 + math.sqrt(5.0)) / 2.0
-    a, fa = start, f(start)
-    b, fb = start + step, f(start + step)
-    if fb > fa:  # downhill is the other way
-        a, b, fb = b, a, fa
-    c, fc = b + grow * (b - a), f(b + grow * (b - a))
-    while fc <= fb:
-        a, b, fb = b, c, fc
-        c = b + grow * (b - a)
-        fc = f(c)
-    lo, hi = min(a, c), max(a, c)
-    shrink = 1.0 / grow
-    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(500):
-        if hi - lo <= xtol * max(1.0, abs(x1)):
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - shrink * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + shrink * (hi - lo)
-            f2 = f(x2)
-    return min((f1, x1), (f2, x2), (fb, b))[::-1]
+    f = kl_along_line(point, subspace)
+    lo, hi = line_interval(subspace)
+    ref = min(f(0.0), f(start))
+    ends = [lo, hi]
+    for k, side in enumerate((-1.0, 1.0)):
+        if math.isfinite(ends[k]):
+            continue
+        b = max(1.0, 2.0 * abs(start))
+        while f(side * b) <= ref:
+            b *= 2.0
+        ends[k] = side * b
+    lo, hi = ends
+    width = hi - lo
+    lo, hi = lo + 1e-12 * width, hi - 1e-12 * width
+    res = minimize_scalar(
+        f, bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-12 * max(1.0, abs(lo), abs(hi)), "maxiter": 500},
+    )
+    return min((float(res.fun), float(res.x)), (f(0.0), 0.0), (f(start), start))[::-1]
 
 
 def _vdp_rhs(state: np.ndarray, alpha: float) -> np.ndarray:

@@ -341,6 +341,21 @@ def test_model_file_whose_anchor_does_not_match_its_subspace_is_a_data_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_model_file_with_a_non_finite_anchor_point_is_a_data_error(tmp_path, capsys, trained, value):
+    doc = json.loads(trained.read_text(encoding="utf-8"))
+    doc["anchor"][0][0] = value  # a NaN or Infinity token
+    model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(
+        ["predict", "--model", str(model), "--task", "0", "--grid", "0:1:3", "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot load model ")
+    assert f"model field 'anchor' must be finite, got {value} at [0, 0]" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value, named",
     [

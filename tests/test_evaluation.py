@@ -88,11 +88,6 @@ def test_latents_csv_orders_the_weight_columns_numerically(tmp_path):
     assert values[5:] == [repr(float(j)) for j in range(12)]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the projection stops at w = 0 (its stop scales with the point's dual norm); "
-    "ROADMAP direction 2 replaces it with a Newton projection",
-)
 def test_held_out_tasks_beat_independent_gps_at_small_n():
     # The paper's third claim, on one artificial sparse cell at N = 10.
     report = run_experiment(

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import functools
+import math
 import pickle
 
 import numpy as np
@@ -9,7 +11,7 @@ from scipy.linalg import lapack
 from gppca import epca, evaluation, gp_pca, kernels_gp, sparse_gp
 from gppca import gaussian_geometry as gg
 from gppca.datasets import ArtificialConfig, gen_artificial
-from gppca.epca import FitOptions, ValidityError
+from gppca.epca import ConvergenceError, FitOptions, ValidityError
 from gppca.gaussian_geometry import moment_to_natural, natural_to_moment
 from gppca.kernels_gp import (
     GpPrior,
@@ -382,6 +384,29 @@ def _artificial_model(mode):
     return model, data
 
 
+def _cond(flat, d):
+    return np.linalg.cond(-2.0 * gg.unpack_natural(flat, d).big_theta)
+
+
+def _assert_at_line_minimum(model, point, w, opts):
+    """KL(point || u0 + w u1) is within the float64 floor plus 1e-3 rel_tol of its line minimum.
+
+    The minimum comes from the bounded search over the exact cone interval
+    with per-call KL (`oracles.line_minimum`); the floor is EPS kappa
+    max(1, KL), kappa the worst cond(-2 Theta) of the point, the
+    reconstruction at w and that at the minimum, as in the benchmark's
+    adaptation check. A projection stops once its Newton decrement is at
+    most 1e-3 rel_tol nats.
+    """
+    d = len(model.anchor)
+    kl = oracles.kl_along_line(point, model.subspace)
+    w_star, kl_star = oracles.line_minimum(point, model.subspace, float(w[0]))
+    recons = (epca.reconstruct([v], model.subspace) for v in (w[0], w_star))
+    kappa = max(_cond(point, d), *(_cond(flat, d) for flat in recons))
+    gap = kl(w[0]) - kl_star
+    assert gap <= (EPS * kappa + 1e-3 * opts.rel_tol) * max(1.0, kl(w[0])), (w, w_star, gap)
+
+
 def _variance_floor(model, w, x):
     """Bound per test point on |`predict_batch` - a route from the chain's Sigma| variances.
 
@@ -456,7 +481,7 @@ class TestAnchorFactor:
             point = gp_pca._task_point(model.prior, task, model.anchor_set, model.mode)
             assert np.array_equal(point, oracles.task_point_per_call(model, task))
         for task, w in zip(data.new_tasks, adapted):
-            assert np.array_equal(w, oracles.adapt_per_call(model, task, adapt_opts))
+            _assert_at_line_minimum(model, oracles.task_point_per_call(model, task), w, adapt_opts)
         weights = [*model.weights, *adapted]
         dense = np.linspace(-0.1, 1.1, 1_200).reshape(-1, 1)  # as many points as a vdp call
         for w, ev in zip(weights, [*data.train_eval, *data.new_eval]):
@@ -619,32 +644,43 @@ class TestAnchorFactor:
 class TestOffsetFactor:
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_offset_factored_once_per_model(self, mode, monkeypatch):
+        # The first adaptation builds the subspace's line pencil, the offset's one
+        # factorization; later ones, through the model or a copy that shares its
+        # subspace, read it. No adaptation factors the offset through `_natural_to_dual`.
         model, data = _artificial_model(mode)
         offset = model.subspace.u0[None, :]
-        calls = []
+        pencils, calls = [], []
 
         def counting(points, d):
             if np.array_equal(points, offset):
                 calls.append(points)
             return natural_to_dual(points, d)
 
-        natural_to_dual = epca._natural_to_dual
+        def counting_init(pencil, *args):
+            pencils.append(pencil)
+            init(pencil, *args)
+
+        natural_to_dual, init = epca._natural_to_dual, epca._LinePencil.__init__
         monkeypatch.setattr(epca, "_natural_to_dual", counting)
+        monkeypatch.setattr(epca._LinePencil, "__init__", counting_init)
         opts = FitOptions(rel_tol=1e-8)
         adapted = [gp_pca.adapt_new_task(model, task, opts) for task in data.new_tasks]
         augmented = gp_pca.with_extra_task(model, adapted[0])
         assert augmented.subspace is model.subspace
         for task in data.train_tasks:
             gp_pca.adapt_new_task(augmented, task, opts)
-        assert len(calls) == 1
-        factor = model.subspace.offset_factor
-        assert all(not a.flags.writeable for a in factor)
-        for got, want in zip(factor, natural_to_dual(offset, model.anchor.shape[0])):
-            assert np.array_equal(got, want)
+        assert len(pencils) == 1 and calls == []
+        pencil = model.subspace.line_pencil
+        assert pencil is pencils[0]
+        for a in (pencil.chol, pencil.lam, pencil.vecs, pencil.a, pencil.b):
+            assert not a.flags.writeable
+        m0 = offset[0, len(model.anchor):].reshape(len(model.anchor), -1)
+        assert np.array_equal(pencil.chol, np.linalg.cholesky(-(m0 + m0.T)))
 
     @pytest.mark.parametrize("mode", ["exact", "sparse"])
     def test_adapted_weights_match_per_call_route(self, mode):
-        # The toy models' projections move in both modes; the artificial one's in sparse mode.
+        # Every adaptation moves, on the toy models and the artificial one alike, and
+        # lands at the line minimum that a per-call bounded search finds.
         artificial, data = _artificial_model(mode)
         tasks = _toy_tasks()
         inducing = InducingSet(union_inputs(tasks)) if mode == "sparse" else None
@@ -653,67 +689,58 @@ class TestOffsetFactor:
             (artificial, data.new_tasks, FitOptions(rel_tol=1e-8)),
             (toy, tasks, FitOptions(rel_tol=1e-12, max_iters=40_000)),
         ]
-        moved = 0
         for model, fewshot, opts in cases:
             for task in fewshot:
                 w = gp_pca.adapt_new_task(model, task, opts)
-                assert np.array_equal(w, oracles.adapt_per_call(model, task, opts))
-                moved += bool(np.any(w != 0.0))
-        assert moved >= len(tasks) + (len(data.new_tasks) if mode == "sparse" else 0)
+                assert w[0] != 0.0
+                _assert_at_line_minimum(model, oracles.task_point_per_call(model, task), w, opts)
 
-    def test_adaptation_lands_at_the_line_minimum(self):
-        # The sparse toy model (cond(-2 Theta) about 2e3) moves every projection;
-        # each must end within rel_tol max(1, KL) plus the float64 floor of the minimum.
+    @pytest.mark.parametrize("mode", ["exact", "sparse"])
+    def test_adaptation_lands_at_the_line_minimum(self, mode):
+        # The toy models move every projection: the sparse one at cond(-2 Theta) about
+        # 3e3, the exact one at about 20.
         tasks = _toy_tasks()
-        model = gp_pca.train(
-            tasks, _prior(), 1, mode="sparse", opts=TIGHT, inducing=InducingSet(union_inputs(tasks))
-        )
+        inducing = InducingSet(union_inputs(tasks)) if mode == "sparse" else None
+        model = gp_pca.train(tasks, _prior(), 1, mode=mode, opts=TIGHT, inducing=inducing)
         opts = FitOptions()
-        d = len(model.anchor)
-
-        def cond(flat):
-            return np.linalg.cond(-2.0 * gg.unpack_natural(flat, d).big_theta)
-
         for task in tasks:
             w = gp_pca.adapt_new_task(model, task, opts)
             assert w[0] != 0.0
             point = gp_pca._task_point(model.prior, task, model.anchor_set, model.mode)
-            kl = oracles.kl_along_line(point, model.subspace)
-            w_star, kl_star = oracles.line_minimum(kl, 0.0)
-            kappa = max(cond(point), *(cond(epca.reconstruct([v], model.subspace)) for v in (w[0], w_star)))
-            gap = kl(w[0]) - kl_star
-            assert gap <= (opts.rel_tol + EPS * kappa) * max(1.0, kl(w[0]))
+            _assert_at_line_minimum(model, point, w, opts)
 
     @pytest.mark.parametrize(
         "mode, opts", [("exact", FitOptions()), ("sparse", evaluation.ADAPT_OPTIONS)],
         ids=["exact", "sparse"],
     )
     def test_adaptation_at_the_offset_computes_no_kl(self, mode, opts, monkeypatch):
-        # The artificial models' adaptations stop at w = 0, where the gradient read
-        # from the kept offset factor is already below the tolerance: no KL is
-        # computed, since only a line search reads it. The sparse model moves at
-        # rel_tol = 1e-8, so it runs at the evaluation protocol's options.
+        # An adaptation starts from the slopes the pencil keeps at the offset and stops
+        # on its Newton decrement, so it computes no KL and factors no candidate
+        # through `_natural_to_dual`. It factors the task point once, and the
+        # reconstruction at its landing once.
         model, data = _artificial_model(mode)
-        model.subspace.offset_factor
-        evaluations, factorizations = [], []
-        evaluate_factored, natural_to_dual = epca._PointBatch.evaluate_factored, epca._natural_to_dual
+        model.subspace.line_pencil
+        evaluations, factorizations, points, landings = [], [], [], []
 
-        def counting_evaluate(batch, recon):
-            evaluations.append(recon)
-            return evaluate_factored(batch, recon)
+        def spy(store, fn):
+            def wrapped(*args):
+                store.append(args)
+                return fn(*args)
+            return wrapped
 
-        def counting_factor(points, d):
-            factorizations.append(points)
-            return natural_to_dual(points, d)
-
-        monkeypatch.setattr(epca._PointBatch, "evaluate_factored", counting_evaluate)
-        monkeypatch.setattr(epca, "_natural_to_dual", counting_factor)
+        monkeypatch.setattr(
+            epca._PointBatch, "evaluate_factored", spy(evaluations, epca._PointBatch.evaluate_factored)
+        )
+        monkeypatch.setattr(epca, "_natural_to_dual", spy(factorizations, epca._natural_to_dual))
+        monkeypatch.setattr(epca, "_point_moments", spy(points, epca._point_moments))
+        monkeypatch.setattr(epca._LinePencil, "off_cone", spy(landings, epca._LinePencil.off_cone))
         for task in data.new_tasks:
-            evaluations.clear()
-            factorizations.clear()
-            assert np.array_equal(gp_pca.adapt_new_task(model, task, opts), [0.0])
-            assert not evaluations
-            assert len(factorizations) == 1  # the task point's own, and no candidate's
+            for store in (evaluations, factorizations, points, landings):
+                store.clear()
+            w = gp_pca.adapt_new_task(model, task, opts)
+            assert w[0] != 0.0
+            assert not evaluations and not factorizations
+            assert len(points) == 1 and [weights for _, weights in landings] == [[w[0]]]
 
     def test_offset_off_the_cone_raises_and_keeps_nothing(self):
         prior = _prior()
@@ -735,6 +762,7 @@ class TestOffsetFactor:
             with pytest.raises(ValidityError, match=message):
                 gp_pca.adapt_new_task(model, task)
             assert "offset_factor" not in vars(model.subspace)
+            assert "line_pencil" not in vars(model.subspace)
 
     def test_subspace_arrays_are_read_only_copies(self):
         u0, basis = np.array([0.0, -0.5]), np.array([[0.0, 1.0]])
@@ -747,6 +775,140 @@ class TestOffsetFactor:
         for a in subspace.offset_factor:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 1.0
+
+
+LINE_MODELS = ["sparse toy", "exact toy", "small exact", "artificial sparse", "artificial exact"]
+
+
+@functools.lru_cache(maxsize=None)
+def _line_model(name):
+    """A fitted model of latent dimension 1, its training tasks and its held-out tasks.
+
+    cond(-2 Theta) at the offset is about 3e3, 20, 3e11, 5e7 and 3e12 in the
+    order of LINE_MODELS. "small exact" is the benchmark tests' exact toy:
+    four artificial tasks of three samples.
+    """
+    if name.endswith("toy"):
+        tasks = _toy_tasks()
+        mode = name.split()[0]
+        inducing = InducingSet(union_inputs(tasks)) if mode == "sparse" else None
+        return gp_pca.train(tasks, _prior(), 1, mode=mode, opts=TIGHT, inducing=inducing), tasks, tasks
+    if name == "small exact":
+        data = gen_artificial(
+            ArtificialConfig(num_tasks=4, samples_per_task=3, num_new_tasks=3, eval_points_per_task=20, seed=0)
+        )
+        model = gp_pca.train(data.train_tasks, _prior(lengthscale=0.2, beta=25.0), 1, mode="exact")
+        return model, data.train_tasks, data.new_tasks
+    model, data = _artificial_model(name.split()[1])
+    return model, data.train_tasks, data.new_tasks
+
+
+class TestLinePencil:
+    """The line's precision pencil and the moment-matching solve on it (latent dimension 1)."""
+
+    @staticmethod
+    def _weights(pencil):
+        lo, hi = pencil.cone
+        return [0.0, 0.3 * lo if math.isfinite(lo) else -1.0, 0.5 * hi if math.isfinite(hi) else 1.0,
+                0.9 * hi if math.isfinite(hi) else 3.0]
+
+    @pytest.mark.parametrize("name", LINE_MODELS)
+    def test_slopes_equal_the_factored_gradient_and_fisher(self, name):
+        # Both routes are good to the float64 floor d EPS kappa, kappa = cond(-2 Theta)
+        # at w, of their scale: g = u1 . eta is a sum whose terms cancel, so its scale
+        # is the sum of their magnitudes; H is a positive quadratic form, its own scale.
+        model, *_ = _line_model(name)
+        s, d = model.subspace, len(model.anchor)
+        pencil = s.line_pencil
+        assert pencil.at_zero == pencil.slopes([0.0])[0]
+        for w in self._weights(pencil):
+            recon = epca._natural_to_dual(epca.reconstruct([w], s)[None, :], d)
+            terms = recon[4][0] * s.basis[0]
+            h_ref = epca._fisher(recon, *s.basis_blocks)[0, 0]
+            g, h = pencil.slopes([w])[0]
+            floor = d * EPS * _cond(epca.reconstruct([w], s), d)
+            assert abs(g - terms.sum()) <= floor * np.abs(terms).sum()
+            assert abs(h - h_ref) <= floor * h_ref
+
+    @pytest.mark.parametrize("name", LINE_MODELS)
+    def test_cone_interval_ends(self, name):
+        # The pencil's ends are exact up to rounding at cond(-2 Theta) of the offset.
+        model, *_ = _line_model(name)
+        s, d = model.subspace, len(model.anchor)
+        pencil = s.line_pencil
+        margin = max(1e-12, EPS * _cond(s.u0, d))
+        ends = [end for end in pencil.cone if math.isfinite(end)]
+        assert ends
+        for end in ends:
+            assert epca._factors(epca.reconstruct([end * (1.0 - margin)], s), d)
+            assert not epca._factors(epca.reconstruct([end * (1.0 + margin)], s), d)
+        np.testing.assert_allclose(pencil.cone, oracles.line_interval(s), rtol=margin)
+
+    @pytest.mark.parametrize("name", LINE_MODELS)
+    def test_polish_rows_land_where_project_point_does(self, name):
+        # The fit's polish (from the fitted weights), a batch from w = 0 and
+        # `project_point` take t from different routes, so at cond(-2 Theta) of 1e12
+        # their weights differ by the float64 floor over H; all reach the line minimum.
+        model, tasks, _ = _line_model(name)
+        points = np.array([gp_pca._task_point(model.prior, t, model.anchor_set, model.mode) for t in tasks])
+        opts = FitOptions()
+        batch, errors = epca._project_batch(
+            epca._PointBatch(points), model.subspace, opts, np.zeros((len(points), 1))
+        )
+        assert errors == [None] * len(points)
+        for point, fitted, row in zip(points, model.weights, batch):
+            single = epca.project_point(point, model.subspace, opts)
+            for w in (fitted, row, single):
+                _assert_at_line_minimum(model, point, w, opts)
+
+    def test_landing_off_the_cone_backs_off_toward_the_offset(self, monkeypatch):
+        # At cond(-2 Theta) of 3e12, rounding leaves weights just inside the pencil's
+        # ends whose reconstruction does not factor. The landing check finds exactly
+        # those, and backing off moves each toward the offset onto the cone.
+        model, *_ = _line_model("artificial exact")
+        s, d = model.subspace, len(model.anchor)
+        pencil = s.line_pencil
+        ends = [end for end in pencil.cone if math.isfinite(end)]
+        near = [end * (1.0 - 2.0**-k) for end in ends for k in range(52, 0, -1)]
+        bad = [w for w in near if not epca._factors(epca.reconstruct([w], s), d)]
+        good = [0.5 * end for end in ends]
+        assert bad and all(epca._factors(epca.reconstruct([w], s), d) for w in good)
+        assert pencil.off_cone(good + bad) == list(range(len(good), len(good) + len(bad)))
+        for w in bad:
+            backed = pencil.back_off(w)
+            assert 0.0 < backed / w < 1.0 and epca._factors(epca.reconstruct([backed], s), d)
+        # The solve backs off a landing that the check refuses.
+        landings = []
+
+        def refusing(self, w):
+            landings.append(list(w))
+            return list(range(len(w)))
+
+        monkeypatch.setattr(epca._LinePencil, "off_cone", refusing)
+        target = pencil.slopes([good[-1]])[0][0]
+        weights, errors = epca._project_line(pencil, [target], FitOptions(), [0.0])
+        assert errors == [None] and len(landings) == 1
+        assert weights[0, 0] == pencil.back_off(landings[0][0])
+
+    @pytest.mark.parametrize("opts", [FitOptions(), evaluation.ADAPT_OPTIONS], ids=["default", "protocol"])
+    def test_small_exact_adaptations_land_at_the_line_minimum(self, opts):
+        model, _, new_tasks = _line_model("small exact")
+        for task in new_tasks:
+            w = gp_pca.adapt_new_task(model, task, opts)
+            assert w[0] != 0.0
+            _assert_at_line_minimum(model, oracles.task_point_per_call(model, task), w, opts)
+
+    def test_iteration_cap_raises_and_keeps_the_last_iterate(self):
+        model, tasks, _ = _line_model("sparse toy")
+        point = gp_pca._task_point(model.prior, tasks[0], model.anchor_set, model.mode)
+        opts = FitOptions(max_iters=1, rel_tol=1e-14)
+        with pytest.raises(ConvergenceError) as err:
+            epca.project_point(point, model.subspace, opts)
+        assert err.value.iters == 1 and err.value.grad_norm > err.value.tol
+        weights, errors = epca._project_batch(
+            epca._PointBatch(point[None, :]), model.subspace, opts, np.zeros((1, 1))
+        )
+        assert isinstance(errors[0], ConvergenceError) and weights[0, 0] != 0.0  # its one step
 
 
 def _cone_boundary_weights(model):
@@ -854,12 +1016,17 @@ class TestCopies:
         model, _ = _artificial_model("sparse")
         subspace = model.subspace
         want = subspace.offset_factor
+        pencil = subspace.line_pencil
         got = self.COPIERS[how](subspace)
-        assert "offset_factor" not in vars(got)
+        assert "offset_factor" not in vars(got) and "line_pencil" not in vars(got)
         self._assert_read_only(got.u0, got.basis, *got.offset_factor)
         assert np.array_equal(got.u0, subspace.u0) and np.array_equal(got.basis, subspace.basis)
         for a, b in zip(got.offset_factor, want):
             assert np.array_equal(a, b)
+        for name in ("chol", "lam", "vecs", "a", "b"):
+            self._assert_read_only(getattr(got.line_pencil, name))
+            assert np.array_equal(getattr(got.line_pencil, name), getattr(pencil, name))
+        assert got.line_pencil.cone == pencil.cone and got.line_pencil.at_zero == pencil.at_zero
 
     @pytest.mark.parametrize("how", COPIERS)
     def test_inducing_set_and_prior_factor(self, how):
@@ -887,12 +1054,12 @@ class TestCopies:
         w = gp_pca.adapt_new_task(model, task, opts)
         got = self.COPIERS[how](model)
         assert got.anchor is got.anchor_set.points
-        assert "offset_factor" not in vars(got.subspace)
+        assert "offset_factor" not in vars(got.subspace) and "line_pencil" not in vars(got.subspace)
         factor = got.anchor_set.factor(got.prior)
         self._assert_read_only(got.anchor, got.subspace.u0, got.subspace.basis)
         self._assert_read_only(factor.gram, factor.chol, factor.mean, factor.kinv_mean)
         assert np.array_equal(gp_pca.adapt_new_task(got, task, opts), w)
-        self._assert_read_only(*got.subspace.offset_factor)
+        self._assert_read_only(got.subspace.line_pencil.chol)
         for i in range(model.num_tasks):
             want = gp_pca.predict_batch(model, i, x)
             mine = gp_pca.predict_batch(got, i, x)

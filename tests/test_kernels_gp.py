@@ -244,3 +244,10 @@ class TestPredictive:
             prior, TaskData(np.zeros((0, 1)), np.zeros(0), 0), [[0.1]]
         )
         assert means[0] == 0.0 and variances[0] == 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_inducing_set_rejects_non_finite_points(value):
+    # A NaN is not coincident with anything, and its kernel row would factor to NaNs.
+    with pytest.raises(ValueError, match=rf"^inducing points must be finite, got {value} at \[1, 0\]$"):
+        InducingSet(np.array([[0.0], [value], [0.5]]))
