@@ -35,7 +35,7 @@ import numpy as np
 from gppca import datasets as ds
 from gppca import evaluation as ev
 from gppca import gp_pca
-from gppca.epca import ConvergenceError, FitOptions, ValidityError, ValidityStallError
+from gppca.epca import ConvergenceError, FitOptions, ValidityError
 from gppca.gaussian_geometry import DecompositionError
 from gppca.kernels_gp import GpPrior, KernelConfig, TaskData
 
@@ -572,7 +572,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (DecompositionError, ValidityError, ValidityStallError, ConvergenceError) as exc:
+    except (DecompositionError, ValidityError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

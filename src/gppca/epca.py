@@ -25,9 +25,9 @@ temporaries: the reconstructions u0 + W U~ are built in place, and
 `_natural_to_dual` forms -2 Theta in place and writes mu and
 Sigma + mu mu^T into one preallocated array. Each rewrite performs the same
 floating-point operations on the same operands as the textbook formula, and
-LAPACK sees the same inputs, so every fit, projection and offset factor is
-the same to the bit as with the textbook formulas; one evaluation at
-N = 20, d = 60 holds about four such arrays, not six.
+LAPACK sees the same inputs, so every fit is the same to the bit as with the
+textbook formulas; one evaluation at N = 20, d = 60 holds about four such
+arrays, not six.
 
 Iterates must stay inside the cone of valid parameters (Theta negative
 definite). The joint fit runs L-BFGS-B, whose line search sees any invalid
@@ -40,37 +40,33 @@ then takes one steepest step whose backtracking line search (`_line_search`)
 shrinks candidates that leave the cone or fail to decrease the objective by
 `_BACKTRACK_FACTOR`, and restarts L-BFGS-B from where it lands.
 
-One routine, `_project_batch`, projects a batch of points onto a subspace:
-the fit's final polish passes the batch it already factored, and
-`project_point` (few-shot adaptation) is its one-point case. A projection is
-convex in w, and the reconstruction is linear in natural coordinates, so the
-w-Hessian of a point's KL is the Fisher metric pulled back to the basis
-(Amari 1998).
+One routine, `_project`, projects points onto a subspace: the fit's final
+polish passes the duals of the batch it already factored (`_project_batch`),
+and `project_point` (few-shot adaptation) passes one point. On an e-flat
+subspace the KL projection is moment matching (Collins, Dasgupta & Schapire
+2001; Amari 2016): w solves g(w) = U~ . eta(u0 + w U~) = U~ . eta(point) = t,
+and the Jacobian of g is H, the Fisher metric pulled back to the basis
+(Amari 1998), so each row takes Newton steps w - H^-1 (g - t) and stops once
+its Newton decrement (g - t)^T H^-1 (g - t) / 2, the KL above the minimum to
+second order, is at most 1e-3 rel_tol nats. No projection computes a KL. A
+point needs only t: `project_point` takes it from one Cholesky factor of the
+point's -2 Theta (`_point_moments`, `_moment_slopes`), and the polish from
+the duals its batch already holds.
 
-On a line (latent dimension 1) the projection is moment matching along u1
-(Collins, Dasgupta & Schapire 2001; Amari 2016): w solves
-g(w) = u1 . eta(u0 + w u1) = u1 . eta(point) = t. The subspace keeps the
-line's precision pencil in its eigenbasis (`Subspace.line_pencil`), where
-g and its derivative H, the Fisher information, cost O(d) per weight with
-nothing factored, and the exact interval of weights on the cone is known.
-Each row then takes safeguarded scalar Newton steps on g(w) = t inside that
-interval (`_project_line`), all rows of a batch together, and stops once
-its Newton decrement (g - t)^2 / 2H, the KL above the line minimum to
-second order, is at most 1e-3 rel_tol nats. Its landing reconstruction is
-factored once, strictly. A point needs only t: `project_point` takes it
-from one Cholesky factor of the point's -2 Theta, and the polish from the
-duals its batch already holds.
+On a line (latent dimension 1) the subspace keeps the line's precision
+pencil in its eigenbasis (`Subspace.line_pencil`), where g and H cost O(d)
+per weight with nothing factored, and the exact interval of weights on the
+cone is known. Each row then takes safeguarded scalar Newton steps inside
+that interval (`_project_line`), all rows of a batch together, and its
+landing reconstruction is factored once, strictly.
 
-For two or more basis rows each point takes damped Newton steps in the
-Fisher metric (`_fisher_step`), each backtracked by the same line search as
-the fit's restart step, and falls back to the steepest step
--`_LEARNING_RATE` g where the metric does not factor. Each point stops on
-its own, once its weight gradient norm falls below rel_tol times the norm of
-its dual coordinates, and reports its own early stop. Such a subspace
-factors its offset u0 once, on first read (`Subspace.offset_factor`), and
-every projection evaluates w = 0 from that factor. A projection reads its
-start's factor for the gradient and computes the KL there only when it
-tries a step, since only the line search reads it.
+With two or more basis rows each row solves on its own (`_project_newton`),
+keeping to the cone by halving a step until its reconstruction factors and
+|g - t| falls: H is positive definite on the cone, so the Newton direction
+lowers |g - t|^2 / 2, whose only stationary points are roots (Nocedal &
+Wright, section 11.2). Each trial factors its reconstruction once, H is
+formed only at accepted weights, and a start at w = 0 reads the offset's
+factor, which the subspace keeps (`Subspace.offset_factor`).
 """
 
 from __future__ import annotations
@@ -90,7 +86,6 @@ __all__ = [
     "Subspace",
     "FitResult",
     "ValidityError",
-    "ValidityStallError",
     "ConvergenceError",
     "reconstruct",
     "project_point",
@@ -136,12 +131,8 @@ class ValidityError(RuntimeError):
         return type(self), (self.task_index, self.data, self.weights)
 
 
-class ValidityStallError(RuntimeError):
-    """Backtracking could not find any valid step."""
-
-
 class ConvergenceError(RuntimeError):
-    """Projection descent hit the iteration cap before reaching stationarity."""
+    """A projection hit the iteration cap before its Newton decrement met the tolerance."""
 
     def __init__(self, grad_norm: float, tol: float, iters: int):
         self.grad_norm = grad_norm
@@ -181,12 +172,16 @@ class Subspace:
     - `line_pencil` (latent dimension 1): the line's `_LinePencil`, the
       offset's Cholesky factor and the eigenpairs, cone interval and slopes
       that every projection onto the line reads.
-    - `offset_factor`: `_natural_to_dual` of the offset, with read-only
-      arrays; projections onto two or more basis rows read it for their
-      evaluations at w = 0.
+    - `offset_factor`: `_point_moments` of the offset (mu and the lower
+      triangle of Sigma), read-only; projections onto two or more basis
+      rows start from it at w = 0.
     - `basis_blocks`: (b, B) for the basis rows (b_k, M_k),
-      B_k = (M_k + M_k^T) / 2, read-only, which those projections' Newton
-      steps read (`_fisher`).
+      B_k = (M_k + M_k^T) / 2, read-only, which the Fisher metric of those
+      projections reads (`_fisher`).
+    - `moment_rows`: (W_k, b_k, B_k) per basis row, read-only, with
+      W_k = tril(2 B_k, -1) + diag(B_k), so that tr(B_k S) = <W_k, tril(S)>
+      for a symmetric S; every target t, and every slope g of a projection
+      onto two or more basis rows, reads them (`_moment_slopes`).
 
     A pickled or deep-copied subspace is rebuilt through the constructor, so
     its arrays are read-only again and it computes each afresh.
@@ -217,7 +212,10 @@ class Subspace:
 
     @cached_property
     def offset_factor(self) -> tuple:
-        factor = _natural_to_dual(self.u0[None, :], dim_from_flat(self.flat_dim))
+        d = dim_from_flat(self.flat_dim)
+        factor = _point_moments(self.u0, d)
+        if factor is None:
+            raise _InvalidBatch(self.u0[None, :], d)
         for a in factor:
             a.setflags(write=False)
         return factor
@@ -229,6 +227,15 @@ class Subspace:
         sym = 0.5 * (mat + np.transpose(mat, (0, 2, 1)))
         sym.setflags(write=False)
         return self.basis[:, :d], sym
+
+    @cached_property
+    def moment_rows(self) -> tuple:
+        rows = []
+        for b, sym in zip(*self.basis_blocks):
+            tril = np.tril(2.0 * sym, -1) + np.diag(np.diag(sym))
+            tril.setflags(write=False)
+            rows.append((tril, b, sym))
+        return tuple(rows)
 
     @property
     def latent_dim(self) -> int:
@@ -365,14 +372,6 @@ class _PointBatch:
         except _InvalidBatch as exc:
             raise ValidityError(exc.index, data=True) from None
 
-    def row(self, i: int) -> "_PointBatch":
-        """The one-point batch of point i, sliced from this batch without factoring it again."""
-        row = object.__new__(_PointBatch)
-        row.__dict__.update(vars(self), count=1, failed=None)
-        for name in ("primal", "logdet", "mu", "sigma", "dual"):
-            setattr(row, name, getattr(self, name)[i : i + 1])
-        return row
-
     def evaluate(self, weights: np.ndarray, u0: np.ndarray, basis: np.ndarray):
         """KL objective and expectation coordinates of the reconstructions u0 + W U~.
 
@@ -390,17 +389,12 @@ class _PointBatch:
         if self.failed is not None and not _factors(recon[self.failed], self.dim):
             raise _InvalidBatch(recon, self.dim)
         try:
-            factored = _natural_to_dual(recon, self.dim)
+            a, logdet_rec, mu_rec, _, duals = _natural_to_dual(recon, self.dim)
         except _InvalidBatch as exc:
             self.failed = exc.index
             raise
         self.failed = None
         del recon  # the KL reads the factored stack alone
-        return self.evaluate_factored(factored)
-
-    def evaluate_factored(self, recon: tuple):
-        """`evaluate` against reconstructions already passed through `_natural_to_dual`."""
-        a, logdet_rec, mu_rec, _, duals = recon
         # KL(data || recon): the reconstruction precision is `a` exactly.
         trace = np.einsum("nij,nij->n", a, self.sigma)
         diff = mu_rec - self.mu
@@ -426,7 +420,7 @@ def _line_search(evaluate: Callable, p: np.ndarray, kl_cur: float, direction: np
 
     `evaluate(p)` returns (objective, payload) or raises _InvalidBatch.
     Returns (p, objective, payload, accepted), unmoved if no candidate is
-    accepted; raises ValidityStallError if every candidate leaves the cone.
+    accepted; raises _InvalidBatch if every candidate leaves the cone.
     """
     t = 1.0
     saw_valid = False
@@ -442,9 +436,7 @@ def _line_search(evaluate: Callable, p: np.ndarray, kl_cur: float, direction: np
             return candidate, kl_new, payload, True
         t *= _BACKTRACK_FACTOR
     if not saw_valid:
-        raise ValidityStallError(
-            f"no valid step found after {_MAX_BACKTRACKS} backtracks"
-        )
+        raise _InvalidBatch()
     return p, kl_cur, None, False
 
 
@@ -619,7 +611,7 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
             stepped, kl_new, _, accepted = _line_search(
                 evaluate, params, kl, -_LEARNING_RATE * gradient(params, duals)
             )
-        except (_InvalidBatch, ValidityStallError):
+        except _InvalidBatch:
             converged = False  # no valid step: keep the point reached
             break
         if not accepted:
@@ -653,36 +645,21 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
     )
 
 
-def _fisher(recon: tuple, b: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    """The Fisher metric at one reconstruction, pulled back to the basis.
+def _fisher(mu: np.ndarray, sigma: np.ndarray, b: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """The Fisher metric at a reconstruction (mu, Sigma), pulled back to the basis.
 
-    `recon` is `_natural_to_dual` of one point, whose mu and Sigma it reads;
-    the basis rows are (b_k, M_k), with sym[k] = B_k = (M_k + M_k^T) / 2
+    The basis rows are (b_k, M_k), with sym[k] = B_k = (M_k + M_k^T) / 2
     (`Subspace.basis_blocks`):
 
         H_kl = (b_k + 2 B_k mu)^T Sigma (b_l + 2 B_l mu) + 2 tr(B_k Sigma B_l Sigma)
 
     The reconstruction is linear in natural coordinates, so H is the
-    w-Hessian of KL(point || u0 + w U~) for any point.
+    Jacobian of g(w) = U~ . eta(u0 + w U~) and the w-Hessian of
+    KL(point || u0 + w U~) for any point.
     """
-    mu, sigma = recon[2][0], recon[3][0]
     v = b + 2.0 * (sym @ mu)
     p = sym @ sigma
     return (v @ sigma) @ v.T + 2.0 * np.einsum("kij,lji->kl", p, p)
-
-
-def _fisher_step(g: np.ndarray, recon: tuple, b: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    """The Newton step -H^-1 g with H = `_fisher(recon, b, sym)`, or the
-    steepest step -`_LEARNING_RATE` g if H does not factor (a zero basis row
-    makes it singular)."""
-    # LAPACK directly: NumPy's wrappers cost more than an L x L solve. Deferred,
-    # as in `gaussian_geometry.chol_solve`: importing the package loads no SciPy.
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    chol, info = dpotrf(_fisher(recon, b, sym), lower=1)
-    if info != 0:
-        return -_LEARNING_RATE * g
-    return -dpotrs(chol, g, lower=1)[0]
 
 
 class _LinePencil:
@@ -706,12 +683,11 @@ class _LinePencil:
 
     where b_i - q_i lam_i = e_i / s_i with e = b - a lam. `slopes` computes
     both for a list of weights in O(d) each, factoring nothing, and
-    `at_zero` keeps (g(0), H(0)). `target` gives t = u1 . eta(point) of a
-    data point from its mean and the lower triangle of its covariance.
+    `at_zero` keeps (g(0), H(0)).
     """
 
     def __init__(self, u0: np.ndarray, u1: np.ndarray, d: int):
-        # Deferred, as in `_fisher_step`: importing the package loads no SciPy.
+        # Deferred, as in `gaussian_geometry.chol_solve`: importing the package loads no SciPy.
         from scipy.linalg import solve_triangular
 
         m0, m1 = u0[d:].reshape(d, d), u1[d:].reshape(d, d)
@@ -743,9 +719,6 @@ class _LinePencil:
         coef[1, :, 3], coef[2, :, 3] = 0.5 * lam * lam, (b - a * lam) ** 2  # H
         self._coef = coef.reshape(3 * d, 4)
         self.at_zero = self.slopes([0.0])[0]
-        # target(): tr(B1 Sigma) = <W, tril(Sigma)>, B1 = (M1 + M1^T) / 2.
-        self._theta1, self._sym1 = u1[:d], 0.5 * (m1 + m1.T)
-        self._tril_weights = np.tril(2.0 * self._sym1, -1) + np.diag(np.diag(self._sym1))
 
     def slopes(self, w: list) -> list:
         """[(g(w_k), H(w_k)), ...] for the weights w_k of the list w."""
@@ -754,10 +727,6 @@ class _LinePencil:
         uu = u * u
         sums = (np.concatenate((u, uu, uu * u), axis=1) @ self._coef).tolist()
         return [(s0 + v * (s1 + v * s2), h) for v, (s0, s1, s2, h) in zip(w, sums)]
-
-    def target(self, mu: np.ndarray, sigma_lower: np.ndarray) -> float:
-        """t = u1 . eta = theta1 . mu + tr(B1 (Sigma + mu mu^T)) of a Gaussian (mu, Sigma)."""
-        return float(np.vdot(self._tril_weights, sigma_lower) + mu @ (self._theta1 + self._sym1 @ mu))
 
     def off_cone(self, w: list) -> list:
         """Indices k of the weights w_k whose reconstruction u0 + w_k u1 does not factor.
@@ -785,20 +754,31 @@ class _LinePencil:
         return 0.0
 
 
-def _point_moments(point: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _point_moments(point: np.ndarray, d: int):
     """mu and the lower triangle of Sigma of one natural point, from one strict Cholesky factor.
 
-    A point whose -2 Theta does not factor raises ValidityError as input point 0.
+    None if the point's -2 Theta does not factor.
     """
-    # LAPACK directly, deferred as in `_fisher_step`: dpotri inverts from the
-    # factor, where NumPy would take two LU factorizations for inv and solve.
+    # LAPACK directly, deferred as in `gaussian_geometry.chol_solve`: dpotri
+    # inverts from the factor, where NumPy would take two LU factorizations
+    # for inv and solve.
     from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
     m = point[d:].reshape(d, d)
     chol, info = dpotrf(-(m + m.T), lower=1)  # the upper triangle comes back zeroed
     if info != 0:
-        raise ValidityError(0, data=True)
+        return None
     return dpotrs(chol, point[:d], lower=1)[0], dpotri(chol, lower=1)[0]
+
+
+def _moment_slopes(subspace: Subspace, mu: np.ndarray, sigma: np.ndarray) -> list:
+    """U~ . eta of a Gaussian (mu, Sigma) given its mean and the lower triangle of Sigma.
+
+    Entry k is b_k . mu + tr(B_k (Sigma + mu mu^T)) for the basis row
+    (b_k, M_k), B_k = (M_k + M_k^T) / 2, with tr(B_k Sigma) read from the
+    lower triangle (`Subspace.moment_rows`).
+    """
+    return [float(np.vdot(w, sigma) + mu @ (b + sym @ mu)) for w, b, sym in subspace.moment_rows]
 
 
 def _project_line(pencil: _LinePencil, targets: list, opts: FitOptions, start: list):
@@ -858,131 +838,124 @@ def _project_line(pencil: _LinePencil, targets: list, opts: FitOptions, start: l
     return np.array(w).reshape(n, 1), errors
 
 
-def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, start: np.ndarray):
-    """Project every point of `batch` onto `subspace`, each from its row of `start`.
+def _project_newton(subspace: Subspace, targets: list, opts: FitOptions, weights: np.ndarray):
+    """Solve g(w) = U~ . eta(u0 + w U~) = t for each target t, each from its row of `weights`.
 
-    On a line (latent dimension 1) every row solves g(w) = t by
-    `_project_line`, with t = u1 . eta read from the batch's duals, and
-    stops on its Newton decrement. An offset off the cone leaves the pencil
-    unbuilt, and every row at its start with a ValidityError.
+    Each row takes Newton steps w - H^-1 (g - t), with H = `_fisher`, and
+    stops once its Newton decrement (g - t)^T H^-1 (g - t) / 2 is at most
+    1e-3 rel_tol nats. A step is halved until its reconstruction factors
+    and |g - t| falls, at most `_MAX_BACKTRACKS` times; a row whose step
+    cannot lower |g - t| that way is at rounding level and stops where it
+    is. Where H is singular (a zero basis row) the step is the least-squares
+    one. Each trial factors its reconstruction once (`_point_moments`), and
+    H is formed only at accepted weights; a start at w = 0 reads the
+    offset's kept moments (`Subspace.offset_factor`).
 
-    With two or more basis rows each point descends its own KL over w by
-    damped Newton steps in the Fisher metric (`_fisher_step`; Amari 1998),
-    each scaled back by `_line_search` until it stays on the cone and lowers
-    the KL. A point stops once its weight gradient norm falls below rel_tol
-    times the norm of its dual coordinates, once an accepted step lowers its
-    KL by at most rel_tol relative, or when no step is accepted
-    (stationarity at line-search resolution). An evaluation at w = 0 reads
-    `subspace.offset_factor` instead of factoring the offset again, and
-    every factorization serves both the KL and the next Fisher matrix. The
-    KL at a point's start is computed only when it tries a step, from the
-    start's factor, since only the line search reads it.
-
-    Returns (weights (I, L), errors): errors[i] is None, or the error that
-    stopped point i early. A ConvergenceError (the iteration cap) leaves the
-    row at its last iterate; a ValidityStallError (no valid step) or a
-    ValidityError (a start off the cone) leaves it at its start.
+    Overwrites `weights` and returns (weights, errors) as `_project`. A
+    ConvergenceError compares sqrt((g - t)^T H^-1 (g - t)) with
+    sqrt(2e-3 rel_tol).
     """
-    if subspace.latent_dim == 1:
-        try:
-            pencil = subspace.line_pencil
-        except _InvalidBatch:
-            return np.array(start, dtype=float), [ValidityError(i) for i in range(batch.count)]
-        targets = (batch.dual @ subspace.basis[0]).tolist()
-        return _project_line(pencil, targets, opts, np.asarray(start, dtype=float)[:, 0].tolist())
-    basis, d = subspace.basis, batch.dim
-    weights = np.array(start, dtype=float)
-    errors: list[Optional[Exception]] = [None] * batch.count
-    for i in range(batch.count):
-        point = batch.row(i) if batch.count > 1 else batch  # a one-point batch is its own row
-        tol = opts.rel_tol * max(float(np.linalg.norm(point.dual[0])), 1e-300)
-
-        def factor(w):
-            if not w.any():  # the offset itself
-                return subspace.offset_factor
-            return _natural_to_dual(_reconstructions(w[None, :], subspace.u0, basis), d)
-
-        def evaluate(w):
-            recon = factor(w)
-            return point.evaluate_factored(recon)[0], recon
-
-        def gradient(recon):
-            return (recon[4][0] - point.dual[0]) @ basis.T
-
-        try:
-            w = weights[i]
-            recon = factor(w)
-            g = gradient(recon)
-            kl = None  # read only by a line search
-            for _ in range(opts.max_iters):
-                if float(np.linalg.norm(g)) < tol:
-                    break
-                if kl is None:
-                    kl = point.evaluate_factored(recon)[0]
-                w_new, kl_new, recon_new, accepted = _line_search(
-                    evaluate, w, kl, _fisher_step(g, recon, *subspace.basis_blocks)
-                )
-                if not accepted:
-                    break  # stationary at line-search resolution
-                change = kl - kl_new
-                w, kl, recon = w_new, kl_new, recon_new
-                g = gradient(recon)
-                if change <= opts.rel_tol * max(abs(kl), 1e-300):
-                    break
-            else:
-                errors[i] = ConvergenceError(float(np.linalg.norm(g)), tol, opts.max_iters)
-        except _InvalidBatch:
-            errors[i] = ValidityError(i)
-        except ValidityStallError as exc:
-            errors[i] = exc
+    d = dim_from_flat(subspace.flat_dim)
+    b, sym = subspace.basis_blocks
+    tol = 2e-3 * opts.rel_tol  # (g - t)^T H^-1 (g - t) <= tol
+    errors: list[Optional[Exception]] = [None] * len(weights)
+    for i, t in enumerate(targets):
+        w = weights[i]
+        if w.any():
+            moments = _point_moments(reconstruct(w, subspace), d)
         else:
-            weights[i] = w
+            try:
+                moments = subspace.offset_factor
+            except _InvalidBatch:
+                moments = None
+        if moments is None:
+            errors[i] = ValidityError(i)
+            continue
+        r = np.subtract(_moment_slopes(subspace, *moments), t)
+        steps = 0
+        while True:
+            mu, low = moments
+            h = _fisher(mu, low + np.tril(low, -1).T, b, sym)
+            step = np.linalg.lstsq(h, r, rcond=None)[0]
+            decrement = float(r @ step)
+            if decrement <= tol:
+                break
+            if steps == opts.max_iters:
+                errors[i] = ConvergenceError(math.sqrt(decrement), math.sqrt(tol), steps)
+                break
+            scale = 1.0
+            for _ in range(_MAX_BACKTRACKS):
+                candidate = w - scale * step
+                trial = _point_moments(reconstruct(candidate, subspace), d)
+                if trial is not None:
+                    r_new = np.subtract(_moment_slopes(subspace, *trial), t)
+                    if r_new @ r_new < r @ r:
+                        break
+                scale *= _BACKTRACK_FACTOR
+            else:
+                break  # |g - t| is at rounding level
+            w, r, moments = candidate, r_new, trial
+            steps += 1
+        weights[i] = w
     return weights, errors
+
+
+def _project(subspace: Subspace, targets: list, opts: FitOptions, start: np.ndarray):
+    """Solve g(w) = U~ . eta(u0 + w U~) = t for each target t (L floats), each from its row of `start`.
+
+    No basis leaves every row at its start; a line goes to `_project_line`,
+    and two or more basis rows to `_project_newton`. Either way a row stops
+    once its Newton decrement is at most 1e-3 rel_tol nats.
+
+    Returns (weights (n, L), errors): errors[i] is None, or the error that
+    stopped row i early. A ConvergenceError (the iteration cap) leaves the
+    row at its last iterate; a ValidityError (an offset or start off the
+    cone) leaves it at its start.
+    """
+    start = np.array(start, dtype=float)
+    if subspace.latent_dim == 0:
+        return start, [None] * len(start)
+    if subspace.latent_dim > 1:
+        return _project_newton(subspace, targets, opts, start)
+    try:
+        pencil = subspace.line_pencil
+    except _InvalidBatch:
+        return start, [ValidityError(i) for i in range(len(start))]
+    return _project_line(pencil, [t for t, in targets], opts, start[:, 0].tolist())
+
+
+def _project_batch(batch: _PointBatch, subspace: Subspace, opts: FitOptions, start: np.ndarray):
+    """`_project` of every point of `batch`, with t = U~ . eta read from the batch's duals."""
+    return _project(subspace, (batch.dual @ subspace.basis.T).tolist(), opts, start)
 
 
 def project_point(point, subspace: Subspace, opts: Optional[FitOptions] = None) -> np.ndarray:
     """Weights of the KL-minimizing projection of one coordinate point, started at w = 0.
 
-    The problem is convex in w, so the projection is unique. On a line
-    (latent dimension 1) it is `_project_line`'s moment-matching solve: the
-    point is factored once, strictly, for t = u1 . eta(point), and the
-    solve starts from the slopes the subspace's `line_pencil` keeps at the
-    offset, so only the first projection onto a subspace factors the
-    offset. It stops once the Newton decrement is at most 1e-3 rel_tol nats,
-    which computes no KL, and its result is a weight whose reconstruction
-    factors.
+    The problem is convex in w, so the projection is unique: the moment
+    match g(w) = U~ . eta(u0 + w U~) = t (`_project`). The point is factored
+    once, strictly, for t = U~ . eta(point) (`_point_moments`). The solve
+    starts from what the subspace keeps at the offset (`line_pencil` on a
+    line, `offset_factor` otherwise), so only the first projection onto a
+    subspace factors the offset. It stops once the Newton decrement is at
+    most 1e-3 rel_tol nats, which computes no KL, and its result is a weight
+    whose reconstruction factors.
 
-    With two or more basis rows it is the one-point case of
-    `_project_batch`, started at the offset, whose factor the subspace
-    keeps: damped Newton steps in the Fisher metric on the point's KL until
-    the weight-space gradient norm falls below rel_tol times the norm of the
-    point's dual coordinates, an accepted step lowers the KL by at most
-    rel_tol relative, or no strictly decreasing valid step exists
-    (stationarity at numeric resolution). Raises ValidityStallError if no
-    valid step exists.
-
-    Either way it raises ConvergenceError if the iteration cap is hit first,
-    and ValidityError for a point off the cone (as an input point) or an
-    offset off the cone (as the reconstruction of point 0).
+    Raises ConvergenceError if the iteration cap is hit first, and
+    ValidityError for a point off the cone (as an input point) or an offset
+    off the cone (as the reconstruction of point 0).
     """
     opts = opts or FitOptions()
     point = np.asarray(point, dtype=float).reshape(-1)
     if point.shape[0] != subspace.flat_dim:
         raise ValueError(f"point length {point.shape[0]} != subspace dim {subspace.flat_dim}")
-    if subspace.latent_dim == 1:
-        mu, sigma_lower = _point_moments(point, dim_from_flat(subspace.flat_dim))
-        try:
-            pencil = subspace.line_pencil
-        except _InvalidBatch:
-            raise ValidityError(0) from None
-        target = pencil.target(mu, sigma_lower)
-        if not math.isfinite(target):
-            raise ValidityError(0, data=True)
-        weights, errors = _project_line(pencil, [target], opts, [0.0])
-    else:
-        weights, errors = _project_batch(
-            _PointBatch(point[None, :]), subspace, opts, np.zeros((1, subspace.latent_dim))
-        )
+    moments = _point_moments(point, dim_from_flat(subspace.flat_dim))
+    if moments is None:
+        raise ValidityError(0, data=True)
+    target = _moment_slopes(subspace, *moments)
+    if not all(map(math.isfinite, target)):
+        raise ValidityError(0, data=True)
+    weights, errors = _project(subspace, [target], opts, np.zeros((1, subspace.latent_dim)))
     if errors[0] is not None:
         raise errors[0]
     return weights[0]

@@ -32,13 +32,14 @@ differ from a per-call solve against k(X, x+) by rounding
 
 New tasks are placed on the subspace by computing their posterior
 coordinates from the few observations available and projecting onto the
-fitted subspace (the unique KL-minimizing projection). On a line (latent
-dimension 1, the default) that projection is moment matching along the
-basis row: `epca.project_point` factors the task point once for its
-expectation along the row, and solves for the weight with scalar Newton
-steps in the eigenbasis of the line's precision pencil, which the subspace
-keeps, until the Newton decrement is at most 1e-3 rel_tol nats; it lands at
-the line minimum and computes no KL. `adapt_new_task` calls it through the
+fitted subspace (the unique KL-minimizing projection). At every latent
+dimension that projection is moment matching along the basis rows:
+`epca.project_point` factors the task point once for its expectations
+along the rows, and solves for the weights by Newton steps in the Fisher
+metric until the Newton decrement is at most 1e-3 rel_tol nats; it lands
+at the KL minimum and computes no KL. On a line (latent dimension 1, the
+default) the steps are scalar, in the eigenbasis of the line's precision
+pencil, which the subspace keeps. `adapt_new_task` calls it through the
 `epca` module attribute.
 """
 
@@ -107,8 +108,8 @@ class GpPcaModel:
     prediction adds K^-1 (sparse) or the Cholesky factor's inverse (exact)
     to it. Next to it, the first adaptation factors the subspace offset once
     (`subspace.line_pencil`, or `subspace.offset_factor` for two or more
-    basis rows), and every later adaptation starts its projection from that
-    factor. The factors and `fit_result` (training
+    basis rows), and every later adaptation starts its moment-matching
+    solve from that factor. The factors and `fit_result` (training
     diagnostics) are not persisted; a loaded model builds its factors again.
     A pickled or deep-copied model is rebuilt through the constructor, with
     read-only anchor and subspace arrays, and factors its anchor again.

@@ -24,7 +24,8 @@ variances to the float64 floor.
 target on a line: the exact cone interval from SciPy's generalized
 eigenvalues, the KL from dense moments per call, and a bounded scalar
 search over that interval, independently of the package's pencil and its
-Newton steps.
+Newton steps. `kl_over_subspace` and `subspace_minimum` do the same for any
+latent dimension, by Nelder-Mead over w on that per-call KL.
 `variational_posterior`, `rho_prime_to_rho` and `rho_to_rho_prime` are the
 rescaled sparse chart written out in moments, for the tests only.
 
@@ -47,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, eigh, solve_triangular
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from gppca import epca, gp_pca
 from gppca.datasets import _STREAM_VDP_EVAL_INIT, _STREAM_VDP_INIT, MultiTaskDataset, VdpConfig, _rng
@@ -111,7 +112,9 @@ __all__ = [
     "predict_batch_per_call",
     "task_point_per_call",
     "line_interval",
+    "kl_over_subspace",
     "kl_along_line",
+    "subspace_minimum",
     "line_minimum",
     "integrate_vdp_scalar",
     "vdp_tasks_scalar",
@@ -576,14 +579,12 @@ def line_interval(subspace: epca.Subspace) -> tuple[float, float]:
     return (-1.0 / lam[-1] if lam[-1] > 0 else -math.inf, -1.0 / lam[0] if lam[0] < 0 else math.inf)
 
 
-def kl_along_line(point, subspace: epca.Subspace):
-    """w -> KL(point || u0 + w u1) for a subspace of latent dimension 1, +inf off the cone.
+def kl_over_subspace(point, subspace: epca.Subspace):
+    """w -> KL(point || u0 + w U~), +inf off the cone, for a subspace of any latent dimension.
 
     Moments come from dense inverses of -2 Theta, and the KL from
     `kl_divergence`, not from the package's factored evaluation.
     """
-    if subspace.latent_dim != 1:
-        raise ValueError("a line needs latent dimension 1")
     d = dim_from_flat(subspace.flat_dim)
 
     def moments(flat):
@@ -595,13 +596,48 @@ def kl_along_line(point, subspace: epca.Subspace):
 
     data = moments(np.asarray(point, dtype=float))
 
-    def f(w: float) -> float:
+    def f(w) -> float:
         try:
-            return kl_divergence(data, moments(subspace.u0 + w * subspace.basis[0]))
+            return kl_divergence(data, moments(subspace.u0 + np.asarray(w, dtype=float) @ subspace.basis))
         except np.linalg.LinAlgError:
             return math.inf
 
     return f
+
+
+def kl_along_line(point, subspace: epca.Subspace):
+    """w -> KL(point || u0 + w u1) for a subspace of latent dimension 1, +inf off the cone."""
+    if subspace.latent_dim != 1:
+        raise ValueError("a line needs latent dimension 1")
+    f = kl_over_subspace(point, subspace)
+    return lambda w: f([w])
+
+
+def subspace_minimum(point, subspace: epca.Subspace, start) -> tuple[np.ndarray, float]:
+    """(w*, KL*) minimizing KL(point || u0 + w U~) by Nelder-Mead over w.
+
+    Runs from `start` on the per-call KL (`kl_over_subspace`), which is
+    convex in w, with a first simplex of steps 0.05 max(1, |start|) along
+    each axis, and restarts from where it stopped, on a simplex of the size
+    it ended at, while that lowers the KL. Like `line_minimum`, it never
+    reports a minimum above a point it has seen, w = 0 included.
+    """
+    f = kl_over_subspace(point, subspace)
+    x = np.asarray(start, dtype=float)
+    value = f(x)
+    first = size = 0.05 * max(1.0, float(np.abs(x).max(initial=0.0)))
+    for _ in range(3):
+        res = minimize(
+            f, x, method="Nelder-Mead",
+            options={"initial_simplex": np.vstack([x, x + size * np.eye(len(x))]),
+                     "xatol": 1e-10 * first, "fatol": 1e-15 * max(1.0, value), "maxfev": 1_500},
+        )
+        if not res.fun < value:
+            break
+        x, value = res.x, float(res.fun)
+        size = max(float(np.abs(res.final_simplex[0] - x).max()), 1e-6 * first)
+    zero = np.zeros_like(x)
+    return (zero, f(zero)) if f(zero) < value else (x, value)
 
 
 def line_minimum(point, subspace: epca.Subspace, start: float = 0.0) -> tuple[float, float]:

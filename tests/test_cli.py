@@ -72,6 +72,24 @@ def test_generate_train_adapt_predict_export(tmp_path):
     assert rows[0] == ["task_id", "x", "mean", "variance", "latent"] and len(rows) == 1 + 5 * 4
 
 
+def test_adapt_moves_on_an_exact_plane(tmp_path, capsys):
+    # Latent dimension 2 in exact mode: the projection once stopped at w = 0 there.
+    config = _write_config(tmp_path / "config.json", CONFIG)
+    data, model = tmp_path / "data", tmp_path / "model.json"
+    fewshot = tmp_path / "fewshot.csv"
+    fewshot.write_text("x,y\n0.1,1.2\n0.5,0.4\n0.8,-0.3\n", encoding="utf-8")
+    assert cli.main(["generate", "--config", config, "--out", str(data)]) == 0
+    assert cli.main(
+        ["train", "--data", str(data), "--mode", "exact", "--latent-dim", "2", "--out", str(model)]
+    ) == 0
+    capsys.readouterr()
+    assert cli.main(["adapt", "--model", str(model), "--data", str(fewshot)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("adapted weights: ")
+    weights = json.loads(line[len("adapted weights: "):])
+    assert len(weights) == 2 and all(w != 0.0 for w in weights)
+
+
 def test_evaluate_rewrites_identical_files(tmp_path):
     config = _write_config(tmp_path / "config.json", CONFIG)
     first, second = tmp_path / "first", tmp_path / "second"

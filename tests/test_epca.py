@@ -181,9 +181,15 @@ class TestNaturalToDual:
         rows = [epca._natural_to_dual(stack[i : i + 1], d) for i in range(n)]
         for k, got in enumerate(whole):
             _assert_same_bits(got, np.concatenate([r[k] for r in rows]))
-        batch = epca._PointBatch(_random_points(rng, n, d))
-        total, duals = batch.evaluate_factored(whole)
-        by_row = [batch.row(i).evaluate_factored(r) for i, r in enumerate(rows)]
+        # A batch evaluated against the stack (W = I, u0 = 0, U~ = the stack builds
+        # it exactly) equals one-point batches evaluated against its rows.
+        data = _random_points(rng, n, d)
+        zero = np.zeros(stack.shape[1])
+        total, duals = epca._PointBatch(data).evaluate(np.eye(n), zero, stack)
+        by_row = [
+            epca._PointBatch(data[i : i + 1]).evaluate(np.ones((1, 1)), zero, stack[i : i + 1])
+            for i in range(n)
+        ]
         _assert_same_bits(duals, np.concatenate([dual for _, dual in by_row]))
         assert total == np.sum([kl for kl, _ in by_row])
 
@@ -220,11 +226,9 @@ class TestNaturalToDual:
         basis = rng.normal(size=(2, batch.flat_dim))
         weights = 1e-3 * rng.normal(size=(n, 2))
         total, duals = batch.evaluate(weights, u0, basis)
-        want_total, want_duals = batch.evaluate_factored(
-            _textbook_natural_to_dual(u0 + weights @ basis, d)
-        )
-        assert total == want_total
-        _assert_same_bits(duals, want_duals)
+        textbook = u0 + weights @ basis
+        assert total == batch.evaluate(np.eye(n), np.zeros_like(u0), textbook)[0]
+        _assert_same_bits(duals, _textbook_natural_to_dual(textbook, d)[4])
 
     def test_evaluation_holds_about_four_full_size_arrays(self):
         # One objective and gradient at N = 20, d = 60: the reconstruction, -2 Theta,
@@ -316,20 +320,20 @@ class TestFisherStep:
             return (recon[4][0] - batch.dual[0]) @ s.basis.T, recon
 
         w = np.array([0.3, -0.2])
-        h = epca._fisher(gradient(w)[1], *s.basis_blocks)
+        recon = gradient(w)[1]
+        h = epca._fisher(recon[2][0], recon[3][0], *s.basis_blocks)
         step = 1e-6
         by_differences = np.array([
             (gradient(w + step * e)[0] - gradient(w - step * e)[0]) / (2 * step) for e in np.eye(2)
         ])
         np.testing.assert_allclose(h, by_differences, rtol=1e-6, atol=1e-9 * np.abs(h).max())
 
-    def test_zero_basis_row_falls_back_to_the_steepest_step(self):
+    def test_zero_basis_row_takes_the_least_squares_step(self):
+        # The zero row makes the metric singular; the least-squares step leaves its
+        # weight at 0 and solves for the other.
         d, s, batch = self._setup(
             lambda rng, d: [0.1 * rng.normal(size=d + d * d), np.zeros(d + d * d)]
         )
-        g = (s.offset_factor[4][0] - batch.dual[0]) @ s.basis.T
-        step = epca._fisher_step(g, s.offset_factor, *s.basis_blocks)
-        assert np.array_equal(step, -epca._LEARNING_RATE * g)
         w = epca.project_point(batch.primal[0], s, FitOptions(rel_tol=1e-10))
         assert w[0] != 0.0 and w[1] == 0.0  # the zero row's gradient is exactly 0
         line = Subspace(u0=s.u0, basis=s.basis[:1])
@@ -350,14 +354,28 @@ class TestProjectBatch:
         ])
         return pts, Subspace(u0=u0, basis=basis)
 
+    @staticmethod
+    def _targets(pts, s):
+        """t = U~ . eta of each point as `project_point` computes it."""
+        d = gg.dim_from_flat(s.flat_dim)
+        return [epca._moment_slopes(s, *epca._point_moments(p, d)) for p in pts]
+
     def test_batch_rows_equal_one_point_projections(self):
+        # Rows given `project_point`'s targets land where it does, bit for bit. The
+        # polish reads its targets from the batch's duals, which differ by rounding,
+        # so its rows land within the decrement tolerance of the same KL.
         pts, s = self._points_off_a_subspace(4)
         opts = FitOptions(rel_tol=1e-10)
+        singles = np.array([epca.project_point(p, s, opts) for p in pts])
+        assert np.all(singles != 0.0)
+        weights, errors = epca._project(s, self._targets(pts, s), opts, np.zeros((4, 2)))
+        assert errors == [None] * 4
+        assert np.array_equal(weights, singles)
         weights, errors = epca._project_batch(epca._PointBatch(pts), s, opts, np.zeros((4, 2)))
         assert errors == [None] * 4
-        singles = np.array([epca.project_point(p, s, opts) for p in pts])
-        assert np.any(singles != 0.0)
-        assert np.array_equal(weights, singles)
+        for p, w, single in zip(pts, weights, singles):
+            kl, kl_single = (kl_objective(v[None, :], s, p[None, :]) for v in (w, single))
+            assert abs(kl - kl_single) <= 1e-3 * opts.rel_tol + 1e-14 * kl_single
 
     def test_row_at_the_iteration_cap_keeps_its_last_iterate(self):
         pts, s = self._points_off_a_subspace(2)
@@ -370,6 +388,7 @@ class TestProjectBatch:
             assert kl_objective(w[None, :], s, p[None, :]) < kl_objective(
                 start[:1], s, p[None, :]
             )
+        _, errors = epca._project(s, self._targets(pts, s), opts, start)
         with pytest.raises(ConvergenceError) as err:
             epca.project_point(pts[1], s, opts)
         assert err.value.grad_norm == errors[1].grad_norm

@@ -88,11 +88,13 @@ def test_latents_csv_orders_the_weight_columns_numerically(tmp_path):
     assert values[5:] == [repr(float(j)) for j in range(12)]
 
 
-def test_held_out_tasks_beat_independent_gps_at_small_n():
+@pytest.mark.parametrize("latent_dim", [1, 2])
+def test_held_out_tasks_beat_independent_gps_at_small_n(latent_dim):
     # The paper's third claim, on one artificial sparse cell at N = 10.
     report = run_experiment(
         ExperimentConfig(
-            experiment="artificial", n_sweep=(10,), repetitions=1, data={"num_new_tasks": 20}
+            experiment="artificial", n_sweep=(10,), repetitions=1, data={"num_new_tasks": 20},
+            latent_dim=latent_dim,
         )
     )
     held_out = {c["method"]: c["rmse"] for c in report.cells if c["split"] == "test"}

@@ -369,7 +369,7 @@ class TestAdapt:
                 assert np.array_equal(gg.pack_natural(nat), want)
 
 
-def _artificial_model(mode):
+def _artificial_model(mode, latent_dim=1):
     """A small artificial problem at the evaluation protocol's prior, with its held-out tasks."""
     data = gen_artificial(
         ArtificialConfig(num_tasks=6, samples_per_task=5, num_new_tasks=4, eval_points_per_task=30, seed=2)
@@ -379,7 +379,7 @@ def _artificial_model(mode):
     if mode == "sparse":
         inducing = grid_inducing(np.vstack([t.inputs for t in data.train_tasks]), 12)
     model = gp_pca.train(
-        data.train_tasks, prior, 1, mode=mode, opts=FitOptions(max_iters=200), inducing=inducing
+        data.train_tasks, prior, latent_dim, mode=mode, opts=FitOptions(max_iters=200), inducing=inducing
     )
     return model, data
 
@@ -398,13 +398,22 @@ def _assert_at_line_minimum(model, point, w, opts):
     adaptation check. A projection stops once its Newton decrement is at
     most 1e-3 rel_tol nats.
     """
-    d = len(model.anchor)
-    kl = oracles.kl_along_line(point, model.subspace)
     w_star, kl_star = oracles.line_minimum(point, model.subspace, float(w[0]))
-    recons = (epca.reconstruct([v], model.subspace) for v in (w[0], w_star))
-    kappa = max(_cond(point, d), *(_cond(flat, d) for flat in recons))
-    gap = kl(w[0]) - kl_star
-    assert gap <= (EPS * kappa + 1e-3 * opts.rel_tol) * max(1.0, kl(w[0])), (w, w_star, gap)
+    _assert_within_the_floor(model, point, w, [w_star], kl_star, opts)
+
+
+def _assert_at_subspace_minimum(model, point, w, opts):
+    """As `_assert_at_line_minimum` for any latent dimension, against `oracles.subspace_minimum`."""
+    w_star, kl_star = oracles.subspace_minimum(point, model.subspace, w)
+    _assert_within_the_floor(model, point, w, w_star, kl_star, opts)
+
+
+def _assert_within_the_floor(model, point, w, w_star, kl_star, opts):
+    d = len(model.anchor)
+    kl = oracles.kl_over_subspace(point, model.subspace)(w)
+    kappa = max(_cond(point, d), *(_cond(epca.reconstruct(v, model.subspace), d) for v in (w, w_star)))
+    gap = kl - kl_star
+    assert gap <= (EPS * kappa + 1e-3 * opts.rel_tol) * max(1.0, kl), (w, w_star, gap)
 
 
 def _variance_floor(model, w, x):
@@ -728,9 +737,7 @@ class TestOffsetFactor:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(
-            epca._PointBatch, "evaluate_factored", spy(evaluations, epca._PointBatch.evaluate_factored)
-        )
+        monkeypatch.setattr(epca._PointBatch, "evaluate", spy(evaluations, epca._PointBatch.evaluate))
         monkeypatch.setattr(epca, "_natural_to_dual", spy(factorizations, epca._natural_to_dual))
         monkeypatch.setattr(epca, "_point_moments", spy(points, epca._point_moments))
         monkeypatch.setattr(epca._LinePencil, "off_cone", spy(landings, epca._LinePencil.off_cone))
@@ -824,7 +831,7 @@ class TestLinePencil:
         for w in self._weights(pencil):
             recon = epca._natural_to_dual(epca.reconstruct([w], s)[None, :], d)
             terms = recon[4][0] * s.basis[0]
-            h_ref = epca._fisher(recon, *s.basis_blocks)[0, 0]
+            h_ref = epca._fisher(recon[2][0], recon[3][0], *s.basis_blocks)[0, 0]
             g, h = pencil.slopes([w])[0]
             floor = d * EPS * _cond(epca.reconstruct([w], s), d)
             assert abs(g - terms.sum()) <= floor * np.abs(terms).sum()
@@ -909,6 +916,47 @@ class TestLinePencil:
             epca._PointBatch(point[None, :]), model.subspace, opts, np.zeros((1, 1))
         )
         assert isinstance(errors[0], ConvergenceError) and weights[0, 0] != 0.0  # its one step
+
+
+PLANE_MODELS = ["sparse toy", "exact toy", "artificial sparse", "artificial exact"]
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_model(name):
+    """A fitted model of latent dimension 2, its fit options, its training tasks and its few-shot tasks.
+
+    cond(-2 Theta) at the offset is about 6e2, 8, 5e7 and 3e12 in the order
+    of PLANE_MODELS.
+    """
+    if name.endswith("toy"):
+        tasks = _toy_tasks()
+        mode = name.split()[0]
+        inducing = InducingSet(union_inputs(tasks)) if mode == "sparse" else None
+        return gp_pca.train(tasks, _prior(), 2, mode=mode, opts=TIGHT, inducing=inducing), TIGHT, tasks, tasks
+    model, data = _artificial_model(name.split()[1], latent_dim=2)
+    return model, FitOptions(max_iters=200), data.train_tasks, data.new_tasks
+
+
+class TestSubspaceProjection:
+    """Moment matching onto two basis rows: Newton steps in the Fisher metric, with the decrement stop."""
+
+    @pytest.mark.parametrize("name", PLANE_MODELS)
+    def test_adaptations_land_at_the_kl_minimum(self, name):
+        model, _, _, fewshot = _plane_model(name)
+        toy = name.endswith("toy")
+        opts = FitOptions(rel_tol=1e-12, max_iters=40_000) if toy else FitOptions(rel_tol=1e-8)
+        for task in fewshot:
+            w = gp_pca.adapt_new_task(model, task, opts)
+            assert np.all(w != 0.0)
+            _assert_at_subspace_minimum(model, oracles.task_point_per_call(model, task), w, opts)
+
+    @pytest.mark.parametrize("name", PLANE_MODELS)
+    def test_polish_rows_land_at_the_kl_minimum(self, name):
+        # The fit's polish reads its targets from the batch's duals; each row stops
+        # on its decrement at the fit's rel_tol.
+        model, opts, tasks, _ = _plane_model(name)
+        for task, w in zip(tasks, model.weights):
+            _assert_at_subspace_minimum(model, oracles.task_point_per_call(model, task), w, opts)
 
 
 def _cone_boundary_weights(model):

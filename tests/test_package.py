@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gppca
-from gppca.epca import ConvergenceError, ValidityError, ValidityStallError
+from gppca.epca import ConvergenceError, ValidityError
 from gppca.evaluation import DataSectionError
 from gppca.gaussian_geometry import DecompositionError
 
@@ -59,14 +59,13 @@ def test_cli_import_leaves_optimizer_and_process_pool_unloaded():
         ValidityError(4),
         ValidityError(2, data=True),
         ValidityError(None, weights=[0.5, -1.25]),
-        ValidityStallError("no valid step at line-search resolution"),
         ConvergenceError(3.2e-4, 1e-6, 50),
         DecompositionError("sigma", "trace -1.000e+00 is not positive"),
         DecompositionError("A_mm"),
         DataSectionError("invalid 'data' section: task 0: inputs and outputs must be finite"),
     ],
     ids=[
-        "validity-reconstruction", "validity-data", "validity-weights", "validity-stall",
+        "validity-reconstruction", "validity-data", "validity-weights",
         "convergence", "decomposition-detail", "decomposition",
         "data-section",
     ],
