@@ -61,12 +61,11 @@ that interval (`_project_line`), all rows of a batch together, and its
 landing reconstruction is factored once, strictly.
 
 With two or more basis rows each row solves on its own (`_project_newton`),
-keeping to the cone by halving a step until its reconstruction factors and
-|g - t| falls: H is positive definite on the cone, so the Newton direction
-lowers |g - t|^2 / 2, whose only stationary points are roots (Nocedal &
-Wright, section 11.2). Each trial factors its reconstruction once, H is
-formed only at accepted weights, and a start at w = 0 reads the offset's
-factor, which the subspace keeps (`Subspace.offset_factor`).
+keeping to the cone with the fit's `_line_search` on the merit |g - t|^2: H
+is positive definite on the cone, so the Newton direction lowers it, and its
+only stationary points are roots (Nocedal & Wright, section 11.2). Each
+trial, the start included, factors its reconstruction once, and H is formed
+only at accepted weights.
 """
 
 from __future__ import annotations
@@ -132,19 +131,19 @@ class ValidityError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """A projection hit the iteration cap before its Newton decrement met the tolerance."""
+    """A projection hit the iteration cap with its Newton decrement above `tol`, both in nats."""
 
-    def __init__(self, grad_norm: float, tol: float, iters: int):
-        self.grad_norm = grad_norm
+    def __init__(self, decrement: float, tol: float, iters: int):
+        self.decrement = decrement
         self.tol = tol
         self.iters = iters
         super().__init__(
             f"projection did not converge in {iters} iterations: "
-            f"gradient norm {grad_norm:.3e} > tolerance {tol:.3e}"
+            f"Newton decrement {decrement:.3e} nats > tolerance {tol:.3e} nats"
         )
 
     def __reduce__(self):
-        return type(self), (self.grad_norm, self.tol, self.iters)
+        return type(self), (self.decrement, self.tol, self.iters)
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,9 @@ class FitOptions:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+        if isinstance(self.max_iters, bool) or not (
+            isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1
+        ):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
@@ -165,23 +166,19 @@ class FitOptions:
 class Subspace:
     """Affine subspace in natural coordinates: offset u0 (D,) and basis rows (L, D).
 
-    `u0` and `basis` are read-only copies, so the kept values below cannot
-    go stale. Each is computed when first read and kept; an offset off the
-    cone raises `_InvalidBatch` on each read and keeps nothing.
+    `u0` and `basis` are read-only copies, so the two kept values below cannot
+    go stale. Each is computed when first read and kept; a `line_pencil` whose
+    offset is off the cone raises `_InvalidBatch` on each read, keeping nothing.
 
     - `line_pencil` (latent dimension 1): the line's `_LinePencil`, the
       offset's Cholesky factor and the eigenpairs, cone interval and slopes
       that every projection onto the line reads.
-    - `offset_factor`: `_point_moments` of the offset (mu and the lower
-      triangle of Sigma), read-only; projections onto two or more basis
-      rows start from it at w = 0.
-    - `basis_blocks`: (b, B) for the basis rows (b_k, M_k),
-      B_k = (M_k + M_k^T) / 2, read-only, which the Fisher metric of those
-      projections reads (`_fisher`).
-    - `moment_rows`: (W_k, b_k, B_k) per basis row, read-only, with
-      W_k = tril(2 B_k, -1) + diag(B_k), so that tr(B_k S) = <W_k, tril(S)>
-      for a symmetric S; every target t, and every slope g of a projection
-      onto two or more basis rows, reads them (`_moment_slopes`).
+    - `basis_blocks`: (b, B, W) for the basis rows (b_k, M_k), read-only,
+      with B_k = (M_k + M_k^T) / 2, which the Fisher metric reads
+      (`_fisher`), and W_k = tril(2 B_k, -1) + diag(B_k), so that
+      tr(B_k S) = <W_k, tril(S)> for a symmetric S; every target t, and
+      every slope g of a projection onto two or more basis rows, reads them
+      (`_moment_slopes`).
 
     A pickled or deep-copied subspace is rebuilt through the constructor, so
     its arrays are read-only again and it computes each afresh.
@@ -211,31 +208,14 @@ class Subspace:
         return _LinePencil(self.u0, self.basis[0], dim_from_flat(self.flat_dim))
 
     @cached_property
-    def offset_factor(self) -> tuple:
-        d = dim_from_flat(self.flat_dim)
-        factor = _point_moments(self.u0, d)
-        if factor is None:
-            raise _InvalidBatch(self.u0[None, :], d)
-        for a in factor:
-            a.setflags(write=False)
-        return factor
-
-    @cached_property
     def basis_blocks(self) -> tuple:
         d = dim_from_flat(self.flat_dim)
         mat = self.basis[:, d:].reshape(-1, d, d)
         sym = 0.5 * (mat + np.transpose(mat, (0, 2, 1)))
-        sym.setflags(write=False)
-        return self.basis[:, :d], sym
-
-    @cached_property
-    def moment_rows(self) -> tuple:
-        rows = []
-        for b, sym in zip(*self.basis_blocks):
-            tril = np.tril(2.0 * sym, -1) + np.diag(np.diag(sym))
-            tril.setflags(write=False)
-            rows.append((tril, b, sym))
-        return tuple(rows)
+        tril = np.array([np.tril(2.0 * s, -1) + np.diag(np.diag(s)) for s in sym]).reshape(sym.shape)
+        for a in (sym, tril):
+            a.setflags(write=False)
+        return self.basis[:, :d], sym, tril
 
     @property
     def latent_dim(self) -> int:
@@ -295,8 +275,9 @@ class _InvalidBatch(Exception):
 def _factors(point: np.ndarray, d: int) -> bool:
     """Whether one natural point's -2 Theta has a Cholesky factor.
 
-    Forms -2 Theta as `_natural_to_dual` does for a whole stack, so the
-    answer is the same as for that point's slice of the stack.
+    The package's one cone test of a single point: it forms -2 Theta as
+    `_natural_to_dual` does for a whole stack, so the answer is the same as
+    for that point's slice of the stack.
     """
     m = point[d:].reshape(d, d)
     try:
@@ -416,7 +397,9 @@ class _PointBatch:
 
 def _line_search(evaluate: Callable, p: np.ndarray, kl_cur: float, direction: np.ndarray):
     """The first of p + t direction, t = 1, 1/2, 1/4, ... (`_MAX_BACKTRACKS`
-    candidates), that stays on the cone and strictly lowers the objective.
+    candidates), that stays on the cone and strictly lowers the objective:
+    the fit's summed KL, or the merit |g - t|^2 of a projection onto two or
+    more basis rows (`_project_newton`).
 
     `evaluate(p)` returns (objective, payload) or raises _InvalidBatch.
     Returns (p, objective, payload, accepted), unmoved if no candidate is
@@ -539,11 +522,11 @@ def fit(points, latent_dim: int, opts: Optional[FitOptions] = None) -> FitResult
     n_points = pts.shape[0]
     if n_points < 1:
         raise ValueError("need at least one point")
-    if latent_dim < 0 or (n_points > 1 and latent_dim > n_points - 1) or (
-        n_points == 1 and latent_dim > 0
+    if isinstance(latent_dim, bool) or not (
+        isinstance(latent_dim, numbers.Integral) and 0 <= latent_dim < n_points
     ):
         raise ValueError(
-            f"latent dimension {latent_dim} not in [0, {max(n_points - 1, 0)}] for {n_points} points"
+            f"latent_dim must be an integer in [0, {n_points - 1}] for {n_points} points, got {latent_dim!r}"
         )
     batch = _PointBatch(pts)
     u0_init, basis_init, w_init, start = _initial_subspace(batch, latent_dim)
@@ -700,7 +683,7 @@ class _LinePencil:
         lam, vecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
         a = vecs.T @ solve_triangular(chol, u0[:d], lower=True)
         b = vecs.T @ solve_triangular(chol, u1[:d], lower=True)
-        self.u0, self.u1, self.dim, self._m0, self._m1 = u0, u1, d, m0, m1
+        self.u0, self.u1, self.dim = u0, u1, d
         for array in (chol, lam, vecs, a, b):
             array.setflags(write=False)
         self.chol, self.lam, self.vecs, self.a, self.b = chol, lam, vecs, a, b
@@ -729,18 +712,8 @@ class _LinePencil:
         return [(s0 + v * (s1 + v * s2), h) for v, (s0, s1, s2, h) in zip(w, sums)]
 
     def off_cone(self, w: list) -> list:
-        """Indices k of the weights w_k whose reconstruction u0 + w_k u1 does not factor.
-
-        One batched factorization of -2 Theta, formed from the stored blocks
-        as `_natural_to_dual` and a prediction form it from the
-        reconstruction, so all three agree on every weight.
-        """
-        m = np.array(w)[:, None, None] * self._m1 + self._m0
-        try:
-            np.linalg.cholesky(-(m + np.transpose(m, (0, 2, 1))))
-        except np.linalg.LinAlgError:
-            return [k for k, v in enumerate(w) if not _factors(self.u0 + v * self.u1, self.dim)]
-        return []
+        """Indices k of the weights w_k whose reconstruction u0 + w_k u1 does not factor (`_factors`)."""
+        return [k for k, v in enumerate(w) if not _factors(self.u0 + v * self.u1, self.dim)]
 
     def back_off(self, w: float) -> float:
         """The first of w (1 - 2^-k), k = 40, 39, ..., 1, whose reconstruction factors, else 0.
@@ -776,9 +749,9 @@ def _moment_slopes(subspace: Subspace, mu: np.ndarray, sigma: np.ndarray) -> lis
 
     Entry k is b_k . mu + tr(B_k (Sigma + mu mu^T)) for the basis row
     (b_k, M_k), B_k = (M_k + M_k^T) / 2, with tr(B_k Sigma) read from the
-    lower triangle (`Subspace.moment_rows`).
+    lower triangle (`Subspace.basis_blocks`).
     """
-    return [float(np.vdot(w, sigma) + mu @ (b + sym @ mu)) for w, b, sym in subspace.moment_rows]
+    return [float(np.vdot(w, sigma) + mu @ (b + sym @ mu)) for b, sym, w in zip(*subspace.basis_blocks)]
 
 
 def _project_line(pencil: _LinePencil, targets: list, opts: FitOptions, start: list):
@@ -793,9 +766,9 @@ def _project_line(pencil: _LinePencil, targets: list, opts: FitOptions, start: l
     w (the bracket is one float wide). A start at w = 0 reads the pencil's
     kept slopes, so its first step costs nothing; a start off the bracket is
     replaced by 0. Each row that moved off 0 has its reconstruction factored
-    once, strictly (one batched factorization); one that rounding puts just
-    off the cone is backed off toward 0 (`_LinePencil.back_off`), so no row
-    ends off the cone.
+    once, strictly (`_LinePencil.off_cone`); one that rounding puts just off
+    the cone is backed off toward 0 (`_LinePencil.back_off`), so no row ends
+    off the cone.
     Returns (weights (n, 1), errors), errors[i] None or the ConvergenceError
     of a row still moving after `max_iters` steps, left at its last iterate.
     """
@@ -814,7 +787,7 @@ def _project_line(pencil: _LinePencil, targets: list, opts: FitOptions, start: l
             if r * r <= tol * h:
                 continue
             if steps == opts.max_iters:
-                errors[i] = ConvergenceError(abs(r), math.sqrt(tol * h), steps)
+                errors[i] = ConvergenceError(r * r / (2.0 * h), 0.5 * tol, steps)
                 continue
             wi = w[i]
             if r > 0:  # the root lies below wi
@@ -843,35 +816,35 @@ def _project_newton(subspace: Subspace, targets: list, opts: FitOptions, weights
 
     Each row takes Newton steps w - H^-1 (g - t), with H = `_fisher`, and
     stops once its Newton decrement (g - t)^T H^-1 (g - t) / 2 is at most
-    1e-3 rel_tol nats. A step is halved until its reconstruction factors
-    and |g - t| falls, at most `_MAX_BACKTRACKS` times; a row whose step
-    cannot lower |g - t| that way is at rounding level and stops where it
-    is. Where H is singular (a zero basis row) the step is the least-squares
-    one. Each trial factors its reconstruction once (`_point_moments`), and
-    H is formed only at accepted weights; a start at w = 0 reads the
-    offset's kept moments (`Subspace.offset_factor`).
+    1e-3 rel_tol nats. `_line_search` backtracks each step on the merit
+    |g - t|^2 until its reconstruction factors and the merit falls; a row
+    whose step cannot lower it that way is at rounding level and stops where
+    it is. Where H is singular (a zero basis row) the step is the
+    least-squares one. Each trial, the start included, factors its
+    reconstruction once (`_point_moments`), and H is formed only at accepted
+    weights.
 
-    Overwrites `weights` and returns (weights, errors) as `_project`. A
-    ConvergenceError compares sqrt((g - t)^T H^-1 (g - t)) with
-    sqrt(2e-3 rel_tol).
+    Overwrites `weights` and returns (weights, errors) as `_project`.
     """
     d = dim_from_flat(subspace.flat_dim)
-    b, sym = subspace.basis_blocks
+    b, sym, _ = subspace.basis_blocks
     tol = 2e-3 * opts.rel_tol  # (g - t)^T H^-1 (g - t) <= tol
     errors: list[Optional[Exception]] = [None] * len(weights)
+
+    def merit(w, t):
+        moments = _point_moments(reconstruct(w, subspace), d)
+        if moments is None:
+            raise _InvalidBatch()
+        r = np.subtract(_moment_slopes(subspace, *moments), t)
+        return float(r @ r), (r, moments)
+
     for i, t in enumerate(targets):
         w = weights[i]
-        if w.any():
-            moments = _point_moments(reconstruct(w, subspace), d)
-        else:
-            try:
-                moments = subspace.offset_factor
-            except _InvalidBatch:
-                moments = None
-        if moments is None:
+        try:
+            size, (r, moments) = merit(w, t)
+        except _InvalidBatch:
             errors[i] = ValidityError(i)
             continue
-        r = np.subtract(_moment_slopes(subspace, *moments), t)
         steps = 0
         while True:
             mu, low = moments
@@ -881,20 +854,15 @@ def _project_newton(subspace: Subspace, targets: list, opts: FitOptions, weights
             if decrement <= tol:
                 break
             if steps == opts.max_iters:
-                errors[i] = ConvergenceError(math.sqrt(decrement), math.sqrt(tol), steps)
+                errors[i] = ConvergenceError(0.5 * decrement, 0.5 * tol, steps)
                 break
-            scale = 1.0
-            for _ in range(_MAX_BACKTRACKS):
-                candidate = w - scale * step
-                trial = _point_moments(reconstruct(candidate, subspace), d)
-                if trial is not None:
-                    r_new = np.subtract(_moment_slopes(subspace, *trial), t)
-                    if r_new @ r_new < r @ r:
-                        break
-                scale *= _BACKTRACK_FACTOR
-            else:
+            try:
+                w, size, trial, accepted = _line_search(lambda v: merit(v, t), w, size, -step)
+            except _InvalidBatch:
+                accepted = False
+            if not accepted:
                 break  # |g - t| is at rounding level
-            w, r, moments = candidate, r_new, trial
+            r, moments = trial
             steps += 1
         weights[i] = w
     return weights, errors
@@ -934,12 +902,13 @@ def project_point(point, subspace: Subspace, opts: Optional[FitOptions] = None) 
 
     The problem is convex in w, so the projection is unique: the moment
     match g(w) = U~ . eta(u0 + w U~) = t (`_project`). The point is factored
-    once, strictly, for t = U~ . eta(point) (`_point_moments`). The solve
-    starts from what the subspace keeps at the offset (`line_pencil` on a
-    line, `offset_factor` otherwise), so only the first projection onto a
-    subspace factors the offset. It stops once the Newton decrement is at
-    most 1e-3 rel_tol nats, which computes no KL, and its result is a weight
-    whose reconstruction factors.
+    once, strictly, for t = U~ . eta(point) (`_point_moments`). On a line
+    the solve starts from the pencil the subspace keeps (`line_pencil`), so
+    only the first projection onto a line factors the offset; with two or
+    more basis rows each projection factors its start w = 0 like any other
+    trial. It stops once the Newton decrement is at most 1e-3 rel_tol nats,
+    which computes no KL, and its result is a weight whose reconstruction
+    factors.
 
     Raises ConvergenceError if the iteration cap is hit first, and
     ValidityError for a point off the cone (as an input point) or an offset

@@ -94,13 +94,13 @@ def check_model(mode, latent_dim, inducing_count, tasks: int) -> None:
     """
     if mode not in ("exact", "sparse"):
         raise ValueError(f"mode must be 'exact' or 'sparse', got {mode!r}")
-    if not (isinstance(latent_dim, int) and 0 <= latent_dim < tasks):
+    if isinstance(latent_dim, bool) or not (isinstance(latent_dim, int) and 0 <= latent_dim < tasks):
         raise ValueError(
             f"latent_dim must be an integer in [0, {tasks - 1}] "
             f"for {tasks} training tasks, got {latent_dim!r}"
         )
-    if mode == "sparse" and not (isinstance(inducing_count, int) and inducing_count >= 1):
-        raise ValueError(f"inducing_count must be a positive integer, got {inducing_count!r}")
+    if mode == "sparse":
+        _check_integer("inducing_count", inducing_count, 1)
 
 
 def train_model(

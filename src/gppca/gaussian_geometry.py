@@ -26,8 +26,8 @@ definite matrices, is never repaired: `flat_natural_to_moment` factors
 jitter repair of `natural_to_moment` would have factored a nearby matrix
 and returned moments of an indefinite one. It works from that one factor C,
 as GP regression does (Rasmussen & Williams 2006, Alg. 2.1): mu from one
-`chol_solve`, which gives `natural_to_moment(unpack_natural(flat, d))`'s mu
-bit for bit, and Sigma = R^T R from the triangular inverse R = C^-1
+`chol_solve`, which gives the mu of `natural_to_moment` on the point with
+its block symmetrized bit for bit, and Sigma = R^T R from the triangular inverse R = C^-1
 (LAPACK dtrtri, imported on first call like `chol_solve`'s dpotrs). That
 costs about 4/3 d^3 flops (d^3/3 for the inverse, d^3 for the product)
 against about 2 d^3 for solving against the identity, and is symmetric to
@@ -53,7 +53,6 @@ __all__ = [
     "chol_pd",
     "chol_solve",
     "pack_coords",
-    "unpack_coords",
     "dim_from_flat",
 ]
 
@@ -231,7 +230,7 @@ def natural_to_moment(c: NaturalCoord) -> MomentGaussian:
 
 
 def flat_natural_to_moment(flat: np.ndarray, d: int) -> MomentGaussian:
-    """Moments of a flat natural point: `natural_to_moment(unpack_natural(flat, d))`, strictly.
+    """Moments of a flat natural point: `natural_to_moment` of its symmetrized form, strictly.
 
     -2 Theta is symmetrized once, as -(M + M^T) for the stored block M (the
     chain's -2 * 1/2 (M + M^T) to the bit), and factored once, without
@@ -241,7 +240,10 @@ def flat_natural_to_moment(flat: np.ndarray, d: int) -> MomentGaussian:
     NumPy forms the product as a symmetric rank-k update, so Sigma equals
     its transpose bit for bit and goes into the result unchecked.
     """
-    theta, m = _split_flat(flat, d)
+    flat = np.asarray(flat, dtype=float).reshape(-1)
+    if flat.shape[0] != d + d * d:
+        raise ValueError(f"flat point of length {flat.shape[0]} does not match d={d}")
+    theta, m = flat[:d], flat[d:].reshape(d, d)
     a = -(m + m.T)  # equals Sigma^-1, must be PD
     try:
         chol = np.linalg.cholesky(a)
@@ -266,20 +268,6 @@ def pack_coords(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(vec, float).reshape(-1), np.asarray(mat, float).reshape(-1)])
 
 
-def _split_flat(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of a flat point's vector and its stored (unsymmetrized) d x d block."""
-    flat = np.asarray(flat, dtype=float).reshape(-1)
-    if flat.shape[0] != d + d * d:
-        raise ValueError(f"flat point of length {flat.shape[0]} does not match d={d}")
-    return flat[:d], flat[d:].reshape(d, d)
-
-
-def unpack_coords(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a flat point back into (vector, symmetrized matrix)."""
-    vec, mat = _split_flat(flat, d)
-    return vec, _sym(mat)
-
-
 def dim_from_flat(n: int) -> int:
     """Recover d from a flattened length D = d + d^2."""
     d = int(round((-1.0 + math.sqrt(1.0 + 4.0 * n)) / 2.0))
@@ -290,9 +278,4 @@ def dim_from_flat(n: int) -> int:
 
 def pack_natural(c: NaturalCoord) -> np.ndarray:
     return pack_coords(c.theta, c.big_theta)
-
-
-def unpack_natural(flat: np.ndarray, d: int) -> NaturalCoord:
-    vec, mat = unpack_coords(flat, d)
-    return NaturalCoord(theta=vec, big_theta=mat)
 

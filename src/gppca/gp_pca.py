@@ -20,8 +20,8 @@ A prediction factors its reconstruction's -2 Theta once, strictly
 (`gaussian_geometry.flat_natural_to_moment`): weights whose reconstruction
 lies off the cone of valid posteriors, even just past its boundary, raise
 `ValidityError`, as they do in the fit and the projection. The moments come
-from that one factor: mu equals that of the public chain
-`natural_to_moment(unpack_natural(...))` bit for bit, so predictive means
+from that one factor: mu equals that of `natural_to_moment` on the point
+with its block symmetrized bit for bit, so predictive means
 equal those predicted from the chain's moments bit for bit, and variances
 differ from theirs by the rounding of Sigma, which is taken from the
 factor's triangular inverse. The predictive equations then read the
@@ -106,11 +106,12 @@ class GpPcaModel:
     (`anchor_set.factor(prior)`: K, its Cholesky factor, mu0 and K^-1 mu0),
     and every prediction and adaptation reads that factor; a model's first
     prediction adds K^-1 (sparse) or the Cholesky factor's inverse (exact)
-    to it. Next to it, the first adaptation factors the subspace offset once
-    (`subspace.line_pencil`, or `subspace.offset_factor` for two or more
-    basis rows), and every later adaptation starts its moment-matching
-    solve from that factor. The factors and `fit_result` (training
-    diagnostics) are not persisted; a loaded model builds its factors again.
+    to it. Next to it, the subspace keeps the blocks of its basis rows
+    (`subspace.basis_blocks`) and, on a line, the offset's factor
+    (`subspace.line_pencil`), from which every adaptation's moment-matching
+    solve starts; with two or more basis rows each adaptation factors its
+    start w = 0 itself. The factors and `fit_result` (training diagnostics)
+    are not persisted; a loaded model builds its factors again.
     A pickled or deep-copied model is rebuilt through the constructor, with
     read-only anchor and subspace arrays, and factors its anchor again.
     """

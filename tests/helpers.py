@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gppca import epca
 from gppca import gaussian_geometry as gg
 from gppca.gaussian_geometry import MomentGaussian
+from oracles import unpack_natural
 
 
 EPS = np.finfo(float).eps
@@ -116,7 +117,7 @@ def planted_subspace(rng: np.random.Generator, d: int, latent_dim: int, n_points
     points = u0 + weights @ basis if latent_dim else np.tile(u0, (n_points, 1))
     # confirm validity of every planted point
     for p in points:
-        nat = gg.unpack_natural(p, d)
+        nat = unpack_natural(p, d)
         np.linalg.cholesky(-2.0 * nat.big_theta)
     return points, u0, basis, weights
 

@@ -16,7 +16,7 @@ the functions under them) is the predictive and task-point code as it was
 before each model cached its anchor factor: every call builds K over the
 anchor, factors it and recomputes the prior-mean centre, the variances come
 from a three-operand einsum, and a reconstruction's moments come from the
-public chain `natural_to_moment(unpack_natural(reconstruct(w)))`
+chain `natural_to_moment(unpack_natural(reconstruct(w)))`
 (`reconstructed_moments`) instead of `gp_pca`'s one strict factorization.
 The cached route must give the same means bit for bit, and the same
 variances to the float64 floor.
@@ -33,7 +33,9 @@ The expectation chart, the Legendre potentials, the closed-form KL and the
 extension map `joint_posterior_coords` are the reference algebra of the
 paper's theorems. The package fits in the natural chart and predicts from
 moments, so these live here, where the tests check the two charts and the
-extension against them.
+extension against them. `unpack_coords` and `unpack_natural` split a flat
+point into its vector and its symmetrized matrix block for that chain: the
+package reads flat points directly and never builds a `NaturalCoord` from one.
 
 The Van der Pol reference integrates one state at a time with scalar RK4
 and builds every sequence by its own integration, the way the generator
@@ -62,8 +64,6 @@ from gppca.gaussian_geometry import (
     natural_to_moment,
     pack_coords,
     pack_natural,
-    unpack_coords,
-    unpack_natural,
     _check_symmetry,
     _sym,
 )
@@ -90,6 +90,8 @@ __all__ = [
     "dual_potential",
     "inner_product",
     "kl_divergence",
+    "unpack_coords",
+    "unpack_natural",
     "pack_expectation",
     "unpack_expectation",
     "joint_posterior_coords",
@@ -240,6 +242,19 @@ def kl_divergence(p: MomentGaussian, q: MomentGaussian) -> float:
     quad = float(y @ y)
     logdet = _logdet_from_chol(chol_q) - _logdet_from_chol(chol_p)
     return 0.5 * (trace_term + quad - d + logdet)
+
+
+def unpack_coords(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split a flat point back into (vector, symmetrized matrix)."""
+    flat = np.asarray(flat, dtype=float).reshape(-1)
+    if flat.shape[0] != d + d * d:
+        raise ValueError(f"flat point of length {flat.shape[0]} does not match d={d}")
+    return flat[:d], _sym(flat[d:].reshape(d, d))
+
+
+def unpack_natural(flat: np.ndarray, d: int) -> NaturalCoord:
+    vec, mat = unpack_coords(flat, d)
+    return NaturalCoord(theta=vec, big_theta=mat)
 
 
 def pack_expectation(c: ExpectationCoord) -> np.ndarray:

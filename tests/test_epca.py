@@ -17,6 +17,7 @@ from oracles import (
     natural_to_expectation,
     pack_expectation,
     unpack_expectation,
+    unpack_natural,
 )
 from helpers import kl_gradients, kl_objective, planted_subspace, random_gaussian
 
@@ -130,7 +131,7 @@ class TestGradients:
         s = Subspace(u0=u0, basis=basis)
         weights = np.zeros((1, 1))
         recon_dual = pack_expectation(
-            natural_to_expectation(gg.unpack_natural(u0, d))
+            natural_to_expectation(unpack_natural(u0, d))
         )
         step = np.zeros_like(recon_dual)
         step[0] = 0.05  # small mean perturbation in the dual chart
@@ -321,7 +322,7 @@ class TestFisherStep:
 
         w = np.array([0.3, -0.2])
         recon = gradient(w)[1]
-        h = epca._fisher(recon[2][0], recon[3][0], *s.basis_blocks)
+        h = epca._fisher(recon[2][0], recon[3][0], *s.basis_blocks[:2])
         step = 1e-6
         by_differences = np.array([
             (gradient(w + step * e)[0] - gradient(w - step * e)[0]) / (2 * step) for e in np.eye(2)
@@ -391,7 +392,7 @@ class TestProjectBatch:
         _, errors = epca._project(s, self._targets(pts, s), opts, start)
         with pytest.raises(ConvergenceError) as err:
             epca.project_point(pts[1], s, opts)
-        assert err.value.grad_norm == errors[1].grad_norm
+        assert err.value.decrement == errors[1].decrement
         assert err.value.tol == errors[1].tol
 
     def test_fit_factors_its_points_once(self, monkeypatch):
@@ -427,8 +428,8 @@ class TestFit:
         d = 3
         for w, p in zip(res.weights, pts):
             rec = epca.reconstruct(w, res.subspace)
-            zr = pack_expectation(natural_to_expectation(gg.unpack_natural(rec, d)))
-            zp = pack_expectation(natural_to_expectation(gg.unpack_natural(p, d)))
+            zr = pack_expectation(natural_to_expectation(unpack_natural(rec, d)))
+            zp = pack_expectation(natural_to_expectation(unpack_natural(p, d)))
             assert np.max(np.abs(zr - zp)) < 1e-4
 
     def test_full_span(self):
@@ -447,7 +448,7 @@ class TestFit:
         # re-symmetrize matrix blocks so points stay valid
         fixed = []
         for p in noisy:
-            nat = gg.unpack_natural(p, 3)
+            nat = unpack_natural(p, 3)
             fixed.append(gg.pack_natural(nat))
         res = epca.fit(np.asarray(fixed), 2, FitOptions(rel_tol=1e-12))
         assert np.all(np.diff(res.history) <= 0)
@@ -460,6 +461,9 @@ class TestFit:
             epca.fit(pts, 3)
         with pytest.raises(ValueError):
             epca.fit(pts[:1], 1)
+        for latent_dim in (1.5, True):
+            with pytest.raises(ValueError, match=f"^latent_dim must be an integer in .* got {latent_dim}$"):
+                epca.fit(pts, latent_dim)
 
     def test_single_point_offset_fit(self):
         rng = np.random.default_rng(18)
@@ -596,6 +600,6 @@ def test_fit_options_reject_non_finite_values(value):
     with pytest.raises(ValueError, match=f"^rel_tol must be positive and finite, got {value}$"):
         FitOptions(rel_tol=value)
     # A float iteration cap, finite or not, used to fail later in range().
-    for cap in (value, 2.5):
+    for cap in (value, 2.5, True):
         with pytest.raises(ValueError, match=f"^max_iters must be a positive integer, got {cap}$"):
             FitOptions(max_iters=cap)

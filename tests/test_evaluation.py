@@ -66,6 +66,21 @@ def test_an_invalid_prior_is_rejected_at_construction(given, named):
         ExperimentConfig(experiment="artificial", **given)
 
 
+@pytest.mark.parametrize(
+    "given, named",
+    [
+        ({"latent_dim": True}, "^latent_dim must be an integer in .* got True$"),
+        ({"latent_dim": 1.5}, "^latent_dim must be an integer in .* got 1.5$"),
+        ({"inducing_count": True}, "^inducing_count must be an integer >= 1, got True$"),
+        ({"inducing_count": 1.5}, "^inducing_count must be an integer >= 1, got 1.5$"),
+    ],
+    ids=["latent_dim-bool", "latent_dim-fraction", "inducing_count-bool", "inducing_count-fraction"],
+)
+def test_a_model_setting_that_is_not_an_integer_is_rejected_at_construction(given, named):
+    with pytest.raises(ValueError, match=named):
+        ExperimentConfig(experiment="artificial", **given)
+
+
 def test_the_prior_is_kept_as_an_attribute_not_a_recorded_field():
     cfg = ExperimentConfig(experiment="vdp", lengthscale=0.3, beta=10.0, prior_mean=0.5)
     kernel = KernelConfig(kind="rbf", lengthscale=0.3)

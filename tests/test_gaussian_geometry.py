@@ -35,7 +35,9 @@ from oracles import (
     moment_to_expectation,
     natural_to_expectation,
     pack_expectation,
+    unpack_coords,
     unpack_expectation,
+    unpack_natural,
 )
 
 
@@ -112,8 +114,8 @@ class TestFlatNaturalToMoment:
         for _ in range(10):
             flat = self._flat(rng, d, cond_max, asymmetry)
             got = gg.flat_natural_to_moment(flat, d)
-            want = natural_to_moment(gg.unpack_natural(flat, d))
-            a = -2.0 * gg.unpack_coords(flat, d)[1]
+            want = natural_to_moment(unpack_natural(flat, d))
+            a = -2.0 * unpack_coords(flat, d)[1]
             floor = inverse_floor(a)
             assert np.array_equal(got.mu, want.mu)
             assert np.array_equal(got.sigma, got.sigma.T)
@@ -125,7 +127,7 @@ class TestFlatNaturalToMoment:
         # min eig(-2 Theta) = -1e-12: chol_pd's first jitter (1e-10 trace/d) factors it.
         a = np.diag([1.0, 2.0, -1e-12])
         flat = np.concatenate([np.ones(3), (-0.5 * a).reshape(-1)])
-        natural_to_moment(gg.unpack_natural(flat, 3))
+        natural_to_moment(unpack_natural(flat, 3))
         with pytest.raises(DecompositionError, match=r"-2\*big_theta"):
             gg.flat_natural_to_moment(flat, 3)
 
@@ -557,7 +559,7 @@ class TestFlatHelpers:
         c = moment_to_natural(g)
         flat = gg.pack_natural(c)
         assert flat.shape == (4 + 16,)
-        c2 = gg.unpack_natural(flat, 4)
+        c2 = unpack_natural(flat, 4)
         np.testing.assert_array_equal(c2.theta, c.theta)
         np.testing.assert_allclose(c2.big_theta, c.big_theta)
 

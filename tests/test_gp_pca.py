@@ -72,6 +72,9 @@ class TestTrain:
             gp_pca.train(_toy_tasks()[:1], prior, 0)
         with pytest.raises(ValueError, match="latent dimension"):
             gp_pca.train(_toy_tasks(), prior, 3)
+        for latent_dim in (1.5, True):
+            with pytest.raises(ValueError, match=f"^latent_dim must be an integer .* got {latent_dim}$"):
+                gp_pca.train(_toy_tasks(), prior, latent_dim)
         with pytest.raises(ValueError, match="inducing"):
             gp_pca.train(_toy_tasks(), prior, 1, mode="sparse")
 
@@ -151,7 +154,7 @@ class TestPredict:
     def test_zero_weights_is_offset_prediction(self):
         prior = _prior()
         model = gp_pca.train(_toy_tasks(), prior, 1, mode="exact", opts=TIGHT)
-        rho0 = natural_to_moment(gg.unpack_natural(model.subspace.u0, model.anchor.shape[0]))
+        rho0 = natural_to_moment(oracles.unpack_natural(model.subspace.u0, model.anchor.shape[0]))
         from gppca.kernels_gp import predictive_batch
 
         m_ref, v_ref = predictive_batch(prior, rho0, model.anchor, [[0.33]])
@@ -169,7 +172,7 @@ class TestPredict:
         prior = _prior()
         model = gp_pca.train(_toy_tasks(), prior, 1, mode="exact", opts=TIGHT)
         flat = epca.reconstruct(model.weights[1], model.subspace)
-        rho_hat = natural_to_moment(gg.unpack_natural(flat, model.anchor.shape[0]))
+        rho_hat = natural_to_moment(oracles.unpack_natural(flat, model.anchor.shape[0]))
         means, variances = gp_pca.predict_batch(model, 1, model.anchor)
         np.testing.assert_allclose(means, rho_hat.mu, atol=1e-8)
         np.testing.assert_allclose(variances, np.diag(rho_hat.sigma), atol=1e-8)
@@ -385,7 +388,7 @@ def _artificial_model(mode, latent_dim=1):
 
 
 def _cond(flat, d):
-    return np.linalg.cond(-2.0 * gg.unpack_natural(flat, d).big_theta)
+    return np.linalg.cond(-2.0 * oracles.unpack_natural(flat, d).big_theta)
 
 
 def _assert_at_line_minimum(model, point, w, opts):
@@ -443,7 +446,7 @@ def _variance_floor(model, w, x):
     """
     k = gram(model.prior.kernel, model.anchor, model.anchor)
     k_cross = gram(model.prior.kernel, model.anchor, x)
-    nat = gg.unpack_natural(epca.reconstruct(w, model.subspace), model.anchor.shape[0])
+    nat = oracles.unpack_natural(epca.reconstruct(w, model.subspace), model.anchor.shape[0])
     sigma = natural_to_moment(nat).sigma
     sigma_floor = inverse_floor(-2.0 * nat.big_theta)
     if model.mode == "sparse":
@@ -473,7 +476,7 @@ def _swapped_variances(model, w, x):
     """Variances from the chain's moments at `w` with Sigma = R R^T (`transposed_inverse`),
     a wrong Sigma that `_variance_floor` must reject."""
     rho = oracles.reconstructed_moments(model, w)
-    _, big_theta = gg.unpack_coords(epca.reconstruct(w, model.subspace), len(model.anchor))
+    _, big_theta = oracles.unpack_coords(epca.reconstruct(w, model.subspace), len(model.anchor))
     swapped = gg.MomentGaussian(rho.mu, transposed_inverse(-2.0 * big_theta))
     predictive = gp_pca.predictive_batch if model.mode == "exact" else gp_pca.sparse_predictive_batch
     return predictive(model.prior, swapped, model.anchor_set, x)[1]
@@ -619,11 +622,12 @@ class TestAnchorFactor:
         path = tmp_path / "model.json"
         gp_pca.save_model(model, path)
         loaded = gp_pca.load_model(path)
-        assert "offset_factor" not in vars(loaded.subspace)  # built again, not persisted
+        assert not {"line_pencil", "basis_blocks"} & set(vars(loaded.subspace))  # built again, not persisted
         for task, want in zip(data.new_tasks, adapted):
             assert np.array_equal(gp_pca.adapt_new_task(loaded, task, opts), want)
-        for got, want in zip(loaded.subspace.offset_factor, model.subspace.offset_factor):
+        for got, want in zip(loaded.subspace.basis_blocks, model.subspace.basis_blocks):
             assert np.array_equal(got, want)
+        assert np.array_equal(loaded.subspace.line_pencil.chol, model.subspace.line_pencil.chol)
         augmented = gp_pca.with_extra_task(model, w)
         assert augmented.anchor_set is model.anchor_set
         x = data.new_eval[0].inputs
@@ -768,7 +772,6 @@ class TestOffsetFactor:
                 epca.project_point(point, model.subspace)
             with pytest.raises(ValidityError, match=message):
                 gp_pca.adapt_new_task(model, task)
-            assert "offset_factor" not in vars(model.subspace)
             assert "line_pencil" not in vars(model.subspace)
 
     def test_subspace_arrays_are_read_only_copies(self):
@@ -779,7 +782,7 @@ class TestOffsetFactor:
         for a in (subspace.u0, subspace.basis):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
-        for a in subspace.offset_factor:
+        for a in (*subspace.basis_blocks, subspace.line_pencil.chol):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 1.0
 
@@ -831,7 +834,7 @@ class TestLinePencil:
         for w in self._weights(pencil):
             recon = epca._natural_to_dual(epca.reconstruct([w], s)[None, :], d)
             terms = recon[4][0] * s.basis[0]
-            h_ref = epca._fisher(recon[2][0], recon[3][0], *s.basis_blocks)[0, 0]
+            h_ref = epca._fisher(recon[2][0], recon[3][0], *s.basis_blocks[:2])[0, 0]
             g, h = pencil.slopes([w])[0]
             floor = d * EPS * _cond(epca.reconstruct([w], s), d)
             assert abs(g - terms.sum()) <= floor * np.abs(terms).sum()
@@ -911,7 +914,7 @@ class TestLinePencil:
         opts = FitOptions(max_iters=1, rel_tol=1e-14)
         with pytest.raises(ConvergenceError) as err:
             epca.project_point(point, model.subspace, opts)
-        assert err.value.iters == 1 and err.value.grad_norm > err.value.tol
+        assert err.value.iters == 1 and err.value.decrement > err.value.tol
         weights, errors = epca._project_batch(
             epca._PointBatch(point[None, :]), model.subspace, opts, np.zeros((1, 1))
         )
@@ -950,6 +953,16 @@ class TestSubspaceProjection:
             assert np.all(w != 0.0)
             _assert_at_subspace_minimum(model, oracles.task_point_per_call(model, task), w, opts)
 
+    def test_projections_keep_only_the_basis_blocks(self):
+        # Every projection factors its start w = 0 like any other trial, so the
+        # subspace keeps no moments of its offset, only the blocks of its basis rows.
+        model, _, tasks, _ = _plane_model("sparse toy")
+        subspace = epca.Subspace(u0=model.subspace.u0, basis=model.subspace.basis)
+        for task in tasks:
+            point = gp_pca._task_point(model.prior, task, model.anchor_set, model.mode)
+            assert np.all(epca.project_point(point, subspace) != 0.0)
+        assert set(vars(subspace)) == {"u0", "basis", "basis_blocks"}
+
     @pytest.mark.parametrize("name", PLANE_MODELS)
     def test_polish_rows_land_at_the_kl_minimum(self, name):
         # The fit's polish reads its targets from the batch's duals; each row stops
@@ -962,8 +975,8 @@ class TestSubspaceProjection:
 def _cone_boundary_weights(model):
     """The weights on the model's line (L = 1) where min eig(-2 Theta) reaches 0, each side of w = 0."""
     d = len(model.anchor)
-    _, offset = gg.unpack_coords(model.subspace.u0, d)
-    _, direction = gg.unpack_coords(model.subspace.basis[0], d)
+    _, offset = oracles.unpack_coords(model.subspace.u0, d)
+    _, direction = oracles.unpack_coords(model.subspace.basis[0], d)
     # -2 Theta(w) = A0 + w M is singular where w = -1/lambda, lambda an eigenvalue of A0^-1 M.
     lam = np.linalg.eigvals(np.linalg.solve(-2.0 * offset, -2.0 * direction)).real
     return -1.0 / lam[lam < 0].min(), -1.0 / lam[lam > 0].max()
@@ -1038,7 +1051,7 @@ class TestStrictReconstruction:
         x = data.train_eval[0].inputs
         for boundary in _cone_boundary_weights(model):
             w = np.array([boundary * (1 + 1e-7)])
-            _, big_theta = gg.unpack_coords(epca.reconstruct(w, model.subspace), len(inducing))
+            _, big_theta = oracles.unpack_coords(epca.reconstruct(w, model.subspace), len(inducing))
             assert -1e-7 < np.linalg.eigvalsh(-2.0 * big_theta).min() < 0.0
             with pytest.raises(epca._InvalidBatch):  # the fit and projection refuse it too
                 epca._natural_to_dual(epca.reconstruct(w, model.subspace)[None, :], len(inducing))
@@ -1063,13 +1076,13 @@ class TestCopies:
     def test_subspace_rebuilds_its_offset_factor(self, how):
         model, _ = _artificial_model("sparse")
         subspace = model.subspace
-        want = subspace.offset_factor
+        want = subspace.basis_blocks
         pencil = subspace.line_pencil
         got = self.COPIERS[how](subspace)
-        assert "offset_factor" not in vars(got) and "line_pencil" not in vars(got)
-        self._assert_read_only(got.u0, got.basis, *got.offset_factor)
+        assert "basis_blocks" not in vars(got) and "line_pencil" not in vars(got)
+        self._assert_read_only(got.u0, got.basis, *got.basis_blocks)
         assert np.array_equal(got.u0, subspace.u0) and np.array_equal(got.basis, subspace.basis)
-        for a, b in zip(got.offset_factor, want):
+        for a, b in zip(got.basis_blocks, want):
             assert np.array_equal(a, b)
         for name in ("chol", "lam", "vecs", "a", "b"):
             self._assert_read_only(getattr(got.line_pencil, name))
@@ -1102,7 +1115,7 @@ class TestCopies:
         w = gp_pca.adapt_new_task(model, task, opts)
         got = self.COPIERS[how](model)
         assert got.anchor is got.anchor_set.points
-        assert "offset_factor" not in vars(got.subspace) and "line_pencil" not in vars(got.subspace)
+        assert "basis_blocks" not in vars(got.subspace) and "line_pencil" not in vars(got.subspace)
         factor = got.anchor_set.factor(got.prior)
         self._assert_read_only(got.anchor, got.subspace.u0, got.subspace.basis)
         self._assert_read_only(factor.gram, factor.chol, factor.mean, factor.kinv_mean)
@@ -1130,7 +1143,7 @@ def test_zero_latent_dimensions_fit_and_predict_the_moment_matched_posterior(mod
     matched = expectation_to_moment(oracles.ExpectationCoord(
         eta=np.mean([c.eta for c in duals], axis=0), big_h=np.mean([c.big_h for c in duals], axis=0)
     ))
-    offset = natural_to_moment(gg.unpack_natural(model.subspace.u0, len(model.anchor)))
+    offset = natural_to_moment(oracles.unpack_natural(model.subspace.u0, len(model.anchor)))
     scale = np.max(np.abs(matched.sigma))
     np.testing.assert_allclose(offset.mu, matched.mu, rtol=1e-9, atol=1e-9 * scale)
     np.testing.assert_allclose(offset.sigma, matched.sigma, rtol=1e-9, atol=1e-9 * scale)
@@ -1256,7 +1269,7 @@ class TestJointCoords:
             mix = a * gg.pack_natural(moment_to_natural(r1)) + (1 - a) * gg.pack_natural(
                 moment_to_natural(r2)
             )
-            rho_mix = natural_to_moment(gg.unpack_natural(mix, 3))
+            rho_mix = natural_to_moment(oracles.unpack_natural(mix, 3))
             j_mix = gg.pack_natural(joint_posterior_coords(prior, rho_mix, anchor, test))
             np.testing.assert_allclose(j_mix, a * j1 + (1 - a) * j2, rtol=1e-8, atol=1e-8)
 

@@ -59,7 +59,7 @@ def test_cli_import_leaves_optimizer_and_process_pool_unloaded():
         ValidityError(4),
         ValidityError(2, data=True),
         ValidityError(None, weights=[0.5, -1.25]),
-        ConvergenceError(3.2e-4, 1e-6, 50),
+        ConvergenceError(2.4e-9, 1e-11, 50),
         DecompositionError("sigma", "trace -1.000e+00 is not positive"),
         DecompositionError("A_mm"),
         DataSectionError("invalid 'data' section: task 0: inputs and outputs must be finite"),
